@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Label
 from .errors import DataError
-
-SMOOTHING_MODES = ("laplace", "none")
-
 
 @dataclass(frozen=True)
 class DecisionPolicy:
@@ -36,9 +32,13 @@ class DecisionPolicy:
 
 
 def lambda_to_threshold(lam: float) -> float:
-    """t = lambda / (1 + lambda); the inverse is lambda = t / (1 - t)."""
-    if not math.isfinite(lam) or lam <= 0:
-        raise ValueError(f"lambda must be a positive finite number, got {lam}")
+    """t = lambda / (1 + lambda); the inverse is lambda = t / (1 - t).
+
+    The one lambda validator.  lambda must also keep t below 1.0 (lambda
+    under about 9.0e15): no posterior can exceed t = 1.
+    """
+    if not (math.isfinite(lam) and lam > 0 and lam / (1.0 + lam) < 1.0):
+        raise ValueError(f"lambda must be positive and below about 9.0e15, got {lam:g}")
     return lam / (1.0 + lam)
 
 
@@ -55,28 +55,6 @@ class NaiveBayesModel:
     def m(self) -> int:
         return len(self.p1_spam)
 
-    def save(self, path: str | Path) -> None:
-        lines = [f"nb m={self.m}", f"priors {self.prior_spam!r} {self.prior_legit!r}"]
-        for i in range(self.m):
-            p1s, p1l = float(self.p1_spam[i]), float(self.p1_legit[i])
-            lines.append(f"{p1s!r} {1.0 - p1s!r} {p1l!r} {1.0 - p1l!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NaiveBayesModel":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("nb m="):
-            raise ValueError(f"not a model file: {path}")
-        m = int(lines[0].split("=", 1)[1])
-        _, prior_spam, prior_legit = lines[1].split()
-        rows = [line.split() for line in lines[2 : 2 + m]]
-        return cls(
-            prior_spam=float(prior_spam),
-            prior_legit=float(prior_legit),
-            p1_spam=np.array([float(r[0]) for r in rows]),
-            p1_legit=np.array([float(r[2]) for r in rows]),
-        )
-
 
 def _as_matrix(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     try:
@@ -91,16 +69,13 @@ def _as_matrix(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 def train_naive_bayes(
     vectors: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[Label] | np.ndarray,
-    smoothing: str = "laplace",
 ) -> NaiveBayesModel:
     """Estimate priors as frequency ratios and conditionals per attribute.
 
     Laplace smoothing, (count + 1) / (n_class + 2), keeps every conditional
-    strictly inside (0, 1); "none" uses raw ratios, which can produce hard
-    zeros that annihilate a whole class.
+    strictly inside (0, 1); raw ratios would produce hard zeros that
+    annihilate a whole class.
     """
-    if smoothing not in SMOOTHING_MODES:
-        raise ValueError(f"unknown smoothing mode: {smoothing!r}")
     matrix = _as_matrix(vectors)
     y = np.asarray([int(l) for l in labels], dtype=np.uint8)
     if len(y) != len(matrix):
@@ -112,12 +87,8 @@ def train_naive_bayes(
 
     ones_spam = matrix[y == 1].sum(axis=0, dtype=np.int64)
     ones_legit = matrix[y == 0].sum(axis=0, dtype=np.int64)
-    if smoothing == "laplace":
-        p1_spam = (ones_spam + 1.0) / (n_spam + 2.0)
-        p1_legit = (ones_legit + 1.0) / (n_legit + 2.0)
-    else:
-        p1_spam = ones_spam / float(n_spam)
-        p1_legit = ones_legit / float(n_legit)
+    p1_spam = (ones_spam + 1.0) / (n_spam + 2.0)
+    p1_legit = (ones_legit + 1.0) / (n_legit + 2.0)
     total = n_spam + n_legit
     return NaiveBayesModel(
         prior_spam=n_spam / total,
@@ -127,18 +98,12 @@ def train_naive_bayes(
     )
 
 
-def _check_length(model: NaiveBayesModel, vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector)
-    if vector.shape != (model.m,):
-        raise ValueError(f"vector length {vector.shape} does not match model m={model.m}")
-    return vector
-
-
 def _log_joints(model: NaiveBayesModel, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log prior + log likelihood per class for each row of a 0/1 matrix.
 
-    Per-attribute terms are selected, not multiplied by indicators, so an
-    unsmoothed hard zero contributes -inf only when its bit is actually set.
+    Per-attribute terms are selected, not multiplied by indicators, so a
+    hard zero in a hand-built model contributes -inf only when its bit is
+    actually set.
     """
     x = matrix.astype(bool)
     with np.errstate(divide="ignore"):
@@ -162,24 +127,8 @@ def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: flo
     return posterior
 
 
-def posterior_spam(model: NaiveBayesModel, vector: np.ndarray) -> float:
-    """P(spam | vector), computed in log space; always within [0, 1]."""
-    vector = _check_length(model, vector)
-    log_spam, log_legit = _log_joints(model, vector[np.newaxis, :])
-    return float(_normalize_spam(log_spam, log_legit, model.prior_spam)[0])
-
-
-def posterior_legit(model: NaiveBayesModel, vector: np.ndarray) -> float:
-    """P(legitimate | vector) via the mirrored normalization path."""
-    vector = _check_length(model, vector)
-    log_spam, log_legit = _log_joints(model, vector[np.newaxis, :])
-    if np.isneginf(log_spam[0]) and np.isneginf(log_legit[0]):
-        return model.prior_legit
-    with np.errstate(over="ignore"):
-        return float(1.0 / (1.0 + np.exp(log_spam[0] - log_legit[0])))
-
-
 def posterior_spam_batch(model: NaiveBayesModel, matrix: np.ndarray) -> np.ndarray:
+    """P(spam | row) for each row of an (n, m) 0/1 matrix, in log space."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != model.m:
         raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
@@ -187,21 +136,23 @@ def posterior_spam_batch(model: NaiveBayesModel, matrix: np.ndarray) -> np.ndarr
     return _normalize_spam(log_spam, log_legit, model.prior_spam)
 
 
-def classify_nb(
-    model: NaiveBayesModel, vector: np.ndarray, policy: DecisionPolicy
-) -> Label:
-    """Spam iff the spam posterior strictly exceeds the policy threshold."""
-    return (
-        Label.SPAM
-        if posterior_spam(model, vector) > policy.threshold
-        else Label.LEGITIMATE
-    )
-
-
 def classify_nb_batch(
     model: NaiveBayesModel, matrix: np.ndarray, policy: DecisionPolicy
 ) -> list[Label]:
+    """Spam iff the spam posterior strictly exceeds the policy threshold."""
     posteriors = posterior_spam_batch(model, matrix)
     return [
         Label.SPAM if p > policy.threshold else Label.LEGITIMATE for p in posteriors
     ]
+
+
+def posterior_spam(model: NaiveBayesModel, vector: np.ndarray) -> float:
+    """P(spam | vector) for one vector of length m; always within [0, 1]."""
+    return float(posterior_spam_batch(model, np.asarray(vector)[np.newaxis])[0])
+
+
+def classify_nb(
+    model: NaiveBayesModel, vector: np.ndarray, policy: DecisionPolicy
+) -> Label:
+    """classify_nb_batch for one vector of length m."""
+    return classify_nb_batch(model, np.asarray(vector)[np.newaxis], policy)[0]

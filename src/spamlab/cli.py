@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bayes import lambda_to_threshold
 from .corpus import (
     FixtureParams,
     NormalizerConfig,
@@ -30,7 +31,6 @@ from .errors import ConfigError, CorpusError, DataError, SpamlabError
 from .evaluate import (
     AggregateResult,
     ClassifierConfig,
-    cross_validate,
     make_stratified_folds,
     paired_t_test,
     sweep_attributes,
@@ -171,8 +171,10 @@ def build_parser() -> _Parser:
 
 
 def _run_config(args: argparse.Namespace, m_spec: str) -> RunConfig:
-    if not math.isfinite(args.lam) or args.lam <= 0:
-        raise ConfigError(f"lambda must be a positive finite number, got {args.lam:g}")
+    try:
+        lambda_to_threshold(args.lam)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if args.classifier == "mb" and args.k < 1:
         raise ConfigError(f"k must be >= 1, got {args.k}")
     return RunConfig(
@@ -196,8 +198,6 @@ def _parse_m_range(text: str) -> tuple[int, int, int]:
         m_from, m_to, m_step = (int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--m-range must be integers FROM:TO:STEP, got {text!r}")
-    if m_from < 1 or m_to < m_from or m_step < 1:
-        raise ConfigError(f"invalid m range {text!r}")
     return m_from, m_to, m_step
 
 
@@ -259,22 +259,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _run_config(args, m_spec=str(args.m))
-    if args.m < 1:
-        raise ConfigError(f"m must be >= 1, got {args.m}")
-    corpus = load_corpus(args.corpus, layout=args.layout, config=config.normalizer())
-    plan = make_stratified_folds(corpus, k_folds=config.k_folds, seed=config.seed)
-    result = cross_validate(
-        corpus, config.classifier_config(), config.lam, args.m, plan
-    )
-    _emit(config, [result], args.out)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    m_from, m_to, m_step = _parse_m_range(args.m_range)
-    config = _run_config(args, m_spec=args.m_range)
+def _cross_validate(
+    args: argparse.Namespace, m_spec: str, m_from: int, m_to: int, m_step: int
+) -> int:
+    """The evaluate and sweep commands: CV at m = m_from..m_to, then output."""
+    if m_from < 1 or m_to < m_from or m_step < 1:
+        raise ConfigError(f"invalid m {m_spec!r}: need m >= 1, FROM <= TO, STEP >= 1")
+    config = _run_config(args, m_spec)
     corpus = load_corpus(args.corpus, layout=args.layout, config=config.normalizer())
     plan = make_stratified_folds(corpus, k_folds=config.k_folds, seed=config.seed)
     results = sweep_attributes(
@@ -285,19 +276,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    return _cross_validate(args, str(args.m), args.m, args.m, 1)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    m_from, m_to, m_step = _parse_m_range(args.m_range)
+    return _cross_validate(args, args.m_range, m_from, m_to, m_step)
+
+
 def _read_result_file(path: str) -> tuple[dict, list[dict]]:
+    """Config echo and data rows, each row's fold_waccs parsed to floats."""
+    malformed = ConfigError(f"not a {FORMAT_VERSION} file: {path}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read result file: {exc}")
-    lines = text.splitlines()
-    if len(lines) < 4 or lines[0] != f"# {FORMAT_VERSION}":
-        raise ConfigError(f"not a {FORMAT_VERSION} file: {path}")
-    echo = json.loads(lines[1].removeprefix("# config "))
-    reader = csv.DictReader(io.StringIO("\n".join(lines[2:])))
-    rows = list(reader)
-    if not rows:
-        raise ConfigError(f"result file has no data rows: {path}")
+    except UnicodeDecodeError:
+        raise malformed
+    if len(lines) < 4 or lines[0] != f"# {FORMAT_VERSION}" or lines[2] != CSV_COLUMNS:
+        raise malformed
+    try:
+        echo = json.loads(lines[1].removeprefix("# config "))
+    except json.JSONDecodeError:
+        raise malformed
+    if not isinstance(echo, dict):
+        raise malformed
+    rows = list(csv.DictReader(io.StringIO("\n".join(lines[2:]))))
+    for row in rows:
+        try:  # a short row leaves fold_waccs None
+            waccs = [float(w) for w in (row["fold_waccs"] or "").split(";")]
+        except ValueError:
+            raise malformed
+        if len(waccs) != echo.get("k_folds") or not all(0.0 <= w <= 1.0 for w in waccs):
+            raise malformed
+        row["fold_waccs"] = waccs
     return echo, rows
 
 
@@ -310,9 +323,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(rows_a) != 1 or len(rows_b) != 1:
         raise ConfigError("compare expects single-configuration result files")
     row_a, row_b = rows_a[0], rows_b[0]
-    waccs_a = [float(w) for w in row_a["fold_waccs"].split(";")]
-    waccs_b = [float(w) for w in row_b["fold_waccs"].split(";")]
-    outcome = paired_t_test(waccs_a, waccs_b)
+    outcome = paired_t_test(row_a["fold_waccs"], row_b["fold_waccs"])
 
     def _ident(row: dict) -> str:
         k_part = f" k={row['k']}" if row["k"] else ""

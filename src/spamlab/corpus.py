@@ -101,9 +101,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def labels(self) -> list[Label]:
-        return [d.label for d in self.documents]
-
     def vocabulary(self) -> set[str]:
         vocab: set[str] = set()
         for doc in self.documents:

@@ -24,11 +24,12 @@ import numpy as np
 from .bayes import (
     DecisionPolicy,
     classify_nb_batch,
+    lambda_to_threshold,
     train_naive_bayes,
 )
 from .corpus import Corpus, Document, Label
 from .errors import DataError
-from .features import AttributeSet, select_attributes, token_class_counts, vectorize_documents
+from .features import select_attributes, token_class_counts, vectorize_documents
 from .memory import build_instance_base, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -112,14 +113,9 @@ def confusion_counts(
     )
 
 
-def _check_lambda(lam: float) -> None:
-    if not math.isfinite(lam) or lam <= 0:
-        raise ValueError(f"lambda must be a positive finite number, got {lam}")
-
-
 def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float]:
     """(WAcc, WErr) with each legitimate message weighted as lambda messages."""
-    _check_lambda(lam)
+    lambda_to_threshold(lam)  # validates lambda
     if counts.total == 0:
         raise DataError("cannot score an empty split")
     wacc = (lam * counts.n_legit_legit + counts.n_spam_spam) / (
@@ -130,7 +126,7 @@ def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float
 
 def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, float]:
     """(WAcc, WErr) of the no-filter policy: every message passes."""
-    _check_lambda(lam)
+    lambda_to_threshold(lam)  # validates lambda
     if n_legit + n_spam < 1:
         raise DataError("baseline needs at least one message")
     wacc = lam * n_legit / (lam * n_legit + n_spam)
@@ -139,7 +135,7 @@ def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, floa
 
 def total_cost_ratio(counts: ConfusionCounts, lam: float) -> float:
     """N_spam over the lambda-weighted error count; inf for a perfect filter."""
-    _check_lambda(lam)
+    lambda_to_threshold(lam)  # validates lambda
     denominator = lam * counts.n_legit_spam + counts.n_spam_legit
     if denominator == 0:
         return math.inf
@@ -225,7 +221,6 @@ class ClassifierConfig:
 
     kind: str = "nb"
     k: int | None = None
-    smoothing: str = "laplace"
 
     def __post_init__(self) -> None:
         if self.kind not in CLASSIFIER_KINDS:
@@ -269,14 +264,6 @@ def fold_documents(
     return train, test
 
 
-def fold_attributes(
-    corpus: Corpus, plan: FoldPlan, fold: int, m: int
-) -> AttributeSet:
-    """Attribute set selected from the training parts of one fold only."""
-    train, _ = fold_documents(corpus, plan, fold)
-    return select_attributes(token_class_counts(train), m)
-
-
 def _predict(
     config: ClassifierConfig,
     x_train: np.ndarray,
@@ -286,7 +273,7 @@ def _predict(
     policy: DecisionPolicy,
 ) -> list[Label]:
     if config.kind == "nb":
-        model = train_naive_bayes(x_train, y_train, smoothing=config.smoothing)
+        model = train_naive_bayes(x_train, y_train)
         return classify_nb_batch(model, x_test, policy)
     if config.kind == "mb":
         base = build_instance_base(x_train, y_train)

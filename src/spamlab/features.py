@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Document, Label
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,6 @@ class AttributeSet:
 
     def index(self) -> dict[str, int]:
         return {token: i for i, token in enumerate(self.tokens)}
-
-    def save(self, path: str | Path) -> None:
-        lines = [f"{t}\t{s:.6f}" for t, s in zip(self.tokens, self.scores)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AttributeSet":
-        tokens, scores = [], []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            token, score = line.split("\t")
-            tokens.append(token)
-            scores.append(float(score))
-        return cls(tokens=tuple(tokens), scores=tuple(scores))
 
 
 def _documents(source: Corpus | Iterable[Document]) -> Iterable[Document]:
@@ -121,21 +108,11 @@ def select_attributes(stats: TokenStats, m: int) -> AttributeSet:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if len(stats.counts) < m:
-        raise ValueError(
+        raise DataError(
             f"requested {m} attributes but only {len(stats.counts)} distinct tokens available"
         )
     tokens, scores = rank_tokens(stats)
     return AttributeSet(tokens=tokens[:m], scores=scores[:m])
-
-
-def vectorize(doc: Document, attributes: AttributeSet) -> np.ndarray:
-    """Binary presence vector for one document, dtype uint8, length m."""
-    bits = np.zeros(attributes.m, dtype=np.uint8)
-    token_set = doc.token_set
-    for i, token in enumerate(attributes.tokens):
-        if token in token_set:
-            bits[i] = 1
-    return bits
 
 
 def vectorize_documents(
@@ -152,3 +129,8 @@ def vectorize_documents(
                 matrix[row, col] = 1
         labels[row] = int(doc.label)
     return matrix, labels
+
+
+def vectorize(doc: Document, attributes: AttributeSet) -> np.ndarray:
+    """Binary presence vector for one document, dtype uint8, length m."""
+    return vectorize_documents([doc], attributes)[0][0]

@@ -10,9 +10,7 @@ majority; exact ties go to legitimate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,22 +34,6 @@ class InstanceBase:
     @property
     def m(self) -> int:
         return self.vectors.shape[1]
-
-    def save(self, path: str | Path) -> None:
-        """Vectorized-corpus CSV: label column then one column per attribute bit."""
-        with Path(path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["label"] + [f"x{i}" for i in range(self.m)])
-            for row, label in zip(self.vectors, self.labels):
-                writer.writerow([str(Label(int(label)))] + [int(b) for b in row])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "InstanceBase":
-        with Path(path).open(newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-        labels = [1 if r[0] == "spam" else 0 for r in rows[1:]]
-        bits = [[int(b) for b in r[1:]] for r in rows[1:]]
-        return build_instance_base(np.array(bits, dtype=np.uint8), labels)
 
 
 @dataclass(frozen=True)
@@ -97,20 +79,25 @@ def overlap_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
-def _distances_to_base(base: InstanceBase, query: np.ndarray) -> np.ndarray:
-    query = np.asarray(query)
-    if query.shape != (base.m,):
-        raise ValueError(f"query length {query.shape} does not match base m={base.m}")
-    return np.count_nonzero(base.vectors != query, axis=1)
+def _distances(base: InstanceBase, queries: np.ndarray, k: int) -> np.ndarray:
+    """(n_queries, n_base) overlap distances, after the shape and k checks."""
+    queries = np.asarray(queries)
+    if queries.ndim != 2 or queries.shape[1] != base.m:
+        raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    x = queries.astype(np.float64)
+    y = base.vectors.astype(np.float64)
+    # d[i, j] = sum_i x(1-y) + (1-x)y counts differing bits exactly.
+    dist = x @ (1.0 - y).T + (1.0 - x) @ y.T
+    return np.rint(dist).astype(np.int64)
 
 
 def k_distance_neighborhood(
     base: InstanceBase, query: np.ndarray, k: int
 ) -> Neighborhood:
     """Every instance at one of the k smallest distinct distances to the query."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    distances = _distances_to_base(base, query)
+    distances = _distances(base, np.asarray(query)[np.newaxis], k)[0]
     distinct = np.unique(distances)[:k]
     cutoff = distinct[-1]
     members = [
@@ -125,38 +112,23 @@ def k_distance_neighborhood(
     )
 
 
-def _vote(spam_count: int, legit_count: int, lam: float) -> Label:
-    return Label.SPAM if spam_count > lam * legit_count else Label.LEGITIMATE
+def classify_mb_batch(
+    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy
+) -> list[Label]:
+    """Lambda-scaled majority vote in each query row's k-distance neighborhood."""
+    spam_mask = base.labels == 1
+    out = []
+    for row in _distances(base, queries, k):
+        cutoff = np.unique(row)[:k][-1]
+        in_hood = row <= cutoff
+        spam = int(np.count_nonzero(in_hood & spam_mask))
+        legit = int(np.count_nonzero(in_hood)) - spam
+        out.append(Label.SPAM if spam > policy.lam * legit else Label.LEGITIMATE)
+    return out
 
 
 def classify_mb(
     base: InstanceBase, query: np.ndarray, k: int, policy: DecisionPolicy
 ) -> Label:
-    """Majority vote in the k-distance neighborhood with lambda-scaled legit votes."""
-    hood = k_distance_neighborhood(base, query, k)
-    return _vote(hood.spam_count, hood.legit_count, policy.lam)
-
-
-def classify_mb_batch(
-    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy
-) -> list[Label]:
-    """Classify rows of a query matrix; distances via exact integer matmul."""
-    queries = np.asarray(queries)
-    if queries.ndim != 2 or queries.shape[1] != base.m:
-        raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    x = queries.astype(np.float64)
-    y = base.vectors.astype(np.float64)
-    # d[i, j] = sum_i x(1-y) + (1-x)y counts differing bits exactly.
-    dist = x @ (1.0 - y).T + (1.0 - x) @ y.T
-    dist = np.rint(dist).astype(np.int64)
-    spam_mask = base.labels == 1
-    out = []
-    for row in dist:
-        cutoff = np.unique(row)[:k][-1]
-        in_hood = row <= cutoff
-        spam = int(np.count_nonzero(in_hood & spam_mask))
-        legit = int(np.count_nonzero(in_hood)) - spam
-        out.append(_vote(spam, legit, policy.lam))
-    return out
+    """classify_mb_batch for one query vector of length m."""
+    return classify_mb_batch(base, np.asarray(query)[np.newaxis], k, policy)[0]

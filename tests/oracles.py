@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used to pin expected
 values.  These deliberately avoid the library's code paths: exact rational
-probabilities instead of float ratios, plain probability products instead
-of log space, and sort-based neighborhood construction instead of the
-cutoff mask.
+probabilities instead of float ratios, plain probability products (or,
+for the mirrored legitimate posterior, scalar per-term logs) instead of
+vectorized log space, and sort-based neighborhood construction instead of
+the cutoff mask.
 """
 
 from __future__ import annotations
@@ -45,6 +46,26 @@ def posterior_spam_direct(
         joint_spam *= ps if x else 1.0 - ps
         joint_legit *= pl if x else 1.0 - pl
     return joint_spam / (joint_spam + joint_legit)
+
+
+def posterior_legit_direct(
+    prior_spam: float,
+    prior_legit: float,
+    p1_spam: list[float],
+    p1_legit: list[float],
+    bits: list[int],
+) -> float:
+    """Mirrored log-space normalization: 1 / (1 + exp(L_spam - L_legit)).
+
+    Sums scalar per-term logs; conditionals must lie strictly inside (0, 1)
+    and m must be small enough that the log-joint gap stays below ~700.
+    """
+    log_spam = math.log(prior_spam)
+    log_legit = math.log(prior_legit)
+    for x, ps, pl in zip(bits, p1_spam, p1_legit):
+        log_spam += math.log(ps if x else 1.0 - ps)
+        log_legit += math.log(pl if x else 1.0 - pl)
+    return 1.0 / (1.0 + math.exp(log_spam - log_legit))
 
 
 def neighborhood_direct(

@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import mi_direct, neighborhood_direct, posterior_spam_direct
+from oracles import (
+    mi_direct,
+    neighborhood_direct,
+    posterior_legit_direct,
+    posterior_spam_direct,
+)
 from spamlab import (
     ClassifierConfig,
     ConfusionCounts,
@@ -44,7 +49,7 @@ from spamlab import (
     vectorize_documents,
     weighted_accuracy,
 )
-from spamlab.bayes import classify_nb_batch, posterior_legit
+from spamlab.bayes import classify_nb_batch
 from spamlab.cli import main as cli_main
 from spamlab.memory import classify_mb_batch
 
@@ -255,8 +260,15 @@ class TestCriterion5Properties:
                 [rng.uniform(0.01, 0.99) for _ in range(m)],
                 [rng.uniform(0.01, 0.99) for _ in range(m)],
             )
-            bits = np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8)
-            total = posterior_spam(model, bits) + posterior_legit(model, bits)
+            bits = [rng.randint(0, 1) for _ in range(m)]
+            legit = posterior_legit_direct(
+                model.prior_spam,
+                model.prior_legit,
+                list(model.p1_spam),
+                list(model.p1_legit),
+                bits,
+            )
+            total = posterior_spam(model, np.array(bits, dtype=np.uint8)) + legit
             worst = max(worst, abs(total - 1.0))
         report(5, "two-class normalization", worst <= 1e-12, f"max|sum-1|={worst:.2e}")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import posterior_spam_direct
+from oracles import posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     DataError,
     DecisionPolicy,
@@ -17,7 +17,7 @@ from spamlab import (
     posterior_spam,
     train_naive_bayes,
 )
-from spamlab.bayes import classify_nb_batch, posterior_legit, posterior_spam_batch
+from spamlab.bayes import classify_nb_batch, posterior_spam_batch
 
 
 def model_of(prior_spam, p1_spam, p1_legit):
@@ -59,12 +59,6 @@ class TestTraining:
         model = train_naive_bayes(vectors, labels)
         assert model.p1_legit[0] == pytest.approx((0 + 1) / (3 + 2))
 
-    def test_no_smoothing_uses_raw_ratios(self):
-        vectors = np.array([[1], [1], [0], [0]], dtype=np.uint8)
-        labels = [Label.SPAM, Label.SPAM, Label.LEGITIMATE, Label.LEGITIMATE]
-        model = train_naive_bayes(vectors, labels, smoothing="none")
-        assert model.p1_spam[0] == 1.0 and model.p1_legit[0] == 0.0
-
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="degenerate"):
             train_naive_bayes(np.array([[1], [0]], dtype=np.uint8), [Label.SPAM] * 2)
@@ -92,6 +86,12 @@ class TestThreshold:
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, lam):
         with pytest.raises(ValueError):
+            lambda_to_threshold(lam)
+
+    @pytest.mark.parametrize("lam", [9.1e15, 1e16, 1e308])
+    def test_rejects_lambda_whose_threshold_rounds_to_one(self, lam):
+        assert lambda_to_threshold(9.0e15) < 1.0
+        with pytest.raises(ValueError, match="below about 9.0e15"):
             lambda_to_threshold(lam)
 
     @given(st.floats(min_value=1e-6, max_value=1e3, allow_nan=False))
@@ -147,8 +147,15 @@ class TestPosterior:
         for _ in range(200):
             m = rng.randint(0, 25)
             model = random_model(rng, m)
-            bits = np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8)
-            total = posterior_spam(model, bits) + posterior_legit(model, bits)
+            bits = [rng.randint(0, 1) for _ in range(m)]
+            legit = posterior_legit_direct(
+                model.prior_spam,
+                model.prior_legit,
+                list(model.p1_spam),
+                list(model.p1_legit),
+                bits,
+            )
+            total = posterior_spam(model, np.array(bits, dtype=np.uint8)) + legit
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothed_model_never_saturates(self, hard_corpus):
@@ -172,6 +179,7 @@ class TestPosterior:
         assert posterior == pytest.approx(0.25)
 
     def test_batch_matches_scalar(self):
+        # the scalar reference is the non-log brute force, row by row
         rng = random.Random(37)
         model = random_model(rng, 12)
         matrix = np.array(
@@ -179,8 +187,15 @@ class TestPosterior:
             dtype=np.uint8,
         )
         batch = posterior_spam_batch(model, matrix)
-        for row, expected in zip(matrix, batch):
-            assert posterior_spam(model, row) == pytest.approx(expected, abs=1e-15)
+        for row, actual in zip(matrix, batch):
+            expected = posterior_spam_direct(
+                model.prior_spam,
+                model.prior_legit,
+                list(model.p1_spam),
+                list(model.p1_legit),
+                row.tolist(),
+            )
+            assert actual == pytest.approx(expected, abs=1e-9)
 
 
 class TestClassify:
@@ -220,41 +235,3 @@ class TestClassify:
             spam_sets.append({i for i, l in enumerate(labels) if l is Label.SPAM})
         for smaller_lam, larger_lam in zip(spam_sets, spam_sets[1:]):
             assert larger_lam <= smaller_lam
-
-
-class TestModelSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        rng = random.Random(43)
-        model = random_model(rng, 9)
-        path = tmp_path / "model.txt"
-        model.save(path)
-        loaded = NaiveBayesModel.load(path)
-        assert loaded.prior_spam == model.prior_spam
-        assert loaded.prior_legit == model.prior_legit
-        assert np.array_equal(loaded.p1_spam, model.p1_spam)
-        assert np.array_equal(loaded.p1_legit, model.p1_legit)
-
-    def test_header_line(self, tmp_path):
-        model = model_of(0.5, [0.8], [0.2])
-        path = tmp_path / "model.txt"
-        model.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "nb m=1"
-        assert lines[1].startswith("priors ")
-        assert len(lines) == 2 + 1
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError, match="not a model file"):
-            NaiveBayesModel.load(path)
-
-    def test_posteriors_survive_round_trip(self, tmp_path):
-        rng = random.Random(47)
-        model = random_model(rng, 6)
-        path = tmp_path / "model.txt"
-        model.save(path)
-        loaded = NaiveBayesModel.load(path)
-        for _ in range(20):
-            bits = np.array([rng.randint(0, 1) for _ in range(6)], dtype=np.uint8)
-            assert posterior_spam(loaded, bits) == posterior_spam(model, bits)

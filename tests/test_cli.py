@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from spamlab import generate_fixture_corpus
-from spamlab.cli import main
+from spamlab.cli import CSV_COLUMNS, main
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +97,31 @@ class TestEvaluate:
         assert code == 3
         assert "lambda" in err
 
+    @pytest.mark.parametrize("lam", ["1e308", "1e16"])
+    def test_lambda_whose_threshold_rounds_to_one_exits_3(self, capsys, fixture_dir, lam):
+        code, out, err = run(capsys, [
+            "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
+            "--m", "15", "--lambda", lam,
+        ])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: lambda") and err.count("\n") == 1
+
+    def test_m_beyond_vocabulary_exits_2(self, capsys, fixture_dir):
+        code, _, err = run(capsys, [
+            "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
+            "--m", "500",
+        ])
+        assert code == 2
+        assert "available" in err
+
+    def test_m_below_one_exits_3(self, capsys, fixture_dir):
+        code, _, err = run(capsys, [
+            "evaluate", "--corpus", str(fixture_dir), "--m", "0",
+        ])
+        assert code == 3
+        assert "invalid m '0'" in err
+
     def test_unknown_flag_exits_3(self, capsys, fixture_dir):
         code, _, _ = run(capsys, [
             "evaluate", "--corpus", str(fixture_dir), "--m-range", "10:20:10",
@@ -137,13 +162,13 @@ class TestSweep:
         assert code == 3
         assert "m-range" in err
 
-    def test_m_beyond_vocabulary_exits_1(self, capsys, fixture_dir):
+    def test_m_beyond_vocabulary_exits_2(self, capsys, fixture_dir):
         # the 90/10 fixture has ~118 distinct tokens
         code, _, err = run(capsys, [
             "sweep", "--corpus", str(fixture_dir), "--layout", "fixture",
             "--m-range", "500:500:1",
         ])
-        assert code == 1
+        assert code == 2
         assert "available" in err
 
     def test_byte_identical_reruns(self, capsys, fixture_dir, tmp_path):
@@ -199,6 +224,38 @@ class TestCompare:
         junk.write_text("hello\nworld\nfoo\nbar\n")
         code, _, _ = run(capsys, ["compare", str(junk), str(junk)])
         assert code == 3
+
+    @pytest.mark.parametrize("line,text", [
+        pytest.param(2, CSV_COLUMNS.removesuffix(",fold_waccs"), id="no-fold-waccs"),
+        pytest.param(1, '# config {"seed":0', id="config-not-json"),
+        pytest.param(1, "# config [0]", id="config-not-object"),
+        pytest.param(3, "PREFIX,abc" + ";0.5" * 9, id="non-numeric-wacc"),
+        pytest.param(3, "PREFIX,nan" + ";0.5" * 9, id="nan-wacc"),
+        pytest.param(3, "PREFIX,0.5" + ";0.5" * 8, id="nine-of-ten-folds"),
+        pytest.param(3, "nb,1,15", id="short-row"),
+    ])
+    def test_malformed_result_file_exits_3(
+        self, capsys, fixture_dir, tmp_path, line, text
+    ):
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, [])
+        lines = good.read_text().splitlines()
+        lines[line] = text.replace("PREFIX", lines[3].rsplit(",", 1)[0])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for pair in ([bad, good], [good, bad]):
+            code, _, err = run(capsys, ["compare", str(pair[0]), str(pair[1])])
+            assert code == 3
+            assert "not a spamlab results v1 file" in err
+
+    def test_undecodable_result_file_exits_3(self, capsys, fixture_dir, tmp_path):
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, [])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe" + good.read_bytes())
+        code, _, err = run(capsys, ["compare", str(bad), str(good)])
+        assert code == 3
+        assert "not a spamlab results v1 file" in err
 
     def test_sweep_file_rejected(self, capsys, fixture_dir, tmp_path):
         sweep_file = tmp_path / "sweep.csv"

@@ -27,12 +27,8 @@ from spamlab import (
     weighted_accuracy,
 )
 from spamlab.corpus import Corpus
-from spamlab.evaluate import (
-    fold_attributes,
-    fold_documents,
-    t_critical_value,
-)
-from spamlab.features import vectorize_documents
+from spamlab.evaluate import fold_documents, t_critical_value
+from spamlab.features import select_attributes, token_class_counts, vectorize_documents
 from spamlab.bayes import train_naive_bayes
 
 
@@ -291,8 +287,8 @@ class TestCrossValidate:
         plan = make_stratified_folds(hard_corpus, seed=0)
         fold = 3
         m = 15
-        attrs_before = fold_attributes(hard_corpus, plan, fold, m)
         train_before, test_before = fold_documents(hard_corpus, plan, fold)
+        attrs_before = select_attributes(token_class_counts(train_before), m)
 
         # drop one test-fold document and rebuild plan for the survivors
         victim = test_before[0]
@@ -304,11 +300,10 @@ class TestCrossValidate:
         reduced_plan = plan.__class__(
             k_folds=plan.k_folds, assignment=kept_assignment, seed=plan.seed
         )
-        attrs_after = fold_attributes(reduced, reduced_plan, fold, m)
-        assert attrs_after == attrs_before
-
         train_after, _ = fold_documents(reduced, reduced_plan, fold)
         assert train_after == train_before
+        attrs_after = select_attributes(token_class_counts(train_after), m)
+        assert attrs_after == attrs_before
         x_before, y_before = vectorize_documents(train_before, attrs_before)
         x_after, y_after = vectorize_documents(train_after, attrs_after)
         model_before = train_naive_bayes(x_before, y_before)

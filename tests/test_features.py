@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import mi_direct
 from spamlab import (
+    DataError,
     Document,
     Label,
     mutual_information,
@@ -130,7 +131,7 @@ class TestSelectAttributes:
 
     def test_error_reports_available_count(self):
         stats = self._stats({"a": (1, 0)}, n_spam=1, n_legit=1)
-        with pytest.raises(ValueError, match="only 1"):
+        with pytest.raises(DataError, match="only 1"):
             select_attributes(stats, 2)
 
     def test_requested_cardinality(self, small_corpus):
@@ -175,28 +176,12 @@ class TestVectorize:
         assert np.array_equal(vectorize(d, self.ATTRS), vectorize(d, self.ATTRS))
 
     def test_batch_matches_scalar(self, small_corpus):
+        # the scalar reference is plain set membership, document by document
         stats = token_class_counts(small_corpus)
         attrs = select_attributes(stats, 25)
         docs = small_corpus.documents[:40]
         matrix, labels = vectorize_documents(docs, attrs)
         for row, d in zip(matrix, docs):
-            assert np.array_equal(row, vectorize(d, attrs))
+            present = set(d.tokens)
+            assert row.tolist() == [int(t in present) for t in attrs.tokens]
         assert labels.tolist() == [int(d.label) for d in docs]
-
-
-class TestAttributeSetSerialization:
-    def test_round_trip(self, tmp_path, small_corpus):
-        stats = token_class_counts(small_corpus)
-        attrs = select_attributes(stats, 12)
-        path = tmp_path / "attrs.tsv"
-        attrs.save(path)
-        loaded = AttributeSet.load(path)
-        assert loaded.tokens == attrs.tokens
-        for a, b in zip(loaded.scores, attrs.scores):
-            assert a == pytest.approx(b, abs=5e-7)  # 6 printed decimals
-
-    def test_file_format(self, tmp_path):
-        attrs = AttributeSet(tokens=("cash", "free"), scores=(0.75, 0.5))
-        path = tmp_path / "attrs.tsv"
-        attrs.save(path)
-        assert path.read_text() == "cash\t0.750000\nfree\t0.500000\n"

@@ -10,7 +10,6 @@ from oracles import neighborhood_direct
 from spamlab import (
     DataError,
     DecisionPolicy,
-    InstanceBase,
     Label,
     build_instance_base,
     classify_mb,
@@ -183,6 +182,7 @@ class TestClassify:
             assert stricter <= looser
 
     def test_batch_matches_scalar(self):
+        # the scalar reference is a vote over the sort-based neighborhood
         rng = random.Random(67)
         rows, labels = random_base(rng, 45, 7)
         base = base_of(rows, labels)
@@ -193,7 +193,13 @@ class TestClassify:
             for lam in (1.0, 9.0):
                 policy = DecisionPolicy.from_lambda(lam)
                 batch = classify_mb_batch(base, queries, k, policy)
-                scalar = [classify_mb(base, q, k, policy) for q in queries]
+                scalar = []
+                for q in queries:
+                    members, _ = neighborhood_direct(rows, labels, q.tolist(), k)
+                    spam = sum(1 for _, label in members if label == 1)
+                    legit = len(members) - spam
+                    vote = spam > lam * legit
+                    scalar.append(Label.SPAM if vote else Label.LEGITIMATE)
                 assert batch == scalar
 
 
@@ -222,23 +228,3 @@ class TestLargeKDegeneracy:
         # ties at 10 distinct distances flood the neighborhood with most of
         # the base, so predictions collapse toward the majority class
         assert legit_fraction >= baseline - 0.02
-
-
-class TestInstanceBaseSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = random.Random(71)
-        rows, labels = random_base(rng, 20, 5)
-        base = base_of(rows, labels)
-        path = tmp_path / "base.csv"
-        base.save(path)
-        loaded = InstanceBase.load(path)
-        assert np.array_equal(loaded.vectors, base.vectors)
-        assert np.array_equal(loaded.labels, base.labels)
-
-    def test_csv_header(self, tmp_path):
-        base = base_of([[1, 0]], [1])
-        path = tmp_path / "base.csv"
-        base.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "label,x0,x1"
-        assert lines[1] == "spam,1,0"
