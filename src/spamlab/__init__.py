@@ -35,10 +35,8 @@ from .evaluate import (
     ClassifierConfig,
     ConfusionCounts,
     FoldPlan,
-    Metrics,
     TestResult,
     baseline_metrics,
-    compute_metrics,
     confusion_counts,
     cross_validate,
     make_stratified_folds,
@@ -84,7 +82,6 @@ __all__ = [
     "FoldPlan",
     "InstanceBase",
     "Label",
-    "Metrics",
     "NaiveBayesModel",
     "Neighborhood",
     "NormalizerConfig",
@@ -96,7 +93,6 @@ __all__ = [
     "build_instance_base",
     "classify_mb",
     "classify_nb",
-    "compute_metrics",
     "confusion_counts",
     "corpus_stats",
     "cross_validate",

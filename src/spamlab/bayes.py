@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Label
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class DecisionPolicy:
@@ -34,11 +34,11 @@ class DecisionPolicy:
 def lambda_to_threshold(lam: float) -> float:
     """t = lambda / (1 + lambda); the inverse is lambda = t / (1 - t).
 
-    The one lambda validator.  lambda must also keep t below 1.0 (lambda
-    under about 9.0e15): no posterior can exceed t = 1.
+    The one lambda validator, raising ConfigError.  lambda must also keep t
+    below 1.0 (lambda under about 9.0e15): no posterior can exceed t = 1.
     """
     if not (math.isfinite(lam) and lam > 0 and lam / (1.0 + lam) < 1.0):
-        raise ValueError(f"lambda must be positive and below about 9.0e15, got {lam:g}")
+        raise ConfigError(f"lambda must be positive and below about 9.0e15, got {lam:g}")
     return lam / (1.0 + lam)
 
 

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bayes import lambda_to_threshold
@@ -73,54 +72,6 @@ def _fmt_pct(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value * 100:.3f}%"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines an evaluation run, echoed into outputs."""
-
-    corpus: str
-    layout: str = "lingspam"
-    lowercase: bool = True
-    stemming: str = "light"
-    min_token_length: int = 1
-    classifier: str = "nb"
-    lam: float = 1.0
-    m_spec: str = "100"  # fixed m or FROM:TO:STEP
-    k: int = 1
-    seed: int = 0
-    oracle: bool = False
-    k_folds: int = K_FOLDS
-
-    def echo(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "layout": self.layout,
-            "lowercase": self.lowercase,
-            "stemming": self.stemming,
-            "min_token_length": self.min_token_length,
-            "classifier": self.classifier,
-            "lambda": self.lam,
-            "m": self.m_spec,
-            "k": self.k if self.classifier == "mb" else None,
-            "seed": self.seed,
-            "oracle": self.oracle,
-            "k_folds": self.k_folds,
-            "fold_strategy": "stratified",
-        }
-
-    def normalizer(self) -> NormalizerConfig:
-        return NormalizerConfig(
-            lowercase=self.lowercase,
-            stemming=self.stemming,
-            min_token_length=self.min_token_length,
-        )
-
-    def classifier_config(self) -> ClassifierConfig:
-        if self.oracle:
-            return ClassifierConfig(kind="oracle")
-        k = self.k if self.classifier == "mb" else None
-        return ClassifierConfig(kind=self.classifier, k=k)
-
-
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus root directory")
     parser.add_argument("--layout", choices=("lingspam", "fixture"), default="lingspam")
@@ -170,26 +121,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_config(args: argparse.Namespace, m_spec: str) -> RunConfig:
-    try:
-        lambda_to_threshold(args.lam)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.classifier == "mb" and args.k < 1:
-        raise ConfigError(f"k must be >= 1, got {args.k}")
-    return RunConfig(
-        corpus=args.corpus,
-        layout=args.layout,
-        stemming=args.stemming,
-        classifier=args.classifier,
-        lam=args.lam,
-        m_spec=m_spec,
-        k=args.k,
-        seed=args.seed,
-        oracle=args.oracle,
-    )
-
-
 def _parse_m_range(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -222,21 +153,44 @@ def _result_row(result: AggregateResult) -> str:
     )
 
 
-def _render_csv(config: RunConfig, results: list[AggregateResult]) -> str:
-    echo = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
-    lines = [f"# {FORMAT_VERSION}", f"# config {echo}", CSV_COLUMNS]
+def _echo(args: argparse.Namespace, m_spec: str) -> dict:
+    """The run's # config line.  lowercase, min_token_length, k_folds and
+    fold_strategy are format constants, kept so files stay comparable."""
+    return {
+        "corpus": args.corpus,
+        "layout": args.layout,
+        "lowercase": True,
+        "stemming": args.stemming,
+        "min_token_length": 1,
+        "classifier": args.classifier,
+        "lambda": args.lam,
+        "m": m_spec,
+        "k": args.k if args.classifier == "mb" else None,
+        "seed": args.seed,
+        "oracle": args.oracle,
+        "k_folds": K_FOLDS,
+        "fold_strategy": "stratified",
+    }
+
+
+def _render_csv(echo: dict, results: list[AggregateResult]) -> str:
+    echo_json = json.dumps(echo, sort_keys=True, separators=(",", ":"))
+    lines = [f"# {FORMAT_VERSION}", f"# config {echo_json}", CSV_COLUMNS]
     lines.extend(_result_row(r) for r in results)
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, results: list[AggregateResult], out: str) -> None:
-    text = _render_csv(config, results)
+def _emit(echo: dict, results: list[AggregateResult], out: str) -> None:
+    text = _render_csv(echo, results)
     summary_stream = sys.stdout
     if out == "-":
         sys.stdout.write(text)
         summary_stream = sys.stderr
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CorpusError(f"cannot write result file: {exc}")
     for r in results:
         k_part = f" k={r.k}" if r.k is not None else ""
         print(
@@ -265,14 +219,19 @@ def _cross_validate(
     """The evaluate and sweep commands: CV at m = m_from..m_to, then output."""
     if m_from < 1 or m_to < m_from or m_step < 1:
         raise ConfigError(f"invalid m {m_spec!r}: need m >= 1, FROM <= TO, STEP >= 1")
-    config = _run_config(args, m_spec)
-    corpus = load_corpus(args.corpus, layout=args.layout, config=config.normalizer())
-    plan = make_stratified_folds(corpus, k_folds=config.k_folds, seed=config.seed)
+    # Both validators raise ConfigError before the corpus is touched.
+    lambda_to_threshold(args.lam)
+    k = args.k if args.classifier == "mb" else None
+    classifier = ClassifierConfig(args.classifier, k=k)
+    if args.oracle:
+        classifier = ClassifierConfig("oracle")
+    config = NormalizerConfig(stemming=args.stemming)
+    corpus = load_corpus(args.corpus, layout=args.layout, config=config)
+    plan = make_stratified_folds(corpus, k_folds=K_FOLDS, seed=args.seed)
     results = sweep_attributes(
-        corpus, config.classifier_config(), config.lam, plan,
-        m_from=m_from, m_to=m_to, m_step=m_step,
+        corpus, classifier, args.lam, plan, m_from=m_from, m_to=m_to, m_step=m_step
     )
-    _emit(config, results, args.out)
+    _emit(_echo(args, m_spec), results, args.out)
     return 0
 
 
@@ -302,13 +261,17 @@ def _read_result_file(path: str) -> tuple[dict, list[dict]]:
         raise malformed
     if not isinstance(echo, dict):
         raise malformed
-    rows = list(csv.DictReader(io.StringIO("\n".join(lines[2:]))))
+    try:
+        rows = list(csv.DictReader(io.StringIO("\n".join(lines[2:]))))
+    except csv.Error:  # a field above the csv module's size limit
+        raise malformed
     for row in rows:
         try:  # a short row leaves fold_waccs None
             waccs = [float(w) for w in (row["fold_waccs"] or "").split(";")]
         except ValueError:
             raise malformed
-        if len(waccs) != echo.get("k_folds") or not all(0.0 <= w <= 1.0 for w in waccs):
+        in_range = all(0.0 <= w <= 1.0 for w in waccs)
+        if not (in_range and len(waccs) == echo.get("k_folds") == K_FOLDS):
             raise malformed
         row["fold_waccs"] = waccs
     return echo, rows
@@ -355,9 +318,12 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid fixture parameters: {exc}")
-    corpus = generate_fixture_corpus(
-        args.seed, args.n_legit, args.n_spam, params, out_dir=args.out
-    )
+    try:
+        corpus = generate_fixture_corpus(
+            args.seed, args.n_legit, args.n_spam, params, out_dir=args.out
+        )
+    except OSError as exc:
+        raise CorpusError(f"cannot write fixture corpus: {exc}")
     print(f"wrote {len(corpus)} messages to {args.out}")
     return 0
 

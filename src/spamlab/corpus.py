@@ -1,9 +1,10 @@
 """Loading, tokenizing and normalizing labeled e-mail corpora.
 
 Two on-disk layouts are supported, both the same directory convention:
-any nesting of subdirectories, every regular file one message, basename
-prefix ``spmsg`` (case-sensitive) marking spam.  File content is an
-optional ``Subject:`` first line, a blank line, then the body.
+any nesting of subdirectories, every regular file one message (paths
+with a dot-prefixed component skipped), basename prefix ``spmsg``
+(case-sensitive) marking spam.  File content is an optional ``Subject:``
+first line, a blank line, then the body.
 A deterministic synthetic fixture generator produces corpora in the same
 shape for tests and demos that must run without the real Ling-Spam data.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 from typing import Iterable
@@ -49,21 +51,16 @@ class RawMessage:
 
 @dataclass(frozen=True)
 class NormalizerConfig:
-    """Token normalization switches.
+    """Token normalization: stemming is "none" or "light".
 
-    stemming is "none" or "light"; tokens shorter than min_token_length
-    after normalization are dropped.
+    Tokens are always lowercased and never dropped.
     """
 
-    lowercase: bool = True
     stemming: str = "light"
-    min_token_length: int = 1
 
     def __post_init__(self) -> None:
         if self.stemming not in ("none", "light"):
             raise ValueError(f"unknown stemming mode: {self.stemming!r}")
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,24 +152,16 @@ def _strip_suffixes(token: str) -> str:
             return token
 
 
-def normalize_token(token: str, config: NormalizerConfig) -> str | None:
-    """Normalize one token, or drop it (None) if it falls below the length floor."""
-    if config.lowercase:
-        token = token.lower()
+def normalize_token(token: str, config: NormalizerConfig) -> str:
+    """Lowercase one token, then strip suffixes under light stemming."""
+    token = token.lower()
     if config.stemming == "light":
         token = _strip_suffixes(token)
-    if len(token) < config.min_token_length:
-        return None
     return token
 
 
 def normalize_tokens(tokens: Iterable[str], config: NormalizerConfig) -> list[str]:
-    out = []
-    for token in tokens:
-        normalized = normalize_token(token, config)
-        if normalized is not None:
-            out.append(normalized)
-    return out
+    return [normalize_token(token, config) for token in tokens]
 
 
 def document_from_message(
@@ -198,6 +187,8 @@ def load_corpus(
     """Load every regular file under a corpus root, recursively.
 
     Both layouts share the directory convention; the id is validated only.
+    A file is skipped when any component of its path relative to the root
+    starts with "." (.DS_Store, .git/...); the root's own path may.
     Documents come back sorted by their path relative to the root.
     """
     if layout not in LAYOUTS:
@@ -208,8 +199,11 @@ def load_corpus(
         raise CorpusError(f"unreadable directory: {root}")
 
     documents = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        source_id = path.relative_to(root).as_posix()
+    for path in sorted(root.rglob("*")):
+        relative = path.relative_to(root)
+        if any(part.startswith(".") for part in relative.parts) or not path.is_file():
+            continue
+        source_id = relative.as_posix()
         try:
             raw = path.read_bytes()
         except OSError as exc:
@@ -282,8 +276,10 @@ def _fixture_pools(params: FixtureParams) -> tuple[list[str], list[str], list[st
     return legit_pool, shared_pool, spam_pool
 
 
-def _harmonic_weights(n: int) -> list[float]:
-    return [1.0 / (rank + 1) for rank in range(n)]
+def _harmonic_cum_weights(n: int) -> list[float]:
+    # Accumulated once per pool: rng.choices(pool, weights) would rebuild
+    # this list on every draw, and with cum_weights it draws the same words.
+    return list(accumulate(1.0 / (rank + 1) for rank in range(n)))
 
 
 def generate_fixture_corpus(
@@ -305,22 +301,22 @@ def generate_fixture_corpus(
     rng = Random(seed)
     legit_pool, shared_pool, spam_pool = _fixture_pools(params)
 
+    shared_cum = _harmonic_cum_weights(len(shared_pool))
     documents = []
     for label, count, pool in (
         (Label.LEGITIMATE, n_legit, legit_pool),
         (Label.SPAM, n_spam, spam_pool),
     ):
         own = pool if pool else shared_pool
-        own_weights = _harmonic_weights(len(own))
-        shared_weights = _harmonic_weights(len(shared_pool))
+        own_cum = _harmonic_cum_weights(len(own))
         for i in range(count):
             length = rng.randint(params.doc_len_min, params.doc_len_max)
             tokens = []
             for _ in range(length):
                 if shared_pool and rng.random() < params.overlap:
-                    tokens.append(rng.choices(shared_pool, shared_weights)[0])
+                    tokens.append(rng.choices(shared_pool, cum_weights=shared_cum)[0])
                 else:
-                    tokens.append(rng.choices(own, own_weights)[0])
+                    tokens.append(rng.choices(own, cum_weights=own_cum)[0])
             name = f"spmsg{i:04d}.txt" if label is Label.SPAM else f"msg{i:04d}.txt"
             documents.append(Document(tokens=tuple(tokens), label=label, source_id=name))
 

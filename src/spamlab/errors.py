@@ -20,5 +20,9 @@ class DataError(SpamlabError):
     (degenerate training set, too few documents for folds, ...)."""
 
 
-class ConfigError(SpamlabError):
-    """Invalid or incompatible run configuration."""
+class ConfigError(SpamlabError, ValueError):
+    """Invalid or incompatible run configuration.
+
+    Also a ValueError, so the parameter validators that raise it keep the
+    contract of rejecting a bad value.
+    """

@@ -28,7 +28,7 @@ from .bayes import (
     train_naive_bayes,
 )
 from .corpus import Corpus, Document, Label
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import select_attributes, token_class_counts, vectorize_documents
 from .memory import build_instance_base, classify_mb_batch
 
@@ -68,25 +68,6 @@ class ConfusionCounts:
             n_spam_spam=self.n_spam_spam + other.n_spam_spam,
             n_spam_legit=self.n_spam_legit + other.n_spam_legit,
         )
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Plain and weighted accuracy plus baseline, TCR and recall/precision.
-
-    tcr and spam_precision use float("inf") as the sentinel for a perfect
-    filter and for the nothing-blocked case respectively.
-    """
-
-    acc: float
-    err: float
-    wacc: float
-    werr: float
-    baseline_wacc: float
-    baseline_werr: float
-    tcr: float
-    spam_recall: float
-    spam_precision: float
 
 
 def confusion_counts(
@@ -152,25 +133,6 @@ def spam_recall_precision(counts: ConfusionCounts) -> tuple[float, float]:
     return sr, sp
 
 
-def compute_metrics(counts: ConfusionCounts, lam: float) -> Metrics:
-    """All single-split metrics for one confusion table."""
-    acc = (counts.n_legit_legit + counts.n_spam_spam) / counts.total
-    wacc, werr = weighted_accuracy(counts, lam)
-    baseline_wacc, baseline_werr = baseline_metrics(counts.n_legit, counts.n_spam, lam)
-    sr, sp = spam_recall_precision(counts)
-    return Metrics(
-        acc=acc,
-        err=1.0 - acc,
-        wacc=wacc,
-        werr=werr,
-        baseline_wacc=baseline_wacc,
-        baseline_werr=baseline_werr,
-        tcr=total_cost_ratio(counts, lam),
-        spam_recall=sr,
-        spam_precision=sp,
-    )
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """Seeded stratified partition: document index -> fold id."""
@@ -224,9 +186,9 @@ class ClassifierConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in CLASSIFIER_KINDS:
-            raise ValueError(f"unknown classifier kind: {self.kind!r}")
+            raise ConfigError(f"unknown classifier kind: {self.kind!r}")
         if self.kind == "mb" and (self.k is None or self.k < 1):
-            raise ValueError("memory-based classifier needs k >= 1")
+            raise ConfigError(f"memory-based classifier needs k >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +285,7 @@ def _run_configurations(
     corpus: Corpus,
     config: ClassifierConfig,
     lam: float,
-    ms: list[int],
+    ms: range,
     plan: FoldPlan,
 ) -> list[AggregateResult]:
     """Shared CV engine.
@@ -331,13 +293,14 @@ def _run_configurations(
     Tokens are ranked once per fold and vectorized at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
+    ms stays a lazy range and per-m state grows fold by fold, so an m range
+    beyond the vocabulary fails in the first fold's ranking, not in memory.
     """
     policy = DecisionPolicy.from_lambda(lam)
-    m_max = max(ms)
-    per_m_counts: dict[int, list[ConfusionCounts]] = {m: [] for m in ms}
+    per_m_counts: dict[int, list[ConfusionCounts]] = {}
     for fold in range(plan.k_folds):
         train_docs, test_docs = fold_documents(corpus, plan, fold)
-        attrs = select_attributes(token_class_counts(train_docs), m_max)
+        attrs = select_attributes(token_class_counts(train_docs), ms[-1])
         x_train, y_train = vectorize_documents(train_docs, attrs)
         x_test, y_test = vectorize_documents(test_docs, attrs)
         gold = [Label(int(v)) for v in y_test]
@@ -345,7 +308,7 @@ def _run_configurations(
             predicted = _predict(
                 config, x_train[:, :m], y_train, x_test[:, :m], y_test, policy
             )
-            per_m_counts[m].append(confusion_counts(gold, predicted))
+            per_m_counts.setdefault(m, []).append(confusion_counts(gold, predicted))
     return [
         _aggregate(corpus, config, lam, m, plan, per_m_counts[m]) for m in ms
     ]
@@ -359,7 +322,7 @@ def cross_validate(
     plan: FoldPlan,
 ) -> AggregateResult:
     """Run the full k-fold protocol for one configuration."""
-    return _run_configurations(corpus, config, lam, [m], plan)[0]
+    return _run_configurations(corpus, config, lam, range(m, m + 1), plan)[0]
 
 
 def sweep_attributes(
@@ -374,7 +337,7 @@ def sweep_attributes(
     """One AggregateResult per attribute-set size, ascending m."""
     if m_from < 1 or m_to < m_from or m_step < 1:
         raise ValueError(f"invalid m range {m_from}:{m_to}:{m_step}")
-    ms = list(range(m_from, m_to + 1, m_step))
+    ms = range(m_from, m_to + 1, m_step)
     return _run_configurations(corpus, config, lam, ms, plan)
 
 

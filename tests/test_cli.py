@@ -97,6 +97,22 @@ class TestEvaluate:
         assert code == 3
         assert "lambda" in err
 
+    def test_bad_k_exits_3_before_loading(self, capsys, tmp_path):
+        code, _, err = run(capsys, [
+            "evaluate", "--corpus", str(tmp_path / "absent"),
+            "--classifier", "mb", "--k", "0",
+        ])
+        assert code == 3
+        assert "k >= 1" in err
+
+    def test_unwritable_out_exits_2(self, capsys, fixture_dir, tmp_path):
+        code, _, err = run(capsys, [
+            "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
+            "--m", "15", "--out", str(tmp_path / "missing" / "x.csv"),
+        ])
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     @pytest.mark.parametrize("lam", ["1e308", "1e16"])
     def test_lambda_whose_threshold_rounds_to_one_exits_3(self, capsys, fixture_dir, lam):
         code, out, err = run(capsys, [
@@ -171,6 +187,15 @@ class TestSweep:
         assert code == 2
         assert "available" in err
 
+    def test_huge_m_range_exits_2_before_allocating(self, capsys, fixture_dir):
+        # per-m state for 10**15 points cannot be allocated at all
+        code, _, err = run(capsys, [
+            "sweep", "--corpus", str(fixture_dir), "--layout", "fixture",
+            "--m-range", f"1:{10**15}:1",
+        ])
+        assert code == 2
+        assert "available" in err
+
     def test_byte_identical_reruns(self, capsys, fixture_dir, tmp_path):
         args = [
             "sweep", "--corpus", str(fixture_dir), "--layout", "fixture",
@@ -233,6 +258,7 @@ class TestCompare:
         pytest.param(3, "PREFIX,nan" + ";0.5" * 9, id="nan-wacc"),
         pytest.param(3, "PREFIX,0.5" + ";0.5" * 8, id="nine-of-ten-folds"),
         pytest.param(3, "nb,1,15", id="short-row"),
+        pytest.param(3, "PREFIX," + "0" * 200_000, id="oversized-field"),
     ])
     def test_malformed_result_file_exits_3(
         self, capsys, fixture_dir, tmp_path, line, text
@@ -247,6 +273,22 @@ class TestCompare:
             code, _, err = run(capsys, ["compare", str(pair[0]), str(pair[1])])
             assert code == 3
             assert "not a spamlab results v1 file" in err
+
+    @pytest.mark.parametrize("k_folds", [1, 40])
+    def test_fold_count_other_than_ten_exits_3(
+        self, capsys, fixture_dir, tmp_path, k_folds
+    ):
+        # consistent echo and rows, but the t table only covers 10 folds
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, [])
+        lines = good.read_text().splitlines()
+        lines[1] = lines[1].replace('"k_folds":10', f'"k_folds":{k_folds}')
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + ";".join(["0.5"] * k_folds)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, ["compare", str(bad), str(bad)])
+        assert code == 3
+        assert "not a spamlab results v1 file" in err
 
     def test_undecodable_result_file_exits_3(self, capsys, fixture_dir, tmp_path):
         good = tmp_path / "good.csv"
@@ -295,3 +337,10 @@ class TestFixtureCommand:
                 "fixture", "--out", str(tmp_path / "x"), "--doc-len", bad,
             ])
             assert code == 3, bad
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, out):
+        (tmp_path / "afile").write_text("not a directory")
+        code, _, err = run(capsys, ["fixture", "--out", str(tmp_path / out)])
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1

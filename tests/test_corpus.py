@@ -25,8 +25,8 @@ from spamlab.corpus import (
     write_fixture_corpus,
 )
 
-LIGHT = NormalizerConfig(lowercase=True, stemming="light")
-PLAIN = NormalizerConfig(lowercase=True, stemming="none")
+LIGHT = NormalizerConfig(stemming="light")
+PLAIN = NormalizerConfig(stemming="none")
 
 
 class TestParseMessage:
@@ -89,10 +89,8 @@ class TestNormalizeToken:
         # stripping "s" would leave "le" (< 3 chars)
         assert normalize_token("les", LIGHT) == "les"
 
-    def test_min_length_drops_token(self):
-        config = NormalizerConfig(stemming="none", min_token_length=3)
-        assert normalize_token("ab", config) is None
-        assert normalize_token("abc", config) == "abc"
+    def test_short_token_kept_and_lowercased(self):
+        assert normalize_token("A", PLAIN) == "a"
 
     def test_idempotent_on_random_words(self):
         rng = random.Random(13)
@@ -100,8 +98,6 @@ class TestNormalizeToken:
         for _ in range(500):
             word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
             once = normalize_token(word, LIGHT)
-            if once is None:
-                continue
             assert normalize_token(once, LIGHT) == once
 
     def test_idempotent_on_suffix_stacks(self):
@@ -151,6 +147,19 @@ class TestLoadCorpus:
         self._write(tmp_path, "msg1.txt", "")
         with pytest.raises(CorpusError, match="empty message: msg1.txt"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("name,text", [
+        (".DS_Store", ""),
+        (".notes", "Subject: x\n\nnot a message"),
+        (".git/msg2.txt", "Subject: y\n\nnor this"),
+    ])
+    def test_dot_paths_skipped(self, tmp_path, name, text):
+        # the root itself sits under a dot-directory, which must not count
+        root = tmp_path / ".work" / "corpus"
+        self._write(root, "msg1.txt", "Subject: a\n\nhello")
+        self._write(root, name, text)
+        corpus = load_corpus(root)
+        assert [d.source_id for d in corpus.documents] == ["msg1.txt"]
 
     def test_deterministic_reload(self, tmp_path):
         self._write(tmp_path, "msg1.txt", "Subject: a\n\nSome Earnings Here")

@@ -15,7 +15,6 @@ from spamlab import (
     FixtureParams,
     Label,
     baseline_metrics,
-    compute_metrics,
     confusion_counts,
     cross_validate,
     generate_fixture_corpus,
@@ -180,16 +179,6 @@ class TestSpamRecallPrecision:
     def test_requires_spam(self):
         with pytest.raises(DataError):
             spam_recall_precision(counts_of(5, 0, 0, 0))
-
-
-class TestComputeMetrics:
-    def test_all_fields_consistent(self):
-        counts = counts_of(90, 2, 40, 8)
-        metrics = compute_metrics(counts, 9.0)
-        assert metrics.acc + metrics.err == pytest.approx(1.0)
-        assert metrics.wacc + metrics.werr == 1.0
-        assert metrics.baseline_wacc + metrics.baseline_werr == 1.0
-        assert metrics.tcr == pytest.approx(metrics.baseline_werr / metrics.werr)
 
 
 class TestFoldPlan:
