@@ -52,7 +52,6 @@ from .features import (
     mutual_information,
     select_attributes,
     token_class_counts,
-    vectorize,
     vectorize_documents,
 )
 from .memory import (
@@ -65,56 +64,3 @@ from .memory import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateResult",
-    "AttributeSet",
-    "ClassifierConfig",
-    "ConfigError",
-    "ConfusionCounts",
-    "Corpus",
-    "CorpusError",
-    "CorpusStats",
-    "DataError",
-    "DecisionPolicy",
-    "Document",
-    "FixtureParams",
-    "FoldPlan",
-    "InstanceBase",
-    "Label",
-    "NaiveBayesModel",
-    "Neighborhood",
-    "NormalizerConfig",
-    "RawMessage",
-    "SpamlabError",
-    "TestResult",
-    "TokenStats",
-    "baseline_metrics",
-    "build_instance_base",
-    "classify_mb",
-    "classify_nb",
-    "confusion_counts",
-    "corpus_stats",
-    "cross_validate",
-    "generate_fixture_corpus",
-    "k_distance_neighborhood",
-    "lambda_to_threshold",
-    "load_corpus",
-    "make_stratified_folds",
-    "mutual_information",
-    "normalize_token",
-    "overlap_distance",
-    "paired_t_test",
-    "parse_message",
-    "posterior_spam",
-    "select_attributes",
-    "spam_recall_precision",
-    "sweep_attributes",
-    "token_class_counts",
-    "tokenize",
-    "total_cost_ratio",
-    "train_naive_bayes",
-    "vectorize",
-    "vectorize_documents",
-    "weighted_accuracy",
-]

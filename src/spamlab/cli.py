@@ -4,8 +4,8 @@ Result files are CSV with two leading comment lines (format version and a
 JSON config echo).  Identical configuration and seed produce byte-identical
 files; nothing time- or host-dependent is written.
 
-Exit codes: 0 success, 1 internal error, 2 input/corpus error,
-3 configuration/compatibility error.
+Exit codes: 0 success, 1 internal error, 2 input/corpus error (also a
+failed write to standard output), 3 configuration/compatibility error.
 """
 
 from __future__ import annotations
@@ -341,7 +341,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+        return code
+    except OSError as exc:  # stdout; the commands map the file errors they expect
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (CorpusError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

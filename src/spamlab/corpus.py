@@ -14,10 +14,13 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CorpusError
 
@@ -71,14 +74,33 @@ class Document:
     label: Label
     source_id: str
 
-    @property
-    def token_set(self) -> frozenset[str]:
-        # Cached on first use; binary attributes only care about presence.
-        cached = self.__dict__.get("_token_set")
-        if cached is None:
-            cached = frozenset(self.tokens)
-            self.__dict__["_token_set"] = cached
-        return cached
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """Which documents contain which tokens: a CSR document x token-id matrix.
+
+    Token ids number ``vocabulary`` in lexicographic order, so id order is
+    the attribute-ranking tie-break.  Document r contains exactly the token
+    ids ``indices[indptr[r]:indptr[r + 1]]``, ascending; ``labels[r]`` is
+    its Label.  Only presence is kept, never a dense document x vocabulary
+    matrix.
+    """
+
+    vocabulary: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
+        vocabulary = tuple(sorted(set().union(*(d.tokens for d in documents))))
+        index = {token: i for i, token in enumerate(vocabulary)}.__getitem__
+        rows = [np.unique(np.fromiter(map(index, d.tokens), np.int32)) for d in documents]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+        labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
+        return cls(vocabulary, indptr, indices, labels)
 
 
 @dataclass(frozen=True)
@@ -98,11 +120,10 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def vocabulary(self) -> set[str]:
-        vocab: set[str] = set()
-        for doc in self.documents:
-            vocab.update(doc.token_set)
-        return vocab
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Built on first use (cross-validation, stats), then kept."""
+        return Incidence.from_documents(self.documents)
 
 
 @dataclass(frozen=True)
@@ -223,7 +244,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
         n_legit=corpus.n_legit,
         n_spam=corpus.n_spam,
         spam_rate=corpus.n_spam / total if total else 0.0,
-        vocabulary_size=len(corpus.vocabulary()),
+        vocabulary_size=len(corpus.incidence.vocabulary),
     )
 
 

@@ -27,9 +27,9 @@ from .bayes import (
     lambda_to_threshold,
     train_naive_bayes,
 )
-from .corpus import Corpus, Document, Label
+from .corpus import Corpus, Label
 from .errors import ConfigError, DataError
-from .features import select_attributes, token_class_counts, vectorize_documents
+from .features import class_counts, presence_matrix, select_attributes
 from .memory import build_instance_base, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -144,9 +144,6 @@ class FoldPlan:
     def test_indices(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.assignment) if f == fold]
 
-    def train_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f != fold]
-
 
 def make_stratified_folds(corpus: Corpus, k_folds: int = 10, seed: int = 0) -> FoldPlan:
     """Shuffle each class independently, deal round-robin into folds.
@@ -216,16 +213,6 @@ class AggregateResult:
     spam_precision: float
 
 
-def fold_documents(
-    corpus: Corpus, plan: FoldPlan, fold: int
-) -> tuple[list[Document], list[Document]]:
-    """(train, test) documents of one fold."""
-    docs = corpus.documents
-    train = [docs[i] for i in plan.train_indices(fold)]
-    test = [docs[i] for i in plan.test_indices(fold)]
-    return train, test
-
-
 def _predict(
     config: ClassifierConfig,
     x_train: np.ndarray,
@@ -290,6 +277,7 @@ def _run_configurations(
 ) -> list[AggregateResult]:
     """Shared CV engine.
 
+    The corpus incidence is built on the first call and kept on the corpus.
     Tokens are ranked once per fold and vectorized at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
@@ -297,12 +285,15 @@ def _run_configurations(
     beyond the vocabulary fails in the first fold's ranking, not in memory.
     """
     policy = DecisionPolicy.from_lambda(lam)
+    incidence = corpus.incidence
+    assignment = np.array(plan.assignment)
     per_m_counts: dict[int, list[ConfusionCounts]] = {}
     for fold in range(plan.k_folds):
-        train_docs, test_docs = fold_documents(corpus, plan, fold)
-        attrs = select_attributes(token_class_counts(train_docs), ms[-1])
-        x_train, y_train = vectorize_documents(train_docs, attrs)
-        x_test, y_test = vectorize_documents(test_docs, attrs)
+        train = assignment != fold
+        attrs = select_attributes(class_counts(incidence, train), ms[-1])
+        x = presence_matrix(incidence, attrs.ids)
+        x_train, y_train = x[train], incidence.labels[train]
+        x_test, y_test = x[~train], incidence.labels[~train]
         gold = [Label(int(v)) for v in y_test]
         for m in ms:
             predicted = _predict(

@@ -1,6 +1,7 @@
 """Independent brute-force reference implementations used to pin expected
 values.  These deliberately avoid the library's code paths: exact rational
-probabilities instead of float ratios, plain probability products (or,
+probabilities instead of float ratios, per-token set membership instead of
+the incidence matrix, plain probability products (or,
 for the mirrored legitimate posterior, scalar per-term logs) instead of
 vectorized log space, and sort-based neighborhood construction instead of
 the cutoff mask.
@@ -30,6 +31,26 @@ def mi_direct(n1_spam: int, n1_legit: int, n_spam: int, n_legit: int) -> float:
         ratio = p_joint / (Fraction(x_count, n) * Fraction(c_count, n))
         total += float(p_joint) * math.log2(float(ratio))
     return total
+
+
+def ranking_direct(
+    train: list[tuple[tuple[str, ...], bool]]
+) -> list[tuple[str, float]]:
+    """(token, MI) for every token of the training documents, best first.
+
+    train holds (tokens, is_spam) per document.  Per-token class counts come
+    from plain set membership, scores from mi_direct, and the order from a
+    sort on (-mi, token).
+    """
+    present = [(set(tokens), is_spam) for tokens, is_spam in train]
+    n_spam = sum(1 for _, is_spam in present if is_spam)
+    n_legit = len(present) - n_spam
+    scored = []
+    for token in set().union(*(tokens for tokens, _ in present)):
+        n1_spam = sum(1 for tokens, is_spam in present if is_spam and token in tokens)
+        n1_legit = sum(1 for tokens, is_spam in present if not is_spam and token in tokens)
+        scored.append((-mi_direct(n1_spam, n1_legit, n_spam, n_legit), token))
+    return [(token, -neg_mi) for neg_mi, token in sorted(scored)]
 
 
 def posterior_spam_direct(

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import errno
+import io
+import sys
+
 import pytest
 
 from spamlab import generate_fixture_corpus
@@ -344,3 +348,26 @@ class TestFixtureCommand:
         code, _, err = run(capsys, ["fixture", "--out", str(tmp_path / out)])
         assert code == 2
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+class _FullStream(io.StringIO):
+    """A standard output on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["stats"],
+        ["evaluate", "--m", "20", "--out", "-"],
+        ["sweep", "--m-range", "10:30:10", "--out", "{tmp}/sweep.csv"],
+    ], ids=["stats", "evaluate-csv", "sweep-summary"])
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, fixture_dir, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        argv[1:1] = ["--corpus", str(fixture_dir), "--layout", "fixture"]
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"

@@ -205,7 +205,8 @@ class TestCorpusStats:
 
     def test_vocabulary_size(self, small_corpus):
         stats = corpus_stats(small_corpus)
-        assert stats.vocabulary_size == len(small_corpus.vocabulary())
+        distinct = {t for d in small_corpus.documents for t in d.tokens}
+        assert stats.vocabulary_size == len(distinct)
 
 
 class TestFixtureCorpus:
@@ -258,6 +259,22 @@ class TestDocumentHelpers:
         doc = document_from_message(msg, Label.SPAM, LIGHT)
         assert doc.tokens == ("free", "cash", "earn", "money", "now")
 
-    def test_token_set_matches_tokens(self, small_corpus):
-        for doc in small_corpus.documents[:10]:
-            assert doc.token_set == frozenset(doc.tokens)
+    def test_incidence_rows_match_tokens(self, small_corpus):
+        inc = small_corpus.incidence
+        assert list(inc.vocabulary) == sorted(set(inc.vocabulary))
+        assert inc.labels.tolist() == [int(d.label) for d in small_corpus.documents]
+        for r, doc in enumerate(small_corpus.documents):
+            ids = inc.indices[inc.indptr[r] : inc.indptr[r + 1]].tolist()
+            assert ids == sorted(set(ids))
+            assert {inc.vocabulary[i] for i in ids} == set(doc.tokens)
+
+    def test_incidence_built_once_and_not_by_loading(self, tmp_path):
+        generate_fixture_corpus(5, 12, 4, out_dir=tmp_path)
+        corpus = load_corpus(tmp_path, layout="fixture")
+        assert "incidence" not in corpus.__dict__
+        assert corpus.incidence is corpus.incidence
+
+    def test_incidence_of_no_documents(self):
+        inc = Corpus.from_documents([]).incidence
+        assert inc.vocabulary == () and inc.indptr.tolist() == [0]
+        assert len(inc.indices) == 0 and len(inc.labels) == 0

@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as scipy_stats
+
+from oracles import ranking_direct
 
 from spamlab import (
     ClassifierConfig,
@@ -25,9 +28,16 @@ from spamlab import (
     total_cost_ratio,
     weighted_accuracy,
 )
-from spamlab.corpus import Corpus
-from spamlab.evaluate import fold_documents, t_critical_value
-from spamlab.features import select_attributes, token_class_counts, vectorize_documents
+from spamlab.cli import main
+from spamlab.corpus import Corpus, Incidence
+from spamlab.evaluate import t_critical_value
+from spamlab.features import (
+    class_counts,
+    presence_matrix,
+    select_attributes,
+    token_class_counts,
+    vectorize_documents,
+)
 from spamlab.bayes import train_naive_bayes
 
 
@@ -276,7 +286,12 @@ class TestCrossValidate:
         plan = make_stratified_folds(hard_corpus, seed=0)
         fold = 3
         m = 15
-        train_before, test_before = fold_documents(hard_corpus, plan, fold)
+        def split(corpus, plan):
+            train = [d for d, f in zip(corpus.documents, plan.assignment) if f != fold]
+            test = [d for d, f in zip(corpus.documents, plan.assignment) if f == fold]
+            return train, test
+
+        train_before, test_before = split(hard_corpus, plan)
         attrs_before = select_attributes(token_class_counts(train_before), m)
 
         # drop one test-fold document and rebuild plan for the survivors
@@ -289,7 +304,7 @@ class TestCrossValidate:
         reduced_plan = plan.__class__(
             k_folds=plan.k_folds, assignment=kept_assignment, seed=plan.seed
         )
-        train_after, _ = fold_documents(reduced, reduced_plan, fold)
+        train_after, _ = split(reduced, reduced_plan)
         assert train_after == train_before
         attrs_after = select_attributes(token_class_counts(train_after), m)
         assert attrs_after == attrs_before
@@ -299,6 +314,104 @@ class TestCrossValidate:
         model_after = train_naive_bayes(x_after, y_after)
         assert model_before.prior_spam == model_after.prior_spam
         assert (model_before.p1_spam == model_after.p1_spam).all()
+
+class TestFoldFeatures:
+    """Per-fold features as the engine computes them: class_counts over the
+    corpus incidence, select_attributes, then presence_matrix."""
+
+    @staticmethod
+    def _train_mask(plan, fold):
+        return np.array(plan.assignment) != fold
+
+    @staticmethod
+    def _train_docs(corpus, plan, fold):
+        return [d for d, f in zip(corpus.documents, plan.assignment) if f != fold]
+
+    def test_rankings_and_vectors_match_brute_force(self, hard_corpus):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        incidence = hard_corpus.incidence
+        for fold in range(plan.k_folds):
+            train = self._train_docs(hard_corpus, plan, fold)
+            ranked = ranking_direct([(d.tokens, d.label is Label.SPAM) for d in train])
+            stats = class_counts(incidence, self._train_mask(plan, fold))
+            attrs = select_attributes(stats, len(ranked))
+            assert attrs.scores == pytest.approx([mi for _, mi in ranked], abs=1e-12)
+            # Scores equal in exact arithmetic (a token and its complement,
+            # tokens independent of the class) differ in float rounding, so
+            # top-m lists are compared at every m that splits no such tie.
+            clean_cuts = [
+                m for m in range(1, len(ranked) + 1)
+                if m == len(ranked) or ranked[m - 1][1] - ranked[m][1] > 1e-12
+            ]
+            assert len(clean_cuts) > len(ranked) // 3
+            for m in clean_cuts:
+                expected = {token for token, _ in ranked[:m]}
+                assert set(attrs.tokens[:m]) == expected, (fold, m)
+            matrix = presence_matrix(incidence, attrs.ids[:30])
+            for row, d in zip(matrix, hard_corpus.documents):
+                present = set(d.tokens)
+                assert row.tolist() == [int(t in present) for t in attrs.tokens[:30]]
+
+    def test_token_only_in_test_documents_is_no_candidate(self, hard_corpus):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        fold = 3
+        # a perfect spam marker, planted only in fold 3's test spam
+        planted = Corpus.from_documents(
+            Document(d.tokens + ("leako",), d.label, d.source_id)
+            if f == fold and d.label is Label.SPAM
+            else d
+            for d, f in zip(hard_corpus.documents, plan.assignment)
+        )
+        assert make_stratified_folds(planted, seed=0) == plan
+        stats = class_counts(planted.incidence, self._train_mask(plan, fold))
+        assert "leako" in planted.incidence.vocabulary
+        assert "leako" not in stats.counts
+        assert "leako" not in select_attributes(stats, len(stats.counts)).tokens
+        other = class_counts(planted.incidence, self._train_mask(plan, 0))
+        assert other.counts["leako"][0] > 0  # visible wherever it is training data
+        config = ClassifierConfig(kind="nb")
+        before = cross_validate(hard_corpus, config, 1.0, 15, plan)
+        after = cross_validate(planted, config, 1.0, 15, plan)
+        assert after.fold_counts[fold] == before.fold_counts[fold]
+
+    def test_m_at_the_distinct_token_count(self, hard_corpus, tmp_path, capsys):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        limit = min(
+            len({t for d in self._train_docs(hard_corpus, plan, fold) for t in d.tokens})
+            for fold in range(plan.k_folds)
+        )
+        config = ClassifierConfig(kind="nb")
+        assert cross_validate(hard_corpus, config, 1.0, limit, plan).m == limit
+        with pytest.raises(DataError, match=f"only {limit} distinct"):
+            cross_validate(hard_corpus, config, 1.0, limit + 1, plan)
+        root = tmp_path / "hard"
+        from conftest import HARD_PARAMS
+
+        generate_fixture_corpus(7, 200, 40, HARD_PARAMS, out_dir=root)
+        argv = ["evaluate", "--corpus", str(root), "--layout", "fixture", "--m"]
+        assert main(argv + [str(limit)]) == 0
+        assert main(argv + [str(limit + 1)]) == 2
+        assert f"only {limit} distinct tokens" in capsys.readouterr().err
+
+    def test_second_run_reuses_the_incidence(self, hard_corpus, monkeypatch):
+        built = []
+        build = Incidence.from_documents
+
+        def counting(documents):
+            built.append(len(documents))
+            return build(documents)
+
+        monkeypatch.setattr(Incidence, "from_documents", staticmethod(counting))
+        corpus = Corpus.from_documents(hard_corpus.documents)  # nothing cached
+        plan = make_stratified_folds(corpus, seed=2)
+        config = ClassifierConfig(kind="mb", k=2)
+        first = cross_validate(corpus, config, 9.0, 20, plan)
+        incidence = corpus.incidence
+        second = cross_validate(corpus, config, 9.0, 20, plan)
+        assert built == [len(corpus)]
+        assert corpus.incidence is incidence
+        assert second == first
+
 
 class TestSweep:
     def test_default_range_yields_14_points(self):

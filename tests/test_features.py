@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from oracles import mi_direct
 from spamlab import (
@@ -14,11 +14,15 @@ from spamlab import (
     mutual_information,
     select_attributes,
     token_class_counts,
-    vectorize,
     vectorize_documents,
 )
 from spamlab.corpus import Corpus
-from spamlab.features import AttributeSet, TokenStats, rank_tokens
+from spamlab.features import (
+    AttributeSet,
+    TokenStats,
+    mutual_information_batch,
+    rank_tokens,
+)
 
 
 def doc(tokens, label, source_id):
@@ -111,10 +115,43 @@ class TestMutualInformation:
                 assert mine == pytest.approx(reference, abs=1e-12), token
 
 
+class TestMutualInformationBatch:
+    @given(
+        n_spam=st.integers(0, 40),
+        n_legit=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_matches_direct_summation(self, n_spam, n_legit, data):
+        assume(n_spam + n_legit >= 1)
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n_spam), st.integers(0, n_legit)))
+        )
+        # zero cells, a token in every document, and a class with no hits
+        pairs += [(0, 0), (n_spam, n_legit), (n_spam, 0), (0, n_legit)]
+        n1_spam = np.array([a for a, _ in pairs])
+        n1_legit = np.array([b for _, b in pairs])
+        mi = mutual_information_batch(n1_spam, n1_legit, n_spam, n_legit)
+        expected = [mi_direct(a, b, n_spam, n_legit) for a, b in pairs]
+        assert mi.tolist() == pytest.approx(expected, abs=1e-12)
+
+    def test_equal_counts_rank_lexicographically(self):
+        # four perfect one-bit markers: three with counts (1, 0), one (0, 1)
+        docs = [
+            doc(["zeta", "alpha", "mid", "zeta"], Label.SPAM, "spmsg1"),
+            doc(["beta"], Label.LEGITIMATE, "msg1"),
+        ]
+        attrs = select_attributes(token_class_counts(docs), 4)
+        assert attrs.tokens == ("alpha", "beta", "mid", "zeta")
+        assert attrs.scores == (1.0, 1.0, 1.0, 1.0)
+
+
 class TestSelectAttributes:
     @staticmethod
     def _stats(counts, n_spam, n_legit):
-        return TokenStats(counts=counts, n_spam=n_spam, n_legit=n_legit)
+        vocabulary = tuple(sorted(counts))
+        n1_spam = np.array([counts[t][0] for t in vocabulary])
+        n1_legit = np.array([counts[t][1] for t in vocabulary])
+        return TokenStats(vocabulary, n1_spam, n1_legit, n_spam, n_legit)
 
     def test_orders_by_score(self):
         # b is a perfect marker, a partial, c carries nothing
@@ -133,6 +170,10 @@ class TestSelectAttributes:
         stats = self._stats({"a": (1, 0)}, n_spam=1, n_legit=1)
         with pytest.raises(DataError, match="only 1"):
             select_attributes(stats, 2)
+
+    def test_no_documents_reports_zero_available(self):
+        with pytest.raises(DataError, match="only 0"):
+            select_attributes(token_class_counts([]), 1)
 
     def test_requested_cardinality(self, small_corpus):
         stats = token_class_counts(small_corpus)
@@ -156,8 +197,13 @@ class TestSelectAttributes:
         assert len(tokens) == len(stats.counts) == len(scores)
 
 
+def vectorize(d, attributes):
+    return vectorize_documents([d], attributes)[0][0]
+
+
 class TestVectorize:
-    ATTRS = AttributeSet(tokens=("free", "earn"), scores=(0.5, 0.25))
+    # ids index the vocabulary ("earn", "free") the set was selected from
+    ATTRS = AttributeSet(tokens=("free", "earn"), scores=(0.5, 0.25), ids=(1, 0))
 
     def test_presence_bits(self):
         vector = vectorize(doc(["free", "cash"], Label.SPAM, "s1"), self.ATTRS)
