@@ -21,12 +21,10 @@ from .corpus import (
     FixtureParams,
     Label,
     NormalizerConfig,
-    RawMessage,
     corpus_stats,
     generate_fixture_corpus,
     load_corpus,
     normalize_token,
-    parse_message,
     tokenize,
 )
 from .errors import ConfigError, CorpusError, DataError, SpamlabError

@@ -56,14 +56,21 @@ class NaiveBayesModel:
         return len(self.p1_spam)
 
 
-def _as_matrix(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+def training_set(
+    vectors: Sequence[np.ndarray] | np.ndarray,
+    labels: Sequence[Label] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m) vector matrix and (n,) uint8 labels (1 = spam) of a training set."""
     try:
         matrix = np.asarray(vectors)
     except ValueError:
         raise DataError("training vectors must all have the same length")
     if matrix.dtype == object or matrix.ndim != 2:
         raise DataError("training vectors must all have the same length")
-    return matrix
+    y = np.asarray(labels, dtype=np.uint8)
+    if len(y) != len(matrix):
+        raise DataError("vector and label counts differ")
+    return matrix, y
 
 
 def train_naive_bayes(
@@ -76,10 +83,7 @@ def train_naive_bayes(
     strictly inside (0, 1); raw ratios would produce hard zeros that
     annihilate a whole class.
     """
-    matrix = _as_matrix(vectors)
-    y = np.asarray([int(l) for l in labels], dtype=np.uint8)
-    if len(y) != len(matrix):
-        raise DataError("vector and label counts differ")
+    matrix, y = training_set(vectors, labels)
     n_spam = int(y.sum())
     n_legit = len(y) - n_spam
     if n_spam == 0 or n_legit == 0:
@@ -138,12 +142,10 @@ def posterior_spam_batch(model: NaiveBayesModel, matrix: np.ndarray) -> np.ndarr
 
 def classify_nb_batch(
     model: NaiveBayesModel, matrix: np.ndarray, policy: DecisionPolicy
-) -> list[Label]:
-    """Spam iff the spam posterior strictly exceeds the policy threshold."""
-    posteriors = posterior_spam_batch(model, matrix)
-    return [
-        Label.SPAM if p > policy.threshold else Label.LEGITIMATE for p in posteriors
-    ]
+) -> np.ndarray:
+    """uint8 decision per row, 1 = spam: the spam posterior strictly exceeds
+    the policy threshold."""
+    return (posterior_spam_batch(model, matrix) > policy.threshold).astype(np.uint8)
 
 
 def posterior_spam(model: NaiveBayesModel, vector: np.ndarray) -> float:
@@ -155,4 +157,4 @@ def classify_nb(
     model: NaiveBayesModel, vector: np.ndarray, policy: DecisionPolicy
 ) -> Label:
     """classify_nb_batch for one vector of length m."""
-    return classify_nb_batch(model, np.asarray(vector)[np.newaxis], policy)[0]
+    return Label(classify_nb_batch(model, np.asarray(vector)[np.newaxis], policy)[0])

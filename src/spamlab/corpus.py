@@ -3,8 +3,9 @@
 Two on-disk layouts are supported, both the same directory convention:
 any nesting of subdirectories, every regular file one message (paths
 with a dot-prefixed component skipped), basename prefix ``spmsg``
-(case-sensitive) marking spam.  File content is an optional ``Subject:``
-first line, a blank line, then the body.
+(case-sensitive) marking spam.  A message's tokens are the words of its
+whole lossily decoded text, without the header word when the text starts
+with ``Subject:``: subject and body form one bag of words.
 A deterministic synthetic fixture generator produces corpora in the same
 shape for tests and demos that must run without the real Ling-Spam data.
 """
@@ -41,15 +42,6 @@ class Label(enum.IntEnum):
 
     def __str__(self) -> str:
         return "spam" if self is Label.SPAM else "legitimate"
-
-
-@dataclass(frozen=True)
-class RawMessage:
-    """One decoded message before tokenization."""
-
-    subject: str
-    body: str
-    source_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -134,30 +126,6 @@ class CorpusStats:
     vocabulary_size: int
 
 
-def parse_message(raw: bytes | str, source_id: str = "") -> RawMessage:
-    """Split a message file into subject and body.
-
-    The text before the first blank line, when it starts with "Subject:",
-    becomes the subject (prefix stripped); the remainder is the body.
-    Without a Subject header the whole text is the body.  Invalid byte
-    sequences are decoded lossily.
-    """
-    text = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
-    if not text:
-        raise CorpusError(f"empty message: {source_id}" if source_id else "empty message")
-
-    lines = text.split("\n")
-    blank = next((i for i, line in enumerate(lines) if not line.strip()), None)
-    head = "\n".join(lines[:blank]) if blank is not None else text
-    if head.startswith("Subject:"):
-        subject = head[len("Subject:"):].strip()
-        body = "\n".join(lines[blank + 1:]) if blank is not None else ""
-    else:
-        subject = ""
-        body = text
-    return RawMessage(subject=subject, body=body, source_id=source_id)
-
-
 def tokenize(text: str) -> list[str]:
     """Maximal runs of ASCII letters, in order; everything else separates."""
     return _WORD_RE.findall(text)
@@ -179,18 +147,6 @@ def normalize_token(token: str, config: NormalizerConfig) -> str:
     if config.stemming == "light":
         token = _strip_suffixes(token)
     return token
-
-
-def normalize_tokens(tokens: Iterable[str], config: NormalizerConfig) -> list[str]:
-    return [normalize_token(token, config) for token in tokens]
-
-
-def document_from_message(
-    message: RawMessage, label: Label, config: NormalizerConfig
-) -> Document:
-    """Subject and body tokens are concatenated and not distinguished."""
-    tokens = normalize_tokens(tokenize(message.subject + " " + message.body), config)
-    return Document(tokens=tuple(tokens), label=label, source_id=message.source_id)
 
 
 def label_for_filename(name: str) -> Label:
@@ -229,10 +185,12 @@ def load_corpus(
             raw = path.read_bytes()
         except OSError as exc:
             raise CorpusError(f"unreadable message file {source_id}: {exc}")
-        message = parse_message(raw, source_id=source_id)
-        documents.append(
-            document_from_message(message, label_for_filename(path.name), config)
-        )
+        text = raw.decode("utf-8", errors="replace")
+        if not text:
+            raise CorpusError(f"empty message: {source_id}")
+        words = tokenize(text)[1 if text.startswith("Subject:") else 0 :]
+        tokens = [normalize_token(word, config) for word in words]
+        documents.append(Document(tuple(tokens), label_for_filename(path.name), source_id))
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
     return Corpus.from_documents(documents)
@@ -351,7 +309,7 @@ def write_fixture_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     """Persist a corpus in the standard layout, one file per document.
 
     The first tokens go on the Subject line and the rest into the body, so
-    subject+body tokenization reproduces the document token list.
+    loading the files reproduces the document token list.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

@@ -71,27 +71,35 @@ class ConfusionCounts:
 
 
 def confusion_counts(
-    gold: Sequence[Label], predicted: Sequence[Label]
+    gold: Sequence[Label] | np.ndarray, predicted: Sequence[Label] | np.ndarray
 ) -> ConfusionCounts:
-    """Tally the four cells from parallel gold and predicted label sequences."""
-    if len(gold) != len(predicted):
-        raise ValueError(
-            f"gold and predicted lengths differ: {len(gold)} vs {len(predicted)}"
-        )
-    ll = ls = ss = sl = 0
-    for g, p in zip(gold, predicted):
-        if g is Label.SPAM:
-            if p is Label.SPAM:
-                ss += 1
-            else:
-                sl += 1
-        elif p is Label.SPAM:
-            ls += 1
-        else:
-            ll += 1
+    """Tally the four cells from parallel gold and predicted labels (1 = spam)."""
+    g = np.asarray(gold, dtype=np.intp)
+    p = np.asarray(predicted, dtype=np.intp)
+    if g.shape != p.shape:
+        raise ValueError(f"gold and predicted lengths differ: {len(g)} vs {len(p)}")
+    if not np.isin(g, (0, 1)).all() or not np.isin(p, (0, 1)).all():
+        raise ValueError("labels must be 0 (legitimate) or 1 (spam)")
+    ll, ls, sl, ss = np.bincount(2 * g + p, minlength=4).tolist()
     return ConfusionCounts(
         n_legit_legit=ll, n_legit_spam=ls, n_spam_spam=ss, n_spam_legit=sl
     )
+
+
+def _weighted_error(wacc: float, errors: float, weighted_total: float, lam: float) -> float:
+    """1 - wacc, checked against errors / weighted_total computed directly.
+
+    When lambda makes the weighted errors tiny beside the weighted total,
+    1 - wacc cancels to rounding noise (a no-op filter scored TCR=inf), so
+    such a lambda is rejected; 1e-9 is far above a sound result's rounding.
+    """
+    werr = 1.0 - wacc
+    if abs(werr - errors / weighted_total) > 1e-9 * (errors / weighted_total):
+        raise ConfigError(
+            f"lambda {lam:g} is out of range for this corpus: "
+            "1 - WAcc loses the weighted errors to rounding"
+        )
+    return werr
 
 
 def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float]:
@@ -99,10 +107,10 @@ def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float
     lambda_to_threshold(lam)  # validates lambda
     if counts.total == 0:
         raise DataError("cannot score an empty split")
-    wacc = (lam * counts.n_legit_legit + counts.n_spam_spam) / (
-        lam * counts.n_legit + counts.n_spam
-    )
-    return wacc, 1.0 - wacc
+    total = lam * counts.n_legit + counts.n_spam
+    wacc = (lam * counts.n_legit_legit + counts.n_spam_spam) / total
+    errors = lam * counts.n_legit_spam + counts.n_spam_legit
+    return wacc, _weighted_error(wacc, errors, total, lam)
 
 
 def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, float]:
@@ -110,8 +118,9 @@ def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, floa
     lambda_to_threshold(lam)  # validates lambda
     if n_legit + n_spam < 1:
         raise DataError("baseline needs at least one message")
-    wacc = lam * n_legit / (lam * n_legit + n_spam)
-    return wacc, 1.0 - wacc
+    total = lam * n_legit + n_spam
+    wacc = lam * n_legit / total
+    return wacc, _weighted_error(wacc, n_spam, total, lam)
 
 
 def total_cost_ratio(counts: ConfusionCounts, lam: float) -> float:
@@ -220,7 +229,8 @@ def _predict(
     x_test: np.ndarray,
     y_test: np.ndarray,
     policy: DecisionPolicy,
-) -> list[Label]:
+) -> np.ndarray:
+    """uint8 decision per test row, 1 = spam."""
     if config.kind == "nb":
         model = train_naive_bayes(x_train, y_train)
         return classify_nb_batch(model, x_test, policy)
@@ -228,8 +238,8 @@ def _predict(
         base = build_instance_base(x_train, y_train)
         return classify_mb_batch(base, x_test, config.k, policy)
     if config.kind == "oracle":
-        return [Label(int(v)) for v in y_test]
-    return [Label.LEGITIMATE] * len(y_test)
+        return y_test
+    return np.zeros(len(y_test), dtype=np.uint8)
 
 
 def _aggregate(
@@ -245,10 +255,7 @@ def _aggregate(
     mean_werr = 1.0 - mean_wacc
     baseline_wacc, baseline_werr = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
     tcr = baseline_werr / mean_werr if mean_werr > 0 else math.inf
-    pooled = ConfusionCounts()
-    for c in fold_counts:
-        pooled = pooled + c
-    sr, sp = spam_recall_precision(pooled)
+    sr, sp = spam_recall_precision(sum(fold_counts, ConfusionCounts()))
     return AggregateResult(
         classifier=config.kind,
         lam=lam,
@@ -294,12 +301,11 @@ def _run_configurations(
         x = presence_matrix(incidence, attrs.ids)
         x_train, y_train = x[train], incidence.labels[train]
         x_test, y_test = x[~train], incidence.labels[~train]
-        gold = [Label(int(v)) for v in y_test]
         for m in ms:
             predicted = _predict(
                 config, x_train[:, :m], y_train, x_test[:, :m], y_test, policy
             )
-            per_m_counts.setdefault(m, []).append(confusion_counts(gold, predicted))
+            per_m_counts.setdefault(m, []).append(confusion_counts(y_test, predicted))
     return [
         _aggregate(corpus, config, lam, m, plan, per_m_counts[m]) for m in ms
     ]

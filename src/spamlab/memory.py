@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import DecisionPolicy
+from .bayes import DecisionPolicy, training_set
 from .corpus import Label
 from .errors import DataError
 
@@ -56,17 +56,9 @@ def build_instance_base(
     vectors: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[Label] | Sequence[int] | np.ndarray,
 ) -> InstanceBase:
-    try:
-        matrix = np.asarray(vectors)
-    except ValueError:
-        raise DataError("instance vectors must all have the same length")
+    matrix, y = training_set(vectors, labels)
     if matrix.size == 0:
         raise DataError("instance base needs at least one instance")
-    if matrix.dtype == object or matrix.ndim != 2:
-        raise DataError("instance vectors must all have the same length")
-    y = np.asarray([int(l) for l in labels], dtype=np.uint8)
-    if len(y) != len(matrix):
-        raise DataError("vector and label counts differ")
     return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
 
 
@@ -114,16 +106,18 @@ def k_distance_neighborhood(
 
 def classify_mb_batch(
     base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy
-) -> list[Label]:
-    """Lambda-scaled majority vote in each query row's k-distance neighborhood."""
+) -> np.ndarray:
+    """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
+    in the row's k-distance neighborhood."""
     spam_mask = base.labels == 1
-    out = []
-    for row in _distances(base, queries, k):
+    distances = _distances(base, queries, k)
+    out = np.zeros(len(distances), dtype=np.uint8)
+    for i, row in enumerate(distances):
         cutoff = np.unique(row)[:k][-1]
         in_hood = row <= cutoff
         spam = int(np.count_nonzero(in_hood & spam_mask))
         legit = int(np.count_nonzero(in_hood)) - spam
-        out.append(Label.SPAM if spam > policy.lam * legit else Label.LEGITIMATE)
+        out[i] = spam > policy.lam * legit
     return out
 
 
@@ -131,4 +125,4 @@ def classify_mb(
     base: InstanceBase, query: np.ndarray, k: int, policy: DecisionPolicy
 ) -> Label:
     """classify_mb_batch for one query vector of length m."""
-    return classify_mb_batch(base, np.asarray(query)[np.newaxis], k, policy)[0]
+    return Label(classify_mb_batch(base, np.asarray(query)[np.newaxis], k, policy)[0])

@@ -1,5 +1,6 @@
 """Independent brute-force reference implementations used to pin expected
-values.  These deliberately avoid the library's code paths: exact rational
+values.  These deliberately avoid the library's code paths: a subject/body
+split of message text instead of tokenizing the whole text, exact rational
 probabilities instead of float ratios, per-token set membership instead of
 the incidence matrix, plain probability products (or,
 for the mirrored legitimate posterior, scalar per-term logs) instead of
@@ -10,7 +11,29 @@ the cutoff mask.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+_WORD = re.compile(r"[a-zA-Z]+")
+
+
+def subject_body_words(text: str) -> list[str]:
+    """Words of a message file under the subject/body rule.
+
+    The head runs up to the first whitespace-only line.  When it starts with
+    "Subject:", the rest of the head is the subject and the text after that
+    line the body; otherwise the whole text is the body.  Words are the
+    maximal runs of ASCII letters in subject + " " + body.
+    """
+    lines = text.split("\n")
+    blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
+    head = "\n".join(lines[:blank])
+    if head.startswith("Subject:"):
+        subject = head[len("Subject:"):].strip()
+        body = "\n".join(lines[blank + 1:])
+    else:
+        subject, body = "", text
+    return _WORD.findall(subject + " " + body)
 
 
 def mi_direct(n1_spam: int, n1_legit: int, n_spam: int, n_legit: int) -> float:

@@ -290,9 +290,8 @@ class TestCriterion5Properties:
             spam_sets = []
             for lam in lambdas:
                 predicted = classify(DecisionPolicy.from_lambda(lam))
-                spam_sets.append(
-                    {i for i, l in enumerate(predicted) if l is Label.SPAM}
-                )
+                spam_sets.append(set(np.flatnonzero(predicted == 1).tolist()))
+            ok = ok and bool(spam_sets[0])
             ok = ok and all(b <= a for a, b in zip(spam_sets, spam_sets[1:]))
         report(5, "lambda-monotone decisions", ok, "nb and mb, 200 vectors")
 

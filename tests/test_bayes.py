@@ -232,6 +232,8 @@ class TestClassify:
         for lam in lambdas:
             policy = DecisionPolicy.from_lambda(lam)
             labels = classify_nb_batch(model, vectors, policy)
-            spam_sets.append({i for i, l in enumerate(labels) if l is Label.SPAM})
+            assert labels.dtype == np.uint8
+            spam_sets.append(set(np.flatnonzero(labels == 1).tolist()))
+        assert spam_sets[0]
         for smaller_lam, larger_lam in zip(spam_sets, spam_sets[1:]):
             assert larger_lam <= smaller_lam

@@ -127,6 +127,21 @@ class TestEvaluate:
         assert out == ""
         assert err.startswith("error: lambda") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["1e15", "8e15"])
+    def test_lambda_beyond_float_precision_exits_3(self, capsys, tmp_path, lam):
+        # at 8e15 nothing is blocked and 1 - WAcc read 0 (TCR=inf); at 1e15
+        # TCR read 0.67 for an exact 1.00
+        root = tmp_path / "fx"
+        generate_fixture_corpus(7, 30, 10, out_dir=root)
+        code, out, err = run(capsys, [
+            "evaluate", "--corpus", str(root), "--layout", "fixture",
+            "--m", "5", "--lambda", lam,
+        ])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: lambda {float(lam):g} is out of range")
+        assert err.count("\n") == 1
+
     def test_m_beyond_vocabulary_exits_2(self, capsys, fixture_dir):
         code, _, err = run(capsys, [
             "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import subject_body_words
 
 from spamlab import (
     CorpusError,
@@ -14,54 +19,70 @@ from spamlab import (
     generate_fixture_corpus,
     load_corpus,
     normalize_token,
-    parse_message,
     tokenize,
 )
-from spamlab.corpus import (
-    Corpus,
-    document_from_message,
-    label_for_filename,
-    normalize_tokens,
-    write_fixture_corpus,
-)
+from spamlab.corpus import Corpus, label_for_filename, write_fixture_corpus
 
 LIGHT = NormalizerConfig(stemming="light")
 PLAIN = NormalizerConfig(stemming="none")
 
 
 class TestParseMessage:
-    def test_subject_and_body(self):
-        msg = parse_message(b"Subject: hello\n\nworld")
-        assert msg.subject == "hello"
-        assert msg.body == "world"
+    """One message file's bytes to its document tokens, through load_corpus."""
 
-    def test_no_header_whole_text_is_body(self):
-        msg = parse_message(b"no header at all")
-        assert msg.subject == ""
-        assert msg.body == "no header at all"
+    @staticmethod
+    def _tokens(tmp_path, raw: bytes) -> tuple[str, ...]:
+        (tmp_path / "msg1.txt").write_bytes(raw)
+        return load_corpus(tmp_path, config=PLAIN).documents[0].tokens
 
-    def test_only_first_blank_line_splits(self):
-        msg = parse_message(b"Subject: A\n\nB\n\nC")
-        assert msg.subject == "A"
-        assert msg.body == "B\n\nC"
+    def test_subject_and_body(self, tmp_path):
+        assert self._tokens(tmp_path, b"Subject: hello\n\nworld") == ("hello", "world")
 
-    def test_blank_line_without_subject_keeps_whole_text(self):
-        msg = parse_message(b"hello\n\nworld")
-        assert msg.subject == ""
-        assert msg.body == "hello\n\nworld"
+    def test_no_header_whole_text_is_body(self, tmp_path):
+        assert self._tokens(tmp_path, b"no header at all") == ("no", "header", "at", "all")
 
-    def test_subject_without_body(self):
-        msg = parse_message(b"Subject: hi")
-        assert msg.subject == "hi"
-        assert msg.body == ""
+    def test_only_first_blank_line_splits(self, tmp_path):
+        assert self._tokens(tmp_path, b"Subject: A\n\nB\n\nC") == ("a", "b", "c")
 
-    def test_empty_message_rejected(self):
+    def test_blank_line_without_subject_keeps_whole_text(self, tmp_path):
+        assert self._tokens(tmp_path, b"hello\n\nworld") == ("hello", "world")
+
+    def test_subject_without_body(self, tmp_path):
+        assert self._tokens(tmp_path, b"Subject: hi") == ("hi",)
+
+    def test_empty_message_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="empty message"):
-            parse_message(b"")
+            self._tokens(tmp_path, b"")
 
-    def test_invalid_bytes_decoded_lossily(self):
-        msg = parse_message(b"Subject: ok\n\nbad \xff\xfe bytes")
-        assert "bad" in msg.body and "bytes" in msg.body
+    def test_invalid_bytes_decoded_lossily(self, tmp_path):
+        raw = b"Subject: ok\n\nbad \xff\xfe bytes"
+        assert self._tokens(tmp_path, raw) == ("ok", "bad", "bytes")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.sampled_from([
+                    b"Subject:", b"Subject: Free Cash", b"Subject", b"subject:",
+                    b"\n", b"\r\n",
+                    b" ", b"\t", b" \t\n", b"\n\n", b"Earnings", b"flies",
+                    b"e-mail", b"21", b":", b"\xff\xfe", b"\xc3\xa9",
+                ]),
+                st.binary(max_size=4),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_tokens_match_subject_body_oracle(self, pieces):
+        raw = b"".join(pieces)
+        assume(raw)
+        words = subject_body_words(raw.decode("utf-8", errors="replace"))
+        with tempfile.TemporaryDirectory() as root:
+            Path(root, "msg1.txt").write_bytes(raw)
+            for config in (LIGHT, PLAIN):
+                tokens = load_corpus(root, config=config).documents[0].tokens
+                assert list(tokens) == [normalize_token(w, config) for w in words]
 
 
 class TestTokenize:
@@ -172,9 +193,10 @@ class TestLoadCorpus:
         self._write(tmp_path, "spmsg1.txt", "Subject: x\n\ny")
         corpus = load_corpus(tmp_path, config=LIGHT)
         doc = corpus.documents[0]
-        msg = parse_message(text.encode())
-        expected = normalize_tokens(tokenize(msg.subject + " " + msg.body), LIGHT)
-        assert list(doc.tokens) == expected
+        expected = [normalize_token(t, LIGHT) for t in tokenize(text)[1:]]
+        assert list(doc.tokens) == expected == [
+            "earn", "report", "the", "fli", "were", "fly", "e", "mail",
+        ]
 
     def test_label_tally_matches_counts(self, small_corpus):
         spam = sum(1 for d in small_corpus.documents if d.label is Label.SPAM)
@@ -254,11 +276,6 @@ class TestFixtureCorpus:
 
 
 class TestDocumentHelpers:
-    def test_document_from_message_concatenates_subject_and_body(self):
-        msg = parse_message(b"Subject: Free Cash\n\nearn money now")
-        doc = document_from_message(msg, Label.SPAM, LIGHT)
-        assert doc.tokens == ("free", "cash", "earn", "money", "now")
-
     def test_incidence_rows_match_tokens(self, small_corpus):
         inc = small_corpus.incidence
         assert list(inc.vocabulary) == sorted(set(inc.vocabulary))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import ranking_direct
 
 from spamlab import (
     ClassifierConfig,
+    ConfigError,
     ConfusionCounts,
     DataError,
     Document,
@@ -80,6 +82,27 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             confusion_counts([Label.SPAM], [])
 
+    @pytest.mark.parametrize("gold,predicted", [([2], [0]), ([0], [2]), ([1], [-1])])
+    def test_labels_outside_zero_one_rejected(self, gold, predicted):
+        with pytest.raises(ValueError, match="0 .legitimate. or 1 .spam."):
+            confusion_counts(gold, predicted)
+
+    @given(pairs=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60))
+    def test_matches_brute_force_tally(self, pairs):
+        tally = Counter(pairs)
+        expected = counts_of(
+            tally[False, False], tally[False, True], tally[True, True], tally[True, False]
+        )
+        gold = [Label(int(g)) for g, _ in pairs]
+        predicted = [Label(int(p)) for _, p in pairs]
+        assert confusion_counts(gold, predicted) == expected
+        as_arrays = confusion_counts(
+            np.array(gold, dtype=np.uint8), np.array(predicted, dtype=np.uint8)
+        )
+        assert as_arrays == expected
+        assert all(type(getattr(as_arrays, f)) is int for f in (
+            "n_legit_legit", "n_legit_spam", "n_spam_spam", "n_spam_legit"))
+
     def test_pooling_adds_cellwise(self):
         total = counts_of(1, 2, 3, 4) + counts_of(10, 20, 30, 40)
         assert total == counts_of(11, 22, 33, 44)
@@ -107,6 +130,21 @@ class TestWeightedAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             weighted_accuracy(counts_of(0, 0, 0, 0), 1.0)
+
+    @pytest.mark.parametrize("lam", [1e9, 1e15, 8e15])
+    def test_error_lost_to_rounding_rejected(self, lam):
+        # one missed spam among 3 legit + 1 spam: WErr is 1 / (3 lambda + 1),
+        # which 1 - WAcc cannot resolve once lambda is this large
+        with pytest.raises(ConfigError, match="out of range for this corpus"):
+            weighted_accuracy(counts_of(3, 0, 0, 1), lam)
+        with pytest.raises(ConfigError, match="out of range for this corpus"):
+            baseline_metrics(3, 1, lam)
+        assert weighted_accuracy(counts_of(3, 0, 1, 0), lam) == (1.0, 0.0)
+
+    def test_error_lost_to_rounding_at_tiny_lambda_rejected(self):
+        # one blocked legit message weighs 1e-12 beside 40 spam
+        with pytest.raises(ConfigError, match="out of range for this corpus"):
+            weighted_accuracy(counts_of(3, 1, 40, 0), 1e-12)
 
     @given(
         ll=st.integers(0, 500), ls=st.integers(0, 500),
