@@ -176,6 +176,9 @@ def load_corpus(
         raise CorpusError(f"unreadable directory: {root}")
 
     documents = []
+    # Raw word -> token for this load: each distinct word is normalized once,
+    # and equal tokens share one string.
+    normalized: dict[str, str] = {}
     for path in sorted(root.rglob("*")):
         relative = path.relative_to(root)
         if any(part.startswith(".") for part in relative.parts) or not path.is_file():
@@ -189,8 +192,10 @@ def load_corpus(
         if not text:
             raise CorpusError(f"empty message: {source_id}")
         words = tokenize(text)[1 if text.startswith("Subject:") else 0 :]
-        tokens = [normalize_token(word, config) for word in words]
-        documents.append(Document(tuple(tokens), label_for_filename(path.name), source_id))
+        for word in set(words).difference(normalized):
+            normalized[word] = normalize_token(word, config)
+        tokens = tuple(map(normalized.__getitem__, words))
+        documents.append(Document(tokens, label_for_filename(path.name), source_id))
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
     return Corpus.from_documents(documents)

@@ -229,17 +229,18 @@ def _predict(
     x_test: np.ndarray,
     y_test: np.ndarray,
     policy: DecisionPolicy,
+    ms: range,
 ) -> np.ndarray:
-    """uint8 decision per test row, 1 = spam."""
+    """uint8 decisions, 1 = spam: one row per m of ms, over the first m columns."""
     if config.kind == "nb":
-        model = train_naive_bayes(x_train, y_train)
-        return classify_nb_batch(model, x_test, policy)
+        models = (train_naive_bayes(x_train[:, :m], y_train) for m in ms)
+        return np.array([classify_nb_batch(nb, x_test[:, : nb.m], policy) for nb in models])
     if config.kind == "mb":
         base = build_instance_base(x_train, y_train)
-        return classify_mb_batch(base, x_test, config.k, policy)
+        return classify_mb_batch(base, x_test, config.k, policy, ms)
     if config.kind == "oracle":
-        return y_test
-    return np.zeros(len(y_test), dtype=np.uint8)
+        return np.tile(y_test, (len(ms), 1))
+    return np.zeros((len(ms), len(y_test)), dtype=np.uint8)
 
 
 def _aggregate(
@@ -288,6 +289,8 @@ def _run_configurations(
     Tokens are ranked once per fold and vectorized at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
+    The mb classifier gets the whole range of a fold in one call, so each
+    distance column is computed once.
     ms stays a lazy range and per-m state grows fold by fold, so an m range
     beyond the vocabulary fails in the first fold's ranking, not in memory.
     """
@@ -299,12 +302,11 @@ def _run_configurations(
         train = assignment != fold
         attrs = select_attributes(class_counts(incidence, train), ms[-1])
         x = presence_matrix(incidence, attrs.ids)
-        x_train, y_train = x[train], incidence.labels[train]
-        x_test, y_test = x[~train], incidence.labels[~train]
-        for m in ms:
-            predicted = _predict(
-                config, x_train[:, :m], y_train, x_test[:, :m], y_test, policy
-            )
+        y_test = incidence.labels[~train]
+        decisions = _predict(
+            config, x[train], incidence.labels[train], x[~train], y_test, policy, ms
+        )
+        for m, predicted in zip(ms, decisions):
             per_m_counts.setdefault(m, []).append(confusion_counts(y_test, predicted))
     return [
         _aggregate(corpus, config, lam, m, plan, per_m_counts[m]) for m in ms

@@ -11,7 +11,7 @@ majority; exact ties go to legitimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,14 +43,6 @@ class Neighborhood:
     members: tuple[tuple[int, Label], ...]
     distinct_distances: frozenset[int]
 
-    @property
-    def spam_count(self) -> int:
-        return sum(1 for _, label in self.members if label is Label.SPAM)
-
-    @property
-    def legit_count(self) -> int:
-        return len(self.members) - self.spam_count
-
 
 def build_instance_base(
     vectors: Sequence[np.ndarray] | np.ndarray,
@@ -71,25 +63,53 @@ def overlap_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
-def _distances(base: InstanceBase, queries: np.ndarray, k: int) -> np.ndarray:
-    """(n_queries, n_base) overlap distances, after the shape and k checks."""
+# Largest column block whose float32 product sums stay exact integers.
+_EXACT_FLOAT32_WIDTH = 2**24
+
+
+def _distances(
+    base: InstanceBase, queries: np.ndarray, k: int, ms: Sequence[int] | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m, distances) for each m of the ascending ms (default: base.m):
+    the (n_queries, n_base) overlap distances over the first m columns, after
+    the shape, k and m-range checks.
+
+    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y.  The Gram matrix x.y grows
+    by one column block per m, so each column is multiplied once.  A float32
+    block product is exact: each of its sums is an integer no larger than
+    the block width, checked against 2**24.  int32 holds every sum up to m.
+    """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != base.m:
         raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = queries.astype(np.float64)
-    y = base.vectors.astype(np.float64)
-    # d[i, j] = sum_i x(1-y) + (1-x)y counts differing bits exactly.
-    dist = x @ (1.0 - y).T + (1.0 - x) @ y.T
-    return np.rint(dist).astype(np.int64)
+    ms = (base.m,) if ms is None else tuple(ms)
+    if not ms or ms[0] < 1 or ms[-1] > base.m or any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"m range must ascend within 1..{base.m}, got {ms}")
+    gram = np.zeros((len(queries), base.size), dtype=np.int32)
+    x_norms = np.zeros(len(queries), dtype=np.int32)
+    y_norms = np.zeros(base.size, dtype=np.int32)
+    done = 0
+    for m in ms:
+        if m - done > _EXACT_FLOAT32_WIDTH:
+            raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
+        x = queries[:, done:m]
+        y = base.vectors[:, done:m]
+        gram += (x.astype(np.float32) @ y.T.astype(np.float32)).astype(np.int32)
+        x_norms += x.sum(axis=1, dtype=np.int32)
+        y_norms += y.sum(axis=1, dtype=np.int32)
+        done = m
+        distances = x_norms[:, np.newaxis] + y_norms
+        distances -= 2 * gram
+        yield m, distances
 
 
 def k_distance_neighborhood(
     base: InstanceBase, query: np.ndarray, k: int
 ) -> Neighborhood:
     """Every instance at one of the k smallest distinct distances to the query."""
-    distances = _distances(base, np.asarray(query)[np.newaxis], k)[0]
+    distances = next(_distances(base, np.asarray(query)[np.newaxis], k))[1][0]
     distinct = np.unique(distances)[:k]
     cutoff = distinct[-1]
     members = [
@@ -105,20 +125,32 @@ def k_distance_neighborhood(
 
 
 def classify_mb_batch(
-    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy
+    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy,
+    ms: Sequence[int] | None = None,
 ) -> np.ndarray:
     """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
-    in the row's k-distance neighborhood."""
-    spam_mask = base.labels == 1
-    distances = _distances(base, queries, k)
-    out = np.zeros(len(distances), dtype=np.uint8)
-    for i, row in enumerate(distances):
-        cutoff = np.unique(row)[:k][-1]
-        in_hood = row <= cutoff
-        spam = int(np.count_nonzero(in_hood & spam_mask))
-        legit = int(np.count_nonzero(in_hood)) - spam
-        out[i] = spam > policy.lam * legit
-    return out
+    in the row's k-distance neighborhood.
+
+    With an ascending ms, one row of decisions per m over the first m
+    columns, (len(ms), n_queries); without, the decisions at base.m.
+
+    Each row's distances go into a histogram of (distance, label) counts;
+    the neighborhood is every bin up to the one where the running count of
+    occupied distances reaches k (all bins when k exceeds that count).
+    """
+    decisions = []
+    for m, distances in _distances(base, queries, k, ms):
+        n = len(distances)
+        # bin (label, row, distance): legit histograms first, then spam
+        bins = distances + np.arange(n, dtype=np.intp)[:, np.newaxis] * (m + 1)
+        bins += (base.labels == 1) * np.intp(n * (m + 1))
+        hist = np.bincount(bins.ravel(), minlength=2 * n * (m + 1))
+        legit, spam = hist.reshape(2, n, m + 1)
+        in_hood = np.cumsum((legit + spam) > 0, axis=1) <= k
+        spam_votes = (spam * in_hood).sum(axis=1)
+        legit_votes = (legit * in_hood).sum(axis=1)
+        decisions.append((spam_votes > policy.lam * legit_votes).astype(np.uint8))
+    return np.array(decisions) if ms is not None else decisions[0]
 
 
 def classify_mb(

@@ -21,6 +21,7 @@ from spamlab import (
     normalize_token,
     tokenize,
 )
+import spamlab.corpus as corpus_module
 from spamlab.corpus import Corpus, label_for_filename, write_fixture_corpus
 
 LIGHT = NormalizerConfig(stemming="light")
@@ -196,6 +197,23 @@ class TestLoadCorpus:
         expected = [normalize_token(t, LIGHT) for t in tokenize(text)[1:]]
         assert list(doc.tokens) == expected == [
             "earn", "report", "the", "fli", "were", "fly", "e", "mail",
+        ]
+
+    def test_each_distinct_word_normalized_once(self, tmp_path, monkeypatch):
+        self._write(tmp_path, "msg1.txt", "Subject: Flies\n\nflies Flies walked walked")
+        self._write(tmp_path, "spmsg1.txt", "Subject: Walked\n\nwalked FLIES flies")
+        calls = []
+
+        def counting(word, config):
+            calls.append(word)
+            return normalize_token(word, config)
+
+        monkeypatch.setattr(corpus_module, "normalize_token", counting)
+        corpus = load_corpus(tmp_path, config=LIGHT)
+        assert sorted(calls) == ["FLIES", "Flies", "Walked", "flies", "walked"]
+        assert [d.tokens for d in corpus.documents] == [
+            ("fli", "fli", "fli", "walk", "walk"),
+            ("walk", "walk", "fli", "fli"),
         ]
 
     def test_label_tally_matches_counts(self, small_corpus):

@@ -451,6 +451,14 @@ class TestFoldFeatures:
         assert second == first
 
 
+SWEPT_CONFIGS = [
+    pytest.param(ClassifierConfig(kind="nb"), id="nb"),
+    pytest.param(ClassifierConfig(kind="mb", k=1), id="mb-k1"),
+    pytest.param(ClassifierConfig(kind="mb", k=2), id="mb-k2"),
+    pytest.param(ClassifierConfig(kind="mb", k=10), id="mb-k10"),
+]
+
+
 class TestSweep:
     def test_default_range_yields_14_points(self):
         corpus = generate_fixture_corpus(
@@ -461,22 +469,23 @@ class TestSweep:
         assert len(results) == 14
         assert [r.m for r in results] == list(range(50, 701, 50))
 
-    def test_single_point_range(self, cv_corpus):
+    @pytest.mark.parametrize("config", SWEPT_CONFIGS)
+    def test_single_point_range(self, cv_corpus, config):
         plan = make_stratified_folds(cv_corpus, seed=0)
         results = sweep_attributes(
-            cv_corpus, ClassifierConfig(kind="nb"), 1.0, plan,
-            m_from=30, m_to=30, m_step=50,
+            cv_corpus, config, 1.0, plan, m_from=30, m_to=30, m_step=50,
         )
         assert len(results) == 1 and results[0].m == 30
 
-    def test_sweep_matches_individual_runs(self, hard_corpus):
+    @pytest.mark.parametrize("config", SWEPT_CONFIGS)
+    def test_sweep_matches_individual_runs(self, hard_corpus, config):
         plan = make_stratified_folds(hard_corpus, seed=0)
-        config = ClassifierConfig(kind="nb")
         swept = sweep_attributes(
             hard_corpus, config, 1.0, plan, m_from=10, m_to=30, m_step=10
         )
         for result in swept:
             alone = cross_validate(hard_corpus, config, 1.0, result.m, plan)
+            assert alone.fold_counts == result.fold_counts
             assert alone.fold_waccs == result.fold_waccs
             assert alone.tcr == result.tcr
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import neighborhood_direct
 from spamlab import (
@@ -16,6 +17,7 @@ from spamlab import (
     k_distance_neighborhood,
     overlap_distance,
 )
+import spamlab.memory as memory_module
 from spamlab.memory import classify_mb_batch
 
 
@@ -201,6 +203,65 @@ class TestClassify:
                     legit = len(members) - spam
                     scalar.append(int(spam > lam * legit))
                 assert batch.dtype == np.uint8 and batch.tolist() == scalar
+
+
+@st.composite
+def tied_sweeps(draw):
+    """A few columns and rows drawn from a small pool: many distance ties."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    train = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
+    queries = draw(st.lists(st.one_of(st.sampled_from(pool), row), min_size=1, max_size=6))
+    ms = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
+    k = draw(st.integers(1, width + 2))
+    lam = draw(st.sampled_from([1.0, 9.0, 999.0]))
+    return train, labels, queries, ms, k, lam
+
+
+class TestSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_sweeps())
+    def test_every_m_matches_vote_over_direct_neighborhood(self, case):
+        train, labels, queries, ms, k, lam = case
+        base = base_of(train, labels)
+        swept = classify_mb_batch(
+            base, np.array(queries, dtype=np.uint8), k, DecisionPolicy.from_lambda(lam), ms
+        )
+        assert swept.shape == (len(ms), len(queries)) and swept.dtype == np.uint8
+        for m, decisions in zip(ms, swept):
+            expected = []
+            for query in queries:
+                members, _ = neighborhood_direct(
+                    [r[:m] for r in train], labels, query[:m], k
+                )
+                spam = sum(label for _, label in members)
+                expected.append(int(spam > lam * (len(members) - spam)))
+            assert decisions.tolist() == expected
+
+    @pytest.mark.parametrize("width,ms", [
+        (2, None),
+        (3, [4]),
+        (3, [0, 2]),
+        (3, [2, 2]),
+        (3, [3, 1]),
+        (3, []),
+    ])
+    def test_query_or_m_range_off_the_base_rejected(self, width, ms):
+        base = base_of([[0, 1, 1], [1, 0, 0]], [1, 0])
+        queries = np.zeros((2, width), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            classify_mb_batch(base, queries, 1, DecisionPolicy.from_lambda(1.0), ms)
+
+    def test_block_wider_than_exact_float32_sums_rejected(self, monkeypatch):
+        monkeypatch.setattr(memory_module, "_EXACT_FLOAT32_WIDTH", 2)
+        base = base_of([[0, 1, 1], [1, 0, 0]], [1, 0])
+        queries = np.zeros((1, 3), dtype=np.uint8)
+        policy = DecisionPolicy.from_lambda(1.0)
+        assert classify_mb_batch(base, queries, 1, policy, [2, 3]).shape == (2, 1)
+        with pytest.raises(ValueError, match="too wide"):
+            classify_mb_batch(base, queries, 1, policy)
 
 
 class TestLargeKDegeneracy:
