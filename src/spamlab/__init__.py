@@ -9,9 +9,9 @@ cross-validation.
 from .bayes import (
     DecisionPolicy,
     NaiveBayesModel,
-    classify_nb,
+    classify_nb_batch,
     lambda_to_threshold,
-    posterior_spam,
+    posterior_spam_batch,
     train_naive_bayes,
 )
 from .corpus import (
@@ -47,18 +47,16 @@ from .evaluate import (
 from .features import (
     AttributeSet,
     TokenStats,
-    mutual_information,
+    mutual_information_batch,
     select_attributes,
     token_class_counts,
     vectorize_documents,
 )
 from .memory import (
     InstanceBase,
-    Neighborhood,
     build_instance_base,
-    classify_mb,
-    k_distance_neighborhood,
-    overlap_distance,
+    classify_mb_batch,
+    neighborhood_votes,
 )
 
 __version__ = "0.1.0"

@@ -67,10 +67,12 @@ def training_set(
         raise DataError("training vectors must all have the same length")
     if matrix.dtype == object or matrix.ndim != 2:
         raise DataError("training vectors must all have the same length")
-    y = np.asarray(labels, dtype=np.uint8)
+    y = np.asarray(labels)
     if len(y) != len(matrix):
         raise DataError("vector and label counts differ")
-    return matrix, y
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 (legitimate) or 1 (spam)")
+    return matrix, y.astype(np.uint8)
 
 
 def train_naive_bayes(
@@ -146,15 +148,3 @@ def classify_nb_batch(
     """uint8 decision per row, 1 = spam: the spam posterior strictly exceeds
     the policy threshold."""
     return (posterior_spam_batch(model, matrix) > policy.threshold).astype(np.uint8)
-
-
-def posterior_spam(model: NaiveBayesModel, vector: np.ndarray) -> float:
-    """P(spam | vector) for one vector of length m; always within [0, 1]."""
-    return float(posterior_spam_batch(model, np.asarray(vector)[np.newaxis])[0])
-
-
-def classify_nb(
-    model: NaiveBayesModel, vector: np.ndarray, policy: DecisionPolicy
-) -> Label:
-    """classify_nb_batch for one vector of length m."""
-    return Label(classify_nb_batch(model, np.asarray(vector)[np.newaxis], policy)[0])

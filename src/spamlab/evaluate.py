@@ -15,7 +15,7 @@ and training both see only the nine training parts of each fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Sequence
 
@@ -233,8 +233,13 @@ def _predict(
 ) -> np.ndarray:
     """uint8 decisions, 1 = spam: one row per m of ms, over the first m columns."""
     if config.kind == "nb":
-        models = (train_naive_bayes(x_train[:, :m], y_train) for m in ms)
-        return np.array([classify_nb_batch(nb, x_test[:, : nb.m], policy) for nb in models])
+        # a conditional depends only on its own column, so the model at m is
+        # the m-prefix of the model trained on all ms[-1] columns
+        nb = train_naive_bayes(x_train, y_train)
+        models = (replace(nb, p1_spam=nb.p1_spam[:m], p1_legit=nb.p1_legit[:m]) for m in ms)
+        return np.array(
+            [classify_nb_batch(model, x_test[:, : model.m], policy) for model in models]
+        )
     if config.kind == "mb":
         base = build_instance_base(x_train, y_train)
         return classify_mb_batch(base, x_test, config.k, policy, ms)
@@ -289,8 +294,8 @@ def _run_configurations(
     Tokens are ranked once per fold and vectorized at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
-    The mb classifier gets the whole range of a fold in one call, so each
-    distance column is computed once.
+    Each classifier gets the whole range of a fold in one call, so each
+    distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, so an m range
     beyond the vocabulary fails in the first fold's ranking, not in memory.
     """

@@ -82,8 +82,8 @@ def mutual_information_batch(
     """MI between each token's presence indicator and the class, in bits.
 
     The four-term sum skips empty cells (0*log0 := 0).  Logs are taken with
-    math.log2, as in the scalar definition, so that scores do not depend on
-    which SIMD log numpy picks for the CPU.
+    math.log2, so that scores do not depend on which SIMD log numpy picks
+    for the CPU.
     """
     n = n_spam + n_legit
     if n < 1:
@@ -104,26 +104,23 @@ def mutual_information_batch(
     return mi
 
 
-def mutual_information(
-    n1_spam: int, n1_legit: int, n_spam: int, n_legit: int
-) -> float:
-    """MI between one token's presence indicator and the class, in bits."""
-    spam, legit = np.array([n1_spam]), np.array([n1_legit])
-    return float(mutual_information_batch(spam, legit, n_spam, n_legit)[0])
-
-
 def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     """(ids, scores) of all candidates by MI descending, lexicographic on ties."""
     ids = np.flatnonzero(stats.n1_spam + stats.n1_legit)
     # MI depends only on the count pair, and a fold has ~10x fewer distinct
-    # pairs than tokens: score each pair once.
+    # pairs than tokens: score each pair once.  A pair (a, b), coded
+    # a * base + b, and its complement (n_spam - a, n_legit - b) have equal
+    # MI in exact arithmetic, so both score as the smaller code: equal
+    # scores are equal floats and fall to the lexicographic tie-break.
     base = stats.n_legit + 1
-    pairs, pair_of = np.unique(
-        stats.n1_spam[ids] * base + stats.n1_legit[ids], return_inverse=True
-    )
-    scores = mutual_information_batch(
-        pairs // base, pairs % base, stats.n_spam, stats.n_legit
-    )[pair_of]
+    code = stats.n1_spam[ids] * base + stats.n1_legit[ids]
+    full = stats.n_spam * base + stats.n_legit
+    pairs, pair_of = np.unique(np.minimum(code, full - code), return_inverse=True)
+    a, b = pairs // base, pairs % base
+    scores = mutual_information_batch(a, b, stats.n_spam, stats.n_legit)
+    # a class-independent token carries exactly no information
+    scores[a * stats.n_legit == b * stats.n_spam] = 0.0
+    scores = scores[pair_of]
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
 

@@ -36,14 +36,6 @@ class InstanceBase:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Members at the k closest distinct distances, in (distance, index) order."""
-
-    members: tuple[tuple[int, Label], ...]
-    distinct_distances: frozenset[int]
-
-
 def build_instance_base(
     vectors: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[Label] | Sequence[int] | np.ndarray,
@@ -52,15 +44,6 @@ def build_instance_base(
     if matrix.size == 0:
         raise DataError("instance base needs at least one instance")
     return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
-
-
-def overlap_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of attribute positions where the two vectors differ."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
 
 
 # Largest column block whose float32 product sums stay exact integers.
@@ -105,40 +88,20 @@ def _distances(
         yield m, distances
 
 
-def k_distance_neighborhood(
-    base: InstanceBase, query: np.ndarray, k: int
-) -> Neighborhood:
-    """Every instance at one of the k smallest distinct distances to the query."""
-    distances = next(_distances(base, np.asarray(query)[np.newaxis], k))[1][0]
-    distinct = np.unique(distances)[:k]
-    cutoff = distinct[-1]
-    members = [
-        (int(d), Label(int(label)))
-        for d, label in zip(distances, base.labels)
-        if d <= cutoff
-    ]
-    members.sort(key=lambda item: item[0])
-    return Neighborhood(
-        members=tuple(members),
-        distinct_distances=frozenset(int(d) for d in distinct),
-    )
+def neighborhood_votes(
+    base: InstanceBase, queries: np.ndarray, k: int, ms: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(spam, legit) member counts of each query row's k-distance neighborhood:
+    every stored instance at one of the row's k smallest distinct distances.
 
-
-def classify_mb_batch(
-    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy,
-    ms: Sequence[int] | None = None,
-) -> np.ndarray:
-    """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
-    in the row's k-distance neighborhood.
-
-    With an ascending ms, one row of decisions per m over the first m
-    columns, (len(ms), n_queries); without, the decisions at base.m.
+    With an ascending ms, one row of counts per m over the first m columns,
+    (len(ms), n_queries); without, the counts at base.m, (n_queries,).
 
     Each row's distances go into a histogram of (distance, label) counts;
     the neighborhood is every bin up to the one where the running count of
     occupied distances reaches k (all bins when k exceeds that count).
     """
-    decisions = []
+    spam_votes, legit_votes = [], []
     for m, distances in _distances(base, queries, k, ms):
         n = len(distances)
         # bin (label, row, distance): legit histograms first, then spam
@@ -147,14 +110,18 @@ def classify_mb_batch(
         hist = np.bincount(bins.ravel(), minlength=2 * n * (m + 1))
         legit, spam = hist.reshape(2, n, m + 1)
         in_hood = np.cumsum((legit + spam) > 0, axis=1) <= k
-        spam_votes = (spam * in_hood).sum(axis=1)
-        legit_votes = (legit * in_hood).sum(axis=1)
-        decisions.append((spam_votes > policy.lam * legit_votes).astype(np.uint8))
-    return np.array(decisions) if ms is not None else decisions[0]
+        spam_votes.append((spam * in_hood).sum(axis=1))
+        legit_votes.append((legit * in_hood).sum(axis=1))
+    if ms is None:
+        return spam_votes[0], legit_votes[0]
+    return np.array(spam_votes), np.array(legit_votes)
 
 
-def classify_mb(
-    base: InstanceBase, query: np.ndarray, k: int, policy: DecisionPolicy
-) -> Label:
-    """classify_mb_batch for one query vector of length m."""
-    return Label(classify_mb_batch(base, np.asarray(query)[np.newaxis], k, policy)[0])
+def classify_mb_batch(
+    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy,
+    ms: Sequence[int] | None = None,
+) -> np.ndarray:
+    """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
+    of neighborhood_votes, shaped as its counts; ties go to legitimate."""
+    spam, legit = neighborhood_votes(base, queries, k, ms)
+    return (spam > policy.lam * legit).astype(np.uint8)

@@ -1,17 +1,18 @@
 """Independent brute-force reference implementations used to pin expected
 values.  These deliberately avoid the library's code paths: a subject/body
 split of message text instead of tokenizing the whole text, exact rational
-probabilities instead of float ratios, per-token set membership instead of
-the incidence matrix, plain probability products (or,
-for the mirrored legitimate posterior, scalar per-term logs) instead of
-vectorized log space, and sort-based neighborhood construction instead of
-the cutoff mask.
+probabilities and 50-digit decimal logs instead of float ratios and logs,
+per-token set membership instead of the incidence matrix, plain
+probability products (or, for the mirrored legitimate posterior, scalar
+per-term logs) instead of vectorized log space, and sort-based
+neighborhood construction instead of the distance histograms.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 _WORD = re.compile(r"[a-zA-Z]+")
@@ -36,24 +37,40 @@ def subject_body_words(text: str) -> list[str]:
     return _WORD.findall(subject + " " + body)
 
 
-def mi_direct(n1_spam: int, n1_legit: int, n_spam: int, n_legit: int) -> float:
-    """Direct four-term summation with exact rational probabilities."""
+def mi_exact(n1_spam: int, n1_legit: int, n_spam: int, n_legit: int) -> Decimal:
+    """Direct four-term summation in bits: exact rational probabilities,
+    50-digit natural logs, quantized to 40 places.
+
+    The nonzero terms are summed in sorted order, so a count pair and its
+    complement (n_spam - n1_spam, n_legit - n1_legit), whose four terms are
+    the same, score the same Decimal; a class-independent pair has every
+    ratio exactly 1 and scores exactly 0.
+    """
     n = n_spam + n_legit
     n1 = n1_spam + n1_legit
-    total = 0.0
     cells = [
         (n1_spam, n1, n_spam),
         (n1_legit, n1, n_legit),
         (n_spam - n1_spam, n - n1, n_spam),
         (n_legit - n1_legit, n - n1, n_legit),
     ]
-    for joint_count, x_count, c_count in cells:
-        if joint_count == 0:
-            continue
-        p_joint = Fraction(joint_count, n)
-        ratio = p_joint / (Fraction(x_count, n) * Fraction(c_count, n))
-        total += float(p_joint) * math.log2(float(ratio))
-    return total
+    with localcontext() as ctx:
+        ctx.prec = 50
+        terms = []
+        for joint_count, x_count, c_count in cells:
+            if joint_count == 0:
+                continue
+            p_joint = Fraction(joint_count, n)
+            ratio = p_joint / (Fraction(x_count, n) * Fraction(c_count, n))
+            log = (Decimal(ratio.numerator) / ratio.denominator).ln()
+            terms.append(Decimal(p_joint.numerator) / p_joint.denominator * log)
+        total = sum(sorted(terms), Decimal(0)) / Decimal(2).ln()
+        return total.quantize(Decimal("1e-40"))
+
+
+def mi_direct(n1_spam: int, n1_legit: int, n_spam: int, n_legit: int) -> float:
+    """mi_exact rounded to a float."""
+    return float(mi_exact(n1_spam, n1_legit, n_spam, n_legit))
 
 
 def ranking_direct(
@@ -62,8 +79,8 @@ def ranking_direct(
     """(token, MI) for every token of the training documents, best first.
 
     train holds (tokens, is_spam) per document.  Per-token class counts come
-    from plain set membership, scores from mi_direct, and the order from a
-    sort on (-mi, token).
+    from plain set membership, scores from mi_exact, and the order from a
+    sort on (-mi, token) in exact arithmetic.
     """
     present = [(set(tokens), is_spam) for tokens, is_spam in train]
     n_spam = sum(1 for _, is_spam in present if is_spam)
@@ -72,8 +89,8 @@ def ranking_direct(
     for token in set().union(*(tokens for tokens, _ in present)):
         n1_spam = sum(1 for tokens, is_spam in present if is_spam and token in tokens)
         n1_legit = sum(1 for tokens, is_spam in present if not is_spam and token in tokens)
-        scored.append((-mi_direct(n1_spam, n1_legit, n_spam, n_legit), token))
-    return [(token, -neg_mi) for neg_mi, token in sorted(scored)]
+        scored.append((-mi_exact(n1_spam, n1_legit, n_spam, n_legit), token))
+    return [(token, float(-neg_mi)) for neg_mi, token in sorted(scored)]
 
 
 def posterior_spam_direct(

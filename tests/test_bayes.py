@@ -12,12 +12,12 @@ from spamlab import (
     DecisionPolicy,
     Label,
     NaiveBayesModel,
-    classify_nb,
+    build_instance_base,
+    classify_nb_batch,
     lambda_to_threshold,
-    posterior_spam,
+    posterior_spam_batch,
     train_naive_bayes,
 )
-from spamlab.bayes import classify_nb_batch, posterior_spam_batch
 
 
 def model_of(prior_spam, p1_spam, p1_legit):
@@ -68,6 +68,12 @@ class TestTraining:
         with pytest.raises(DataError):
             train_naive_bayes(ragged, [Label.SPAM, Label.LEGITIMATE])
 
+    @pytest.mark.parametrize("build", [train_naive_bayes, build_instance_base])
+    @pytest.mark.parametrize("labels", [[2, 0], [-1, 0], [0.5, 1]])
+    def test_labels_other_than_0_or_1_rejected(self, build, labels):
+        with pytest.raises(DataError, match="labels must be 0"):
+            build(np.array([[0, 1], [1, 1]], dtype=np.uint8), labels)
+
     def test_smoothed_conditionals_strictly_inside_unit_interval(self, hard_corpus):
         from spamlab import select_attributes, token_class_counts, vectorize_documents
 
@@ -111,20 +117,23 @@ class TestThreshold:
 class TestPosterior:
     def test_empty_attribute_set_returns_prior(self):
         model = model_of(0.3, [], [])
-        assert posterior_spam(model, np.zeros(0, dtype=np.uint8)) == pytest.approx(0.3)
+        posterior = posterior_spam_batch(model, np.zeros((1, 0), dtype=np.uint8))
+        assert posterior.tolist() == pytest.approx([0.3])
 
     def test_single_attribute_present(self):
         model = model_of(0.5, [0.8], [0.2])
-        assert posterior_spam(model, np.array([1])) == pytest.approx(0.8, abs=1e-12)
+        posterior = posterior_spam_batch(model, np.array([[1]]))
+        assert posterior.tolist() == pytest.approx([0.8], abs=1e-12)
 
     def test_single_attribute_absent(self):
         model = model_of(0.5, [0.8], [0.2])
-        assert posterior_spam(model, np.array([0])) == pytest.approx(0.2, abs=1e-12)
+        posterior = posterior_spam_batch(model, np.array([[0]]))
+        assert posterior.tolist() == pytest.approx([0.2], abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         model = model_of(0.5, [0.8], [0.2])
         with pytest.raises(ValueError):
-            posterior_spam(model, np.array([1, 0]))
+            posterior_spam_batch(model, np.array([[1, 0]]))
 
     def test_matches_non_log_brute_force(self):
         rng = random.Random(29)
@@ -139,7 +148,7 @@ class TestPosterior:
                 list(model.p1_legit),
                 bits,
             )
-            actual = posterior_spam(model, np.array(bits, dtype=np.uint8))
+            actual = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0]
             assert actual == pytest.approx(expected, abs=1e-9)
 
     def test_two_class_normalization(self):
@@ -155,7 +164,7 @@ class TestPosterior:
                 list(model.p1_legit),
                 bits,
             )
-            total = posterior_spam(model, np.array(bits, dtype=np.uint8)) + legit
+            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0] + legit
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothed_model_never_saturates(self, hard_corpus):
@@ -169,13 +178,12 @@ class TestPosterior:
 
     def test_unsmoothed_zero_in_one_class(self):
         model = model_of(0.5, [1.0], [0.0])
-        assert posterior_spam(model, np.array([1])) == 1.0
-        assert posterior_spam(model, np.array([0])) == 0.0
+        assert posterior_spam_batch(model, np.array([[1], [0]])).tolist() == [1.0, 0.0]
 
     def test_unsmoothed_impossible_under_both_falls_back_to_prior(self):
         # bit 0 rules out spam, bit 1 rules out legit
         model = model_of(0.25, [0.0, 0.5], [0.5, 0.0])
-        posterior = posterior_spam(model, np.array([1, 1]))
+        posterior = posterior_spam_batch(model, np.array([[1, 1]]))[0]
         assert posterior == pytest.approx(0.25)
 
     def test_batch_matches_scalar(self):
@@ -203,22 +211,23 @@ class TestClassify:
 
     def test_spam_above_threshold(self):
         model = model_of(0.5, [0.95], [0.05])
-        vector = np.array([1])
-        assert posterior_spam(model, vector) == pytest.approx(0.95)
-        assert classify_nb(model, vector, DecisionPolicy.from_lambda(9.0)) is Label.SPAM
+        vector = np.array([[1]])
+        assert posterior_spam_batch(model, vector)[0] == pytest.approx(0.95)
+        policy = DecisionPolicy.from_lambda(9.0)
+        assert classify_nb_batch(model, vector, policy).tolist() == [Label.SPAM]
 
     def test_legitimate_when_threshold_not_exceeded(self):
         model = model_of(0.5, [0.95], [0.05])
-        vector = np.array([1])
+        vector = np.array([[1]])
         policy = DecisionPolicy.from_lambda(999.0)
-        assert classify_nb(model, vector, policy) is Label.LEGITIMATE
+        assert classify_nb_batch(model, vector, policy).tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         model = model_of(0.5, [], [])
-        vector = np.zeros(0, dtype=np.uint8)
-        assert posterior_spam(model, vector) == 0.5
+        vector = np.zeros((1, 0), dtype=np.uint8)
+        assert posterior_spam_batch(model, vector).tolist() == [0.5]
         policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_nb(model, vector, policy) is Label.LEGITIMATE
+        assert classify_nb_batch(model, vector, policy).tolist() == [Label.LEGITIMATE]
 
     def test_lambda_monotone_spam_sets(self):
         rng = random.Random(41)

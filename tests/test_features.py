@@ -11,18 +11,13 @@ from spamlab import (
     DataError,
     Document,
     Label,
-    mutual_information,
+    mutual_information_batch,
     select_attributes,
     token_class_counts,
     vectorize_documents,
 )
 from spamlab.corpus import Corpus
-from spamlab.features import (
-    AttributeSet,
-    TokenStats,
-    mutual_information_batch,
-    rank_tokens,
-)
+from spamlab.features import AttributeSet, TokenStats, rank_tokens
 
 
 def doc(tokens, label, source_id):
@@ -66,13 +61,16 @@ class TestTokenClassCounts:
 class TestMutualInformation:
     def test_independent_attribute_scores_zero(self):
         # present in exactly half of each class
-        assert mutual_information(1, 1, 2, 2) == pytest.approx(0.0, abs=1e-12)
+        mi = mutual_information_batch(np.array([1]), np.array([1]), 2, 2)
+        assert mi.tolist() == pytest.approx([0.0], abs=1e-12)
 
     def test_perfect_class_marker_is_one_bit(self):
-        assert mutual_information(2, 0, 2, 2) == pytest.approx(1.0, abs=1e-12)
+        mi = mutual_information_batch(np.array([2]), np.array([0]), 2, 2)
+        assert mi.tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_ubiquitous_token_scores_zero(self):
-        assert mutual_information(3, 5, 3, 5) == pytest.approx(0.0, abs=1e-12)
+        mi = mutual_information_batch(np.array([3]), np.array([5]), 3, 5)
+        assert mi.tolist() == pytest.approx([0.0], abs=1e-12)
 
     @given(
         n_spam=st.integers(1, 50),
@@ -82,7 +80,8 @@ class TestMutualInformation:
     def test_non_negative(self, n_spam, n_legit, data):
         n1_spam = data.draw(st.integers(0, n_spam))
         n1_legit = data.draw(st.integers(0, n_legit))
-        assert mutual_information(n1_spam, n1_legit, n_spam, n_legit) >= -1e-12
+        spam, legit = np.array([n1_spam]), np.array([n1_legit])
+        assert mutual_information_batch(spam, legit, n_spam, n_legit)[0] >= -1e-12
 
     @given(
         n_spam=st.integers(1, 50),
@@ -92,9 +91,10 @@ class TestMutualInformation:
     def test_class_relabeling_symmetry(self, n_spam, n_legit, data):
         n1_spam = data.draw(st.integers(0, n_spam))
         n1_legit = data.draw(st.integers(0, n_legit))
-        forward = mutual_information(n1_spam, n1_legit, n_spam, n_legit)
-        swapped = mutual_information(n1_legit, n1_spam, n_legit, n_spam)
-        assert forward == pytest.approx(swapped, abs=1e-12)
+        spam, legit = np.array([n1_spam]), np.array([n1_legit])
+        forward = mutual_information_batch(spam, legit, n_spam, n_legit)
+        swapped = mutual_information_batch(legit, spam, n_legit, n_spam)
+        assert forward.tolist() == pytest.approx(swapped.tolist(), abs=1e-12)
 
     def test_matches_brute_force_on_small_corpora(self):
         rng = random.Random(23)
@@ -109,10 +109,13 @@ class TestMutualInformation:
             stats = token_class_counts(docs)
             if stats.n_spam == 0 or stats.n_legit == 0:
                 continue
+            mine = mutual_information_batch(
+                stats.n1_spam, stats.n1_legit, stats.n_spam, stats.n_legit
+            )
             for token, (n1s, n1l) in stats.counts.items():
-                mine = mutual_information(n1s, n1l, stats.n_spam, stats.n_legit)
                 reference = mi_direct(n1s, n1l, stats.n_spam, stats.n_legit)
-                assert mine == pytest.approx(reference, abs=1e-12), token
+                index = stats.vocabulary.index(token)
+                assert mine[index] == pytest.approx(reference, abs=1e-12), token
 
 
 class TestMutualInformationBatch:

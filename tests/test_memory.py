@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,12 +12,10 @@ from spamlab import (
     DecisionPolicy,
     Label,
     build_instance_base,
-    classify_mb,
-    k_distance_neighborhood,
-    overlap_distance,
+    classify_mb_batch,
+    neighborhood_votes,
 )
 import spamlab.memory as memory_module
-from spamlab.memory import classify_mb_batch
 
 
 def base_of(rows, labels):
@@ -33,6 +30,21 @@ def random_base(rng, n, m):
     if len(set(labels)) == 1:
         labels[0] = 1 - labels[0]
     return rows, labels
+
+
+def direct_votes(rows, labels, queries, k):
+    """(spam, legit) label counts of oracles.neighborhood_direct per query."""
+    spam, legit = [], []
+    for query in queries:
+        members, _ = neighborhood_direct(rows, labels, list(query), k)
+        spam.append(sum(label for _, label in members))
+        legit.append(len(members) - spam[-1])
+    return spam, legit
+
+
+def votes(base, queries, k, ms=None):
+    spam, legit = neighborhood_votes(base, np.array(queries, dtype=np.uint8), k, ms)
+    return spam.tolist(), legit.tolist()
 
 
 class TestBuildInstanceBase:
@@ -55,57 +67,37 @@ class TestBuildInstanceBase:
             build_instance_base(ragged, [Label.SPAM, Label.LEGITIMATE])
 
 
-class TestOverlapDistance:
-    def test_identical(self):
-        assert overlap_distance(np.array([1, 0, 1]), np.array([1, 0, 1])) == 0
-
-    def test_full_complement(self):
-        assert overlap_distance(np.array([1, 1, 0]), np.array([0, 0, 1])) == 3
-
-    def test_partial(self):
-        assert overlap_distance(np.array([1, 0, 1, 0]), np.array([1, 1, 1, 1])) == 2
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            overlap_distance(np.array([1, 0]), np.array([1, 0, 1]))
-
-
 class TestNeighborhood:
     def test_ties_expand_the_neighborhood(self):
         # distances from the query: 0, 0, 1, 2, 2
-        query = np.array([0, 0, 0], dtype=np.uint8)
         base = base_of(
             [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]],
             [1, 0, 1, 0, 0],
         )
-        hood = k_distance_neighborhood(base, query, 2)
-        assert hood.distinct_distances == {0, 1}
-        assert len(hood.members) == 3
+        assert votes(base, [[0, 0, 0]], 2) == ([2], [1])
 
     def test_k_beyond_distinct_distances_covers_base(self):
         base = base_of([[0, 0], [1, 0], [1, 1]], [0, 1, 0])
-        hood = k_distance_neighborhood(base, np.array([0, 0]), 10)
-        assert len(hood.members) == base.size
+        assert votes(base, [[0, 0]], 10) == ([1], [2])
 
     def test_k1_unique_nearest(self):
         base = base_of([[0, 0, 0], [1, 1, 1]], [1, 0])
-        hood = k_distance_neighborhood(base, np.array([0, 0, 1]), 1)
-        assert hood.members == ((1, Label.SPAM),)
+        assert votes(base, [[0, 0, 1]], 1) == ([1], [0])
 
     def test_invalid_k_rejected(self):
         base = base_of([[0]], [0])
         with pytest.raises(ValueError):
-            k_distance_neighborhood(base, np.array([0]), 0)
+            votes(base, [[0]], 0)
 
     def test_monotone_in_k(self):
         rng = random.Random(53)
         rows, labels = random_base(rng, 30, 6)
         base = base_of(rows, labels)
-        query = np.array([rng.randint(0, 1) for _ in range(6)], dtype=np.uint8)
-        previous: Counter = Counter()
+        queries = [[rng.randint(0, 1) for _ in range(6)] for _ in range(10)]
+        previous = np.zeros((2, len(queries)))
         for k in range(1, 8):
-            current = Counter(k_distance_neighborhood(base, query, k).members)
-            assert all(current[key] >= count for key, count in previous.items())
+            current = np.array(votes(base, queries, k))
+            assert (current >= previous).all()
             previous = current
 
     def test_matches_sort_based_brute_force(self):
@@ -116,16 +108,9 @@ class TestNeighborhood:
             rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
             labels = [rng.randint(0, 1) for _ in range(n)]
             base = base_of(rows, labels)
-            query = np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8)
+            queries = [[rng.randint(0, 1) for _ in range(m)] for _ in range(5)]
             k = rng.randint(1, 6)
-            hood = k_distance_neighborhood(base, query, k)
-            expected_members, expected_distinct = neighborhood_direct(
-                rows, labels, list(query), k
-            )
-            assert hood.distinct_distances == expected_distinct
-            assert sorted((d, int(l)) for d, l in hood.members) == sorted(
-                expected_members
-            )
+            assert votes(base, queries, k) == direct_votes(rows, labels, queries, k)
 
 
 class TestClassify:
@@ -135,39 +120,40 @@ class TestClassify:
         rows = [[0, 0]] * 5
         return base_of(rows, [1, 1, 1, 0, 0])
 
+    ZERO = np.zeros((1, 2), dtype=np.uint8)
+
     def test_majority_spam_at_lambda_one(self):
         base = self._neighborhood_base()
-        label = classify_mb(base, np.array([0, 0]), 1, DecisionPolicy.from_lambda(1.0))
-        assert label is Label.SPAM
+        policy = DecisionPolicy.from_lambda(1.0)
+        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.SPAM]
 
     def test_lambda_scales_legitimate_votes(self):
         base = self._neighborhood_base()
-        label = classify_mb(base, np.array([0, 0]), 1, DecisionPolicy.from_lambda(9.0))
-        assert label is Label.LEGITIMATE
+        policy = DecisionPolicy.from_lambda(9.0)
+        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         base = base_of([[0, 0]] * 4, [1, 1, 0, 0])
-        label = classify_mb(base, np.array([0, 0]), 1, DecisionPolicy.from_lambda(1.0))
-        assert label is Label.LEGITIMATE
+        policy = DecisionPolicy.from_lambda(1.0)
+        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.LEGITIMATE]
 
     def test_no_spam_neighbors_means_legitimate(self):
         base = base_of([[0, 0]] * 3, [0, 0, 0])
-        label = classify_mb(base, np.array([0, 0]), 2, DecisionPolicy.from_lambda(1.0))
-        assert label is Label.LEGITIMATE
+        policy = DecisionPolicy.from_lambda(1.0)
+        assert classify_mb_batch(base, self.ZERO, 2, policy).tolist() == [Label.LEGITIMATE]
 
     def test_pure_spam_neighborhood_beats_any_lambda(self):
         base = base_of([[0, 0]] * 3, [1, 1, 1])
         policy = DecisionPolicy.from_lambda(999.0)
-        assert classify_mb(base, np.array([0, 0]), 2, policy) is Label.SPAM
+        assert classify_mb_batch(base, self.ZERO, 2, policy).tolist() == [Label.SPAM]
 
     def test_self_classification(self):
         rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1]]
         base = base_of(rows, [1, 0, 0])
         policy = DecisionPolicy.from_lambda(1.0)
-        query = np.array(rows[0], dtype=np.uint8)
-        hood = k_distance_neighborhood(base, query, 1)
-        assert hood.members == ((0, Label.SPAM),)
-        assert classify_mb(base, query, 1, policy) is Label.SPAM
+        query = np.array(rows[:1], dtype=np.uint8)
+        assert votes(base, query, 1) == ([1], [0])
+        assert classify_mb_batch(base, query, 1, policy).tolist() == [Label.SPAM]
 
     def test_lambda_monotone_decisions(self):
         rng = random.Random(61)
@@ -196,12 +182,8 @@ class TestClassify:
             for lam in (1.0, 9.0):
                 policy = DecisionPolicy.from_lambda(lam)
                 batch = classify_mb_batch(base, queries, k, policy)
-                scalar = []
-                for q in queries:
-                    members, _ = neighborhood_direct(rows, labels, q.tolist(), k)
-                    spam = sum(1 for _, label in members if label == 1)
-                    legit = len(members) - spam
-                    scalar.append(int(spam > lam * legit))
+                spam, legit = direct_votes(rows, labels, queries, k)
+                scalar = [int(s > lam * l) for s, l in zip(spam, legit)]
                 assert batch.dtype == np.uint8 and batch.tolist() == scalar
 
 
@@ -230,15 +212,13 @@ class TestSweep:
             base, np.array(queries, dtype=np.uint8), k, DecisionPolicy.from_lambda(lam), ms
         )
         assert swept.shape == (len(ms), len(queries)) and swept.dtype == np.uint8
-        for m, decisions in zip(ms, swept):
-            expected = []
-            for query in queries:
-                members, _ = neighborhood_direct(
-                    [r[:m] for r in train], labels, query[:m], k
-                )
-                spam = sum(label for _, label in members)
-                expected.append(int(spam > lam * (len(members) - spam)))
-            assert decisions.tolist() == expected
+        spam_votes, legit_votes = votes(base, queries, k, ms)
+        for m, decisions, spam, legit in zip(ms, swept, spam_votes, legit_votes):
+            expected = direct_votes(
+                [r[:m] for r in train], labels, [q[:m] for q in queries], k
+            )
+            assert (spam, legit) == expected
+            assert decisions.tolist() == [int(s > lam * l) for s, l in zip(*expected)]
 
     @pytest.mark.parametrize("width,ms", [
         (2, None),
