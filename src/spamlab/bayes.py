@@ -56,17 +56,40 @@ class NaiveBayesModel:
         return len(self.p1_spam)
 
 
+def is_zero_one(matrix: np.ndarray) -> bool:
+    """Whether every entry of a numeric matrix is 0 or 1: a min/max pass,
+    plus an integrality pass for float matrices."""
+    if matrix.dtype.kind not in "biuf":
+        return False
+    if matrix.size == 0:
+        return True
+    if not (matrix.min() >= 0 and matrix.max() <= 1):  # NaN fails too
+        return False
+    return matrix.dtype.kind != "f" or bool((matrix == matrix.astype(bool)).all())
+
+
+def m_range(ms: Sequence[int] | None, m_full: int, lowest: int) -> tuple[int, ...]:
+    """The m values of a sweep over column prefixes, (m_full,) by default;
+    ValueError unless they strictly ascend within lowest..m_full."""
+    ms = (m_full,) if ms is None else tuple(ms)
+    if not ms or ms[0] < lowest or ms[-1] > m_full or any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"m range must ascend within {lowest}..{m_full}, got {ms}")
+    return ms
+
+
 def training_set(
     vectors: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[Label] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m) vector matrix and (n,) uint8 labels (1 = spam) of a training set."""
+    """(n, m) 0/1 vector matrix and (n,) uint8 labels (1 = spam) of a training set."""
     try:
         matrix = np.asarray(vectors)
     except ValueError:
         raise DataError("training vectors must all have the same length")
     if matrix.dtype == object or matrix.ndim != 2:
         raise DataError("training vectors must all have the same length")
+    if not is_zero_one(matrix):
+        raise DataError("training vectors must hold only 0 and 1")
     y = np.asarray(labels)
     if len(y) != len(matrix):
         raise DataError("vector and label counts differ")
@@ -104,22 +127,25 @@ def train_naive_bayes(
     )
 
 
-def _log_joints(model: NaiveBayesModel, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log prior + log likelihood per class for each row of a 0/1 matrix.
+def _log_joints(
+    model: NaiveBayesModel, matrix: np.ndarray, ms: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log prior + log likelihood per class over the first m columns of each
+    row of a 0/1 matrix, (len(ms), n) per class.
 
-    Per-attribute terms are selected, not multiplied by indicators, so a
-    hard zero in a hand-built model contributes -inf only when its bit is
-    actually set.
+    One cumulative sum of the per-attribute terms gives every m.  The terms
+    are selected, not multiplied by indicators, so a hard zero in a
+    hand-built model contributes -inf only when its bit is actually set.
     """
     x = matrix.astype(bool)
+    cum = np.zeros((len(x), model.m + 1))
+
+    def joint(prior: float, p1: np.ndarray) -> np.ndarray:
+        np.cumsum(np.where(x, np.log(p1), np.log1p(-p1)), axis=1, out=cum[:, 1:])
+        return np.log(prior) + cum[:, list(ms)].T
+
     with np.errstate(divide="ignore"):
-        log_spam = np.log(model.prior_spam) + np.where(
-            x, np.log(model.p1_spam), np.log1p(-model.p1_spam)
-        ).sum(axis=1)
-        log_legit = np.log(model.prior_legit) + np.where(
-            x, np.log(model.p1_legit), np.log1p(-model.p1_legit)
-        ).sum(axis=1)
-    return log_spam, log_legit
+        return joint(model.prior_spam, model.p1_spam), joint(model.prior_legit, model.p1_legit)
 
 
 def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: float) -> np.ndarray:
@@ -133,18 +159,28 @@ def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: flo
     return posterior
 
 
-def posterior_spam_batch(model: NaiveBayesModel, matrix: np.ndarray) -> np.ndarray:
-    """P(spam | row) for each row of an (n, m) 0/1 matrix, in log space."""
+def posterior_spam_batch(
+    model: NaiveBayesModel, matrix: np.ndarray, ms: Sequence[int] | None = None
+) -> np.ndarray:
+    """P(spam | row) for each row of an (n, model.m) 0/1 matrix, in log space.
+
+    With an ascending ms, one row of posteriors per m under the model's
+    first m attributes, (len(ms), n); without, the posteriors at model.m,
+    (n,).  A conditional depends only on its own column, so the model at m
+    is the m-prefix of the model.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != model.m:
         raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
-    log_spam, log_legit = _log_joints(model, matrix)
-    return _normalize_spam(log_spam, log_legit, model.prior_spam)
+    log_spam, log_legit = _log_joints(model, matrix, m_range(ms, model.m, 0))
+    posterior = _normalize_spam(log_spam, log_legit, model.prior_spam)
+    return posterior[0] if ms is None else posterior
 
 
 def classify_nb_batch(
-    model: NaiveBayesModel, matrix: np.ndarray, policy: DecisionPolicy
+    model: NaiveBayesModel, matrix: np.ndarray, policy: DecisionPolicy,
+    ms: Sequence[int] | None = None,
 ) -> np.ndarray:
     """uint8 decision per row, 1 = spam: the spam posterior strictly exceeds
-    the policy threshold."""
-    return (posterior_spam_batch(model, matrix) > policy.threshold).astype(np.uint8)
+    the policy threshold; shaped as posterior_spam_batch."""
+    return (posterior_spam_batch(model, matrix, ms) > policy.threshold).astype(np.uint8)

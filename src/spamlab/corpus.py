@@ -87,7 +87,7 @@ class Incidence:
     def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
         vocabulary = tuple(sorted(set().union(*(d.tokens for d in documents))))
         index = {token: i for i, token in enumerate(vocabulary)}.__getitem__
-        rows = [np.unique(np.fromiter(map(index, d.tokens), np.int32)) for d in documents]
+        rows = [np.sort(np.fromiter(map(index, set(d.tokens)), np.int32)) for d in documents]
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
         indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)

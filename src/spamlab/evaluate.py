@@ -15,7 +15,7 @@ and training both see only the nine training parts of each fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
@@ -233,13 +233,7 @@ def _predict(
 ) -> np.ndarray:
     """uint8 decisions, 1 = spam: one row per m of ms, over the first m columns."""
     if config.kind == "nb":
-        # a conditional depends only on its own column, so the model at m is
-        # the m-prefix of the model trained on all ms[-1] columns
-        nb = train_naive_bayes(x_train, y_train)
-        models = (replace(nb, p1_spam=nb.p1_spam[:m], p1_legit=nb.p1_legit[:m]) for m in ms)
-        return np.array(
-            [classify_nb_batch(model, x_test[:, : model.m], policy) for model in models]
-        )
+        return classify_nb_batch(train_naive_bayes(x_train, y_train), x_test, policy, ms)
     if config.kind == "mb":
         base = build_instance_base(x_train, y_train)
         return classify_mb_batch(base, x_test, config.k, policy, ms)

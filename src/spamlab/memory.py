@@ -5,17 +5,19 @@ is every stored instance whose overlap distance (count of differing
 attribute positions) falls among the k smallest distinct distance values,
 so it can contain far more than k members when distances tie.  Voting
 multiplies the legitimate-neighbor count by lambda before taking the
-majority; exact ties go to legitimate.
+majority; exact ties go to legitimate.  Stored and query vectors must be
+0/1: two such vectors are at most |x| + |y| apart, and the kernel's
+distance histograms are only that wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bayes import DecisionPolicy, training_set
+from .bayes import DecisionPolicy, is_zero_one, m_range, training_set
 from .corpus import Label
 from .errors import DataError
 
@@ -46,46 +48,9 @@ def build_instance_base(
     return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
 
 
-# Largest column block whose float32 product sums stay exact integers.
-_EXACT_FLOAT32_WIDTH = 2**24
-
-
-def _distances(
-    base: InstanceBase, queries: np.ndarray, k: int, ms: Sequence[int] | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (m, distances) for each m of the ascending ms (default: base.m):
-    the (n_queries, n_base) overlap distances over the first m columns, after
-    the shape, k and m-range checks.
-
-    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y.  The Gram matrix x.y grows
-    by one column block per m, so each column is multiplied once.  A float32
-    block product is exact: each of its sums is an integer no larger than
-    the block width, checked against 2**24.  int32 holds every sum up to m.
-    """
-    queries = np.asarray(queries)
-    if queries.ndim != 2 or queries.shape[1] != base.m:
-        raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ms = (base.m,) if ms is None else tuple(ms)
-    if not ms or ms[0] < 1 or ms[-1] > base.m or any(a >= b for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"m range must ascend within 1..{base.m}, got {ms}")
-    gram = np.zeros((len(queries), base.size), dtype=np.int32)
-    x_norms = np.zeros(len(queries), dtype=np.int32)
-    y_norms = np.zeros(base.size, dtype=np.int32)
-    done = 0
-    for m in ms:
-        if m - done > _EXACT_FLOAT32_WIDTH:
-            raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
-        x = queries[:, done:m]
-        y = base.vectors[:, done:m]
-        gram += (x.astype(np.float32) @ y.T.astype(np.float32)).astype(np.int32)
-        x_norms += x.sum(axis=1, dtype=np.int32)
-        y_norms += y.sum(axis=1, dtype=np.int32)
-        done = m
-        distances = x_norms[:, np.newaxis] + y_norms
-        distances -= 2 * gram
-        yield m, distances
+# Largest column block whose float32 product sums, each an integer of
+# magnitude up to twice the block width, stay exact.
+_EXACT_FLOAT32_WIDTH = 2**23
 
 
 def neighborhood_votes(
@@ -97,18 +62,56 @@ def neighborhood_votes(
     With an ascending ms, one row of counts per m over the first m columns,
     (len(ms), n_queries); without, the counts at base.m, (n_queries,).
 
-    Each row's distances go into a histogram of (distance, label) counts;
-    the neighborhood is every bin up to the one where the running count of
-    occupied distances reaches k (all bins when k exceeds that count).
+    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most |x| + |y|.  The
+    int32 Gram term -2 x.y grows by one column block per m, so each column
+    is multiplied once.  The float32 block product of -2 x and y is exact:
+    its sums are integers of magnitude up to twice the block width, and
+    the width is checked against _EXACT_FLOAT32_WIDTH.
+
+    Each row's distances go into a histogram of (distance, label) counts,
+    w = min(m, max|x| + max|y|) + 1 bins wide.  The bin of a pair is
+    label * n * w + row * w + d, written into one int64 buffer by a
+    broadcast add of the offset norms and an add of -2 x.y; before that,
+    the same buffer holds the block product.  The neighborhood is every bin
+    up to the one where the running count of occupied distances reaches k
+    (all bins when k exceeds that count).
     """
+    queries = np.asarray(queries)
+    if queries.ndim != 2 or queries.shape[1] != base.m:
+        raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
+    if not is_zero_one(queries):
+        raise ValueError("query vectors must hold only 0 and 1")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sweep = m_range(ms, base.m, 1)
+    n, size = queries.shape[0], base.size
+    rows = np.arange(n, dtype=np.intp)
+    spam_offsets = (base.labels == 1) * np.intp(n)
+    neg2gram = np.zeros((n, size), dtype=np.int32)
+    x_norms = np.zeros(n, dtype=np.intp)
+    y_norms = np.zeros(size, dtype=np.intp)
+    bins = np.empty((n, size), dtype=np.intp)
+    # float32 product in the first half of bins, its int32 cast in the second
+    halves = bins.reshape(-1).view(np.int32)
+    product = halves[: n * size].view(np.float32).reshape(n, size)
+    block = halves[n * size:].reshape(n, size)
     spam_votes, legit_votes = [], []
-    for m, distances in _distances(base, queries, k, ms):
-        n = len(distances)
-        # bin (label, row, distance): legit histograms first, then spam
-        bins = distances + np.arange(n, dtype=np.intp)[:, np.newaxis] * (m + 1)
-        bins += (base.labels == 1) * np.intp(n * (m + 1))
-        hist = np.bincount(bins.ravel(), minlength=2 * n * (m + 1))
-        legit, spam = hist.reshape(2, n, m + 1)
+    done = 0
+    for m in sweep:
+        if m - done > _EXACT_FLOAT32_WIDTH:
+            raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
+        x = queries[:, done:m]
+        y = base.vectors[:, done:m]
+        np.matmul(np.multiply(x, -2, dtype=np.float32), y.T.astype(np.float32), out=product)
+        np.copyto(block, product, casting="unsafe")
+        neg2gram += block
+        x_norms += x.sum(axis=1, dtype=np.intp)
+        y_norms += y.sum(axis=1, dtype=np.intp)
+        done = m
+        w = min(m, x_norms.max(initial=0) + y_norms.max()) + 1
+        np.add((x_norms + rows * w)[:, np.newaxis], y_norms + spam_offsets * w, out=bins)
+        bins += neg2gram
+        legit, spam = np.bincount(bins.ravel(), minlength=2 * n * w).reshape(2, n, w)
         in_hood = np.cumsum((legit + spam) > 0, axis=1) <= k
         spam_votes.append((spam * in_hood).sum(axis=1))
         legit_votes.append((legit * in_hood).sum(axis=1))

@@ -74,6 +74,18 @@ class TestTraining:
         with pytest.raises(DataError, match="labels must be 0"):
             build(np.array([[0, 1], [1, 1]], dtype=np.uint8), labels)
 
+    @pytest.mark.parametrize("build", [train_naive_bayes, build_instance_base])
+    @pytest.mark.parametrize("vectors", [
+        [[2, 1], [0, 1]],
+        [[256, 1], [0, 1]],
+        [[-1, 0], [0, 1]],
+        [[0.5, 1], [0, 1]],
+        [[float("nan"), 1], [0, 1]],
+    ])
+    def test_vectors_other_than_0_or_1_rejected(self, build, vectors):
+        with pytest.raises(DataError, match="training vectors must hold only 0 and 1"):
+            build(np.array(vectors), [1, 0])
+
     def test_smoothed_conditionals_strictly_inside_unit_interval(self, hard_corpus):
         from spamlab import select_attributes, token_class_counts, vectorize_documents
 
@@ -204,6 +216,43 @@ class TestPosterior:
                 row.tolist(),
             )
             assert actual == pytest.approx(expected, abs=1e-9)
+
+
+class TestSweep:
+    def test_every_m_is_the_prefix_model(self):
+        rng = random.Random(43)
+        model = random_model(rng, 9)
+        matrix = np.array(
+            [[rng.randint(0, 1) for _ in range(9)] for _ in range(30)], dtype=np.uint8
+        )
+        ms = [0, 1, 4, 5, 9]
+        swept = posterior_spam_batch(model, matrix, ms)
+        assert swept.shape == (len(ms), len(matrix))
+        for m, row in zip(ms, swept):
+            prefix = model_of(model.prior_spam, model.p1_spam[:m], model.p1_legit[:m])
+            assert row.tolist() == posterior_spam_batch(prefix, matrix[:, :m]).tolist()
+            for bits, actual in zip(matrix, row):
+                expected = posterior_spam_direct(
+                    model.prior_spam,
+                    model.prior_legit,
+                    list(model.p1_spam[:m]),
+                    list(model.p1_legit[:m]),
+                    bits[:m].tolist(),
+                )
+                assert actual == pytest.approx(expected, abs=1e-9)
+
+    def test_decisions_per_m(self):
+        model = model_of(0.5, [0.95, 0.05], [0.05, 0.95])
+        policy = DecisionPolicy.from_lambda(1.0)
+        decisions = classify_nb_batch(model, np.array([[1, 1], [1, 0]]), policy, [1, 2])
+        assert decisions.dtype == np.uint8
+        assert decisions.tolist() == [[1, 1], [0, 1]]
+
+    @pytest.mark.parametrize("ms", [[], [3], [-1, 1], [1, 1], [2, 1]])
+    def test_m_range_off_the_model_rejected(self, ms):
+        model = model_of(0.5, [0.8, 0.3], [0.2, 0.6])
+        with pytest.raises(ValueError, match="m range"):
+            posterior_spam_batch(model, np.zeros((1, 2), dtype=np.uint8), ms)
 
 
 class TestClassify:

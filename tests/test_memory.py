@@ -84,6 +84,12 @@ class TestNeighborhood:
         base = base_of([[0, 0, 0], [1, 1, 1]], [1, 0])
         assert votes(base, [[0, 0, 1]], 1) == ([1], [0])
 
+    @pytest.mark.parametrize("query", [[2, 2], [-1, 0], [0.5, 0], [float("nan"), 0]])
+    def test_query_other_than_0_or_1_rejected(self, query):
+        base = base_of([[0, 1], [1, 0]], [1, 0])
+        with pytest.raises(ValueError, match="query vectors must hold only 0 and 1"):
+            neighborhood_votes(base, np.array([[0, 0], query]), 1)
+
     def test_invalid_k_rejected(self):
         base = base_of([[0]], [0])
         with pytest.raises(ValueError):
@@ -220,6 +226,26 @@ class TestSweep:
             assert (spam, legit) == expected
             assert decisions.tolist() == [int(s > lam * l) for s, l in zip(*expected)]
 
+    @pytest.mark.parametrize("train,labels,queries", [
+        # all-ones query against all-zero rows: a distance of exactly m
+        ([[1] * 5, [0] * 5, [0] * 5, [1] * 5], [1, 0, 1, 0], [[1] * 5, [0] * 5]),
+        # zeros only: every distance is 0, one distinct distance
+        ([[0] * 4] * 3, [1, 0, 1], [[0] * 4] * 2),
+        # disjoint supports: the largest distance is |x| + |y| < m
+        ([[0, 0, 1, 1, 0, 0], [0] * 6, [0, 0, 1, 0, 0, 0]], [1, 0, 0],
+         [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_histogram_width_edges(self, train, labels, queries, k):
+        base = base_of(train, labels)
+        ms = list(range(1, base.m + 1))
+        spam_votes, legit_votes = votes(base, queries, k, ms)
+        for m, spam, legit in zip(ms, spam_votes, legit_votes):
+            expected = direct_votes(
+                [r[:m] for r in train], labels, [q[:m] for q in queries], k
+            )
+            assert (spam, legit) == expected
+
     @pytest.mark.parametrize("width,ms", [
         (2, None),
         (3, [4]),
@@ -242,6 +268,14 @@ class TestSweep:
         assert classify_mb_batch(base, queries, 1, policy, [2, 3]).shape == (2, 1)
         with pytest.raises(ValueError, match="too wide"):
             classify_mb_batch(base, queries, 1, policy)
+
+
+    def test_exact_float32_width_is_tight(self):
+        # a block product sums up to width terms of magnitude 2; float32
+        # holds every integer up to 2**24 and not 2**24 + 1
+        width = memory_module._EXACT_FLOAT32_WIDTH
+        assert int(np.float32(2 * width - 1)) == 2 * width - 1
+        assert int(np.float32(2 * (width + 1) - 1)) != 2 * (width + 1) - 1
 
 
 class TestLargeKDegeneracy:
