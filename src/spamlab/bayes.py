@@ -162,7 +162,8 @@ def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: flo
 def posterior_spam_batch(
     model: NaiveBayesModel, matrix: np.ndarray, ms: Sequence[int] | None = None
 ) -> np.ndarray:
-    """P(spam | row) for each row of an (n, model.m) 0/1 matrix, in log space.
+    """P(spam | row) for each row of an (n, model.m) 0/1 matrix, in log space;
+    ValueError for any other entry.
 
     With an ascending ms, one row of posteriors per m under the model's
     first m attributes, (len(ms), n); without, the posteriors at model.m,
@@ -172,6 +173,8 @@ def posterior_spam_batch(
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != model.m:
         raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
+    if not is_zero_one(matrix):
+        raise ValueError("query vectors must hold only 0 and 1")
     log_spam, log_legit = _log_joints(model, matrix, m_range(ms, model.m, 0))
     posterior = _normalize_spam(log_spam, log_legit, model.prior_spam)
     return posterior[0] if ms is None else posterior

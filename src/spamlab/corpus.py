@@ -1,11 +1,15 @@
 """Loading, tokenizing and normalizing labeled e-mail corpora.
 
 Two on-disk layouts are supported, both the same directory convention:
-any nesting of subdirectories, every regular file one message (paths
-with a dot-prefixed component skipped), basename prefix ``spmsg``
-(case-sensitive) marking spam.  A message's tokens are the words of its
-whole lossily decoded text, without the header word when the text starts
-with ``Subject:``: subject and body form one bag of words.
+any nesting of subdirectories, every regular file one message (entries
+whose name starts with "." skipped, symlinked directories not entered),
+basename prefix ``spmsg`` (case-sensitive) marking spam.  A message's
+tokens are the words of its whole lossily decoded text, without the header
+word when the text starts with ``Subject:``: subject and body form one bag
+of words.  Words are maximal runs of ASCII letters, found in the raw bytes:
+lossy UTF-8 decoding turns every byte below 0x80 into itself, never into
+part of a replacement character, and no other character is an ASCII
+letter, so the bytes and their decoded text have the same words.
 A deterministic synthetic fixture generator produces corpora in the same
 shape for tests and demos that must run without the real Ling-Spam data.
 """
@@ -13,7 +17,8 @@ shape for tests and demos that must run without the real Ling-Spam data.
 from __future__ import annotations
 
 import enum
-import re
+import os
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -25,7 +30,9 @@ import numpy as np
 
 from .errors import CorpusError
 
-_WORD_RE = re.compile(r"[A-Za-z]+")
+# Keeps the ASCII letters of a byte string and turns every other byte into
+# a space.
+_LETTERS_ONLY = bytes(c if chr(c) in string.ascii_letters else 0x20 for c in range(256))
 
 # Light suffix stripping: longest applicable suffix first, repeated until no
 # rule applies, never leaving a stem shorter than 3 characters.  A cheap,
@@ -126,9 +133,15 @@ class CorpusStats:
     vocabulary_size: int
 
 
-def tokenize(text: str) -> list[str]:
-    """Maximal runs of ASCII letters, in order; everything else separates."""
-    return _WORD_RE.findall(text)
+def tokenize(text: str | bytes) -> list[str]:
+    """Maximal runs of ASCII letters, in order; everything else separates.
+
+    Text is matched through its UTF-8 bytes (lone surrogates included), in
+    which every non-ASCII character is bytes 0x80 and above.
+    """
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    return text.translate(_LETTERS_ONLY).decode("ascii").split()
 
 
 def _strip_suffixes(token: str) -> str:
@@ -156,6 +169,51 @@ def label_for_filename(name: str) -> Label:
 LAYOUTS = ("lingspam", "fixture")
 
 
+class _Normalized(dict):
+    """Raw word -> token for one load: each distinct word is normalized once,
+    on its first lookup, and every later occurrence shares that string."""
+
+    def __init__(self, config: NormalizerConfig) -> None:
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, word: str) -> str:
+        token = self[word] = normalize_token(word, self.config)
+        return token
+
+
+def _message_files(root: Path) -> list[tuple[str, str]]:
+    """(source_id, path) of every regular file under root, by source_id.
+
+    One scandir per directory.  Entries whose name starts with "." are
+    skipped, symlinked directories are not entered, and a symlinked file
+    counts as its target; an entry whose kind cannot be read (a dangling or
+    looping link) is no file, as for Path.is_file.  A directory that cannot
+    be listed raises CorpusError instead of dropping its messages.
+    """
+    files = []
+    pending = [("", root)]
+    while pending:
+        prefix, directory = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError as exc:
+            raise CorpusError(f"unreadable directory: {prefix.rstrip('/') or root}: {exc}")
+        for entry in entries:
+            if entry.name.startswith("."):
+                continue
+            source_id = prefix + entry.name
+            try:
+                if entry.is_file():
+                    files.append((source_id, entry.path))
+                elif entry.is_dir(follow_symlinks=False):
+                    pending.append((source_id + "/", entry.path))
+            except OSError:
+                pass
+    return sorted(files)
+
+
 def load_corpus(
     directory: str | Path,
     layout: str = "lingspam",
@@ -164,9 +222,13 @@ def load_corpus(
     """Load every regular file under a corpus root, recursively.
 
     Both layouts share the directory convention; the id is validated only.
-    A file is skipped when any component of its path relative to the root
-    starts with "." (.DS_Store, .git/...); the root's own path may.
-    Documents come back sorted by their path relative to the root.
+    An entry whose name starts with "." (.DS_Store, .git/) is skipped; the
+    root's own path may have such components.  Documents come back sorted
+    by their path relative to the root, and files are read in that order.
+    Each file is tokenized from its raw bytes, which gives the words of its
+    lossily decoded text without decoding it (see the module docstring).
+    CorpusError names the first unlistable directory, unreadable file or
+    empty message, or an empty corpus.
     """
     if layout not in LAYOUTS:
         raise CorpusError(f"unknown corpus layout: {layout!r}")
@@ -176,26 +238,19 @@ def load_corpus(
         raise CorpusError(f"unreadable directory: {root}")
 
     documents = []
-    # Raw word -> token for this load: each distinct word is normalized once,
-    # and equal tokens share one string.
-    normalized: dict[str, str] = {}
-    for path in sorted(root.rglob("*")):
-        relative = path.relative_to(root)
-        if any(part.startswith(".") for part in relative.parts) or not path.is_file():
-            continue
-        source_id = relative.as_posix()
+    normalized = _Normalized(config)
+    for source_id, path in _message_files(root):
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except OSError as exc:
             raise CorpusError(f"unreadable message file {source_id}: {exc}")
-        text = raw.decode("utf-8", errors="replace")
-        if not text:
+        if not raw:
             raise CorpusError(f"empty message: {source_id}")
-        words = tokenize(text)[1 if text.startswith("Subject:") else 0 :]
-        for word in set(words).difference(normalized):
-            normalized[word] = normalize_token(word, config)
+        words = tokenize(raw)[1 if raw.startswith(b"Subject:") else 0 :]
         tokens = tuple(map(normalized.__getitem__, words))
-        documents.append(Document(tokens, label_for_filename(path.name), source_id))
+        label = label_for_filename(source_id.rpartition("/")[2])
+        documents.append(Document(tokens, label, source_id))
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
     return Corpus.from_documents(documents)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import errno
+import os
+from pathlib import Path
+
 import pytest
 
 from spamlab import FixtureParams, generate_fixture_corpus
@@ -25,3 +29,20 @@ def hard_corpus():
 def cv_corpus():
     """900 legitimate / 180 spam, the cross-validation regression corpus."""
     return generate_fixture_corpus(7, 900, 180)
+
+
+@pytest.fixture
+def deny_scandir(monkeypatch):
+    """deny(directory) makes os.scandir fail there as on a directory that
+    cannot be listed; a chmod shows nothing to a process running as root."""
+    scandir = os.scandir
+
+    def deny(denied: Path) -> None:
+        def guarded(path="."):
+            if Path(path) == denied:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", guarded)
+
+    return deny

@@ -147,6 +147,16 @@ class TestPosterior:
         with pytest.raises(ValueError):
             posterior_spam_batch(model, np.array([[1, 0]]))
 
+    @pytest.mark.parametrize("query", [[2, 0], [-1, 0], [0.5, 0], [float("nan"), 0]])
+    @pytest.mark.parametrize("kernel", [
+        posterior_spam_batch,
+        lambda model, x: classify_nb_batch(model, x, DecisionPolicy.from_lambda(1.0)),
+    ], ids=["posterior_spam_batch", "classify_nb_batch"])
+    def test_query_other_than_0_or_1_rejected(self, kernel, query):
+        model = model_of(0.5, [0.8, 0.3], [0.2, 0.6])
+        with pytest.raises(ValueError, match="query vectors must hold only 0 and 1"):
+            kernel(model, np.array([[0, 0], query]))
+
     def test_matches_non_log_brute_force(self):
         rng = random.Random(29)
         for _ in range(200):

@@ -43,6 +43,15 @@ class TestStats:
         assert code == 2
         assert "unreadable directory" in err
 
+    def test_unreadable_subdirectory_exits_2(self, capsys, tmp_path, deny_scandir):
+        generate_fixture_corpus(7, 9, 1, out_dir=tmp_path / "part1")
+        generate_fixture_corpus(8, 9, 1, out_dir=tmp_path / "part2")
+        deny_scandir(tmp_path / "part2")
+        code, out, err = run(capsys, ["stats", "--corpus", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: unreadable directory: part2: ")
+        assert "Permission denied" in err and err.count("\n") == 1
+
 
 class TestEvaluate:
     def test_writes_csv_and_summary(self, capsys, fixture_dir, tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -96,6 +98,26 @@ class TestTokenize:
     def test_hyphen_separates(self):
         assert tokenize("e-mail filter") == ["e", "mail", "filter"]
 
+    def test_bytes_and_text_agree(self):
+        assert tokenize(b"Be over 21!\xff\xc3\xa9t\xe9") == ["Be", "over", "t"]
+        assert tokenize("Be over 21!�ét\udce9") == ["Be", "over", "t"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary())
+    def test_bytes_match_their_lossy_decoding(self, raw):
+        # a replacement character never swallows a byte below 0x80, so the
+        # letter runs of the bytes are those of the decoded text
+        assert tokenize(raw) == tokenize(raw.decode("utf-8", errors="replace"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    )))
+    def test_text_matches_ascii_letter_runs(self, text):
+        # lone surrogates (category Cs) are drawn often enough to matter
+        assert tokenize(text) == re.findall("[A-Za-z]+", text)
+
 
 class TestNormalizeToken:
     def test_earning_becomes_earn(self):
@@ -174,6 +196,7 @@ class TestLoadCorpus:
         (".DS_Store", ""),
         (".notes", "Subject: x\n\nnot a message"),
         (".git/msg2.txt", "Subject: y\n\nnor this"),
+        ("part/.hidden/msg2.txt", "Subject: z\n\nnor this nested one"),
     ])
     def test_dot_paths_skipped(self, tmp_path, name, text):
         # the root itself sits under a dot-directory, which must not count
@@ -182,6 +205,49 @@ class TestLoadCorpus:
         self._write(root, name, text)
         corpus = load_corpus(root)
         assert [d.source_id for d in corpus.documents] == ["msg1.txt"]
+
+    def test_symlinked_file_loaded(self, tmp_path):
+        root = tmp_path / "corpus"
+        self._write(root, "msg1.txt", "Subject: a\n\nhello")
+        self._write(tmp_path, "elsewhere/spmsg1.txt", "Subject: b\n\nfree cash")
+        (root / "spmsg1.txt").symlink_to(tmp_path / "elsewhere" / "spmsg1.txt")
+        corpus = load_corpus(root)
+        assert [d.source_id for d in corpus.documents] == ["msg1.txt", "spmsg1.txt"]
+        assert corpus.documents[1].tokens == ("b", "free", "cash")
+
+    def test_symlinked_directory_not_entered(self, tmp_path):
+        root = tmp_path / "corpus"
+        self._write(root, "msg1.txt", "Subject: a\n\nhello")
+        self._write(tmp_path, "elsewhere/msg2.txt", "Subject: b\n\nworld")
+        (root / "linked").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        assert [d.source_id for d in load_corpus(root).documents] == ["msg1.txt"]
+
+    def test_broken_and_looping_symlinks_skipped(self, tmp_path):
+        self._write(tmp_path, "msg1.txt", "Subject: a\n\nhello")
+        (tmp_path / "msg2.txt").symlink_to(tmp_path / "missing.txt")
+        (tmp_path / "msg3.txt").symlink_to(tmp_path / "msg3.txt")
+        assert [d.source_id for d in load_corpus(tmp_path).documents] == ["msg1.txt"]
+
+    def test_fifo_skipped(self, tmp_path):
+        self._write(tmp_path, "msg1.txt", "Subject: a\n\nhello")
+        os.mkfifo(tmp_path / "msg2.txt")
+        assert [d.source_id for d in load_corpus(tmp_path).documents] == ["msg1.txt"]
+
+    def test_source_id_order_not_directory_order(self, tmp_path):
+        # "a-c" < "a/b" as strings ("-" < "/"), but a walk that finishes each
+        # directory before its next sibling would reach a/b first
+        self._write(tmp_path, "a/b", "Subject: x\n\none")
+        self._write(tmp_path, "a-c", "Subject: y\n\ntwo")
+        self._write(tmp_path, "a/a", "Subject: z\n\nthree")
+        ids = [d.source_id for d in load_corpus(tmp_path).documents]
+        assert ids == ["a-c", "a/a", "a/b"]
+
+    def test_unreadable_subdirectory_rejected(self, tmp_path, deny_scandir):
+        self._write(tmp_path, "part1/msg1.txt", "Subject: a\n\nhello")
+        self._write(tmp_path, "part2/sub/msg2.txt", "Subject: b\n\nworld")
+        deny_scandir(tmp_path / "part2" / "sub")
+        with pytest.raises(CorpusError, match=r"^unreadable directory: part2/sub: .*Permission denied"):
+            load_corpus(tmp_path)
 
     def test_deterministic_reload(self, tmp_path):
         self._write(tmp_path, "msg1.txt", "Subject: a\n\nSome Earnings Here")
