@@ -76,13 +76,13 @@ class Document:
 
 @dataclass(frozen=True, eq=False)
 class Incidence:
-    """Which documents contain which tokens: a CSR document x token-id matrix.
+    """Which documents contain which tokens: a CSC document x token-id matrix.
 
     Token ids number ``vocabulary`` in lexicographic order, so id order is
-    the attribute-ranking tie-break.  Document r contains exactly the token
-    ids ``indices[indptr[r]:indptr[r + 1]]``, ascending; ``labels[r]`` is
-    its Label.  Only presence is kept, never a dense document x vocabulary
-    matrix.
+    the attribute-ranking tie-break.  Token id t occurs in exactly the
+    document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending (int32,
+    4 bytes per document-token pair); ``labels[r]`` is row r's Label.  Only
+    presence is kept, never a dense document x vocabulary matrix.
     """
 
     vocabulary: tuple[str, ...]
@@ -94,10 +94,19 @@ class Incidence:
     def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
         vocabulary = tuple(sorted(set().union(*(d.tokens for d in documents))))
         index = {token: i for i, token in enumerate(vocabulary)}.__getitem__
-        rows = [np.sort(np.fromiter(map(index, set(d.tokens)), np.int32)) for d in documents]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
-        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+        rows = [np.fromiter(map(index, set(d.tokens)), np.int32) for d in documents]
+        n = max(len(rows), 1)
+        # one key token * n + row per pair: sorted, it lists each token's
+        # rows in ascending order, token after token
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        key = np.concatenate(rows, dtype=np.int64) if rows else np.zeros(0, np.int64)
+        del rows  # the int64 key now holds every pair; keep one copy alive
+        key *= n
+        key += np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        key.sort()
+        indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
+        key %= n
+        indices = key.astype(np.int32)
         labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
         return cls(vocabulary, indptr, indices, labels)
 

@@ -285,9 +285,12 @@ def _run_configurations(
     """Shared CV engine.
 
     The corpus incidence is built on the first call and kept on the corpus.
-    Tokens are ranked once per fold and vectorized at the largest m; the
-    smaller attribute sets are column prefixes of that matrix, which is
-    exactly what per-m selection would produce (top-m lists are nested).
+    One count pass gives every fold's token class counts, and each fold's
+    tokens are ranked as its counts come, before any fold is vectorized, so
+    the count table is freed before classification starts.  A fold gathers
+    the postings of its top tokens at the largest m; the smaller attribute
+    sets are column prefixes of that matrix, which is exactly what per-m
+    selection would produce (top-m lists are nested).
     Each classifier gets the whole range of a fold in one call, so each
     distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, so an m range
@@ -296,11 +299,14 @@ def _run_configurations(
     policy = DecisionPolicy.from_lambda(lam)
     incidence = corpus.incidence
     assignment = np.array(plan.assignment)
+    rankings = [
+        select_attributes(stats, ms[-1]).ids
+        for stats in class_counts(incidence, assignment, plan.k_folds)
+    ]
     per_m_counts: dict[int, list[ConfusionCounts]] = {}
-    for fold in range(plan.k_folds):
+    for fold, ids in enumerate(rankings):
         train = assignment != fold
-        attrs = select_attributes(class_counts(incidence, train), ms[-1])
-        x = presence_matrix(incidence, attrs.ids)
+        x = presence_matrix(incidence, ids)
         y_test = incidence.labels[~train]
         decisions = _predict(
             config, x[train], incidence.labels[train], x[~train], y_test, policy, ms

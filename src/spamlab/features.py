@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, Incidence, Label
+from .corpus import Corpus, Document, Incidence
 from .errors import DataError
 
 
@@ -54,17 +54,34 @@ class AttributeSet:
         return len(self.tokens)
 
 
-def class_counts(incidence: Incidence, rows: np.ndarray) -> TokenStats:
-    """Token class counts over the documents where the boolean ``rows`` is set."""
-    spam = incidence.labels == Label.SPAM
-    spam_rows, legit_rows = rows & spam, rows & ~spam
-    entries, size = np.diff(incidence.indptr), len(incidence.vocabulary)
-    n1_spam, n1_legit = (
-        np.bincount(incidence.indices[np.repeat(mask, entries)], minlength=size)
-        for mask in (spam_rows, legit_rows)
-    )
-    n_spam, n_legit = int(spam_rows.sum()), int(legit_rows.sum())
-    return TokenStats(incidence.vocabulary, n1_spam, n1_legit, n_spam, n_legit)
+def class_counts(
+    incidence: Incidence, folds: np.ndarray, k_folds: int
+) -> Iterator[TokenStats]:
+    """Token class counts of each training set of a k-fold split, by fold.
+
+    ``folds[r]`` is document row r's fold in range(k_folds); the f-th
+    TokenStats counts the documents outside fold f.  One bincount over all
+    postings, keyed by (class, fold, token), gives every fold's own counts
+    in a 2 x k_folds x V int32 table, and a training set's counts are the
+    totals minus its fold's.  The table takes 8 * k_folds * V bytes, so it
+    grows with k_folds; it is built on the first fold and freed with the
+    iterator.  Ranking each fold before taking the next keeps one
+    TokenStats alive at a time.
+    """
+    size = len(incidence.vocabulary)
+    group = incidence.labels.astype(np.int64) * k_folds + folds
+    key = np.take(group * size, incidence.indices)
+    key += np.repeat(np.arange(size, dtype=np.int32), np.diff(incidence.indptr))
+    table = np.bincount(key, minlength=2 * k_folds * size).astype(np.int32)
+    del key  # else this frame keeps it alive while the folds are ranked
+    table = table.reshape(2, k_folds, size)
+    totals = table.sum(axis=1)
+    docs = np.bincount(group, minlength=2 * k_folds).reshape(2, k_folds)
+    train_docs = docs.sum(axis=1, keepdims=True) - docs
+    for fold in range(k_folds):  # rows by Label: LEGITIMATE = 0, SPAM = 1
+        n1_legit, n1_spam = totals - table[:, fold]
+        n_legit, n_spam = train_docs[:, fold].tolist()
+        yield TokenStats(incidence.vocabulary, n1_spam, n1_legit, n_spam, n_legit)
 
 
 def token_class_counts(source: Corpus | Sequence[Document]) -> TokenStats:
@@ -73,7 +90,9 @@ def token_class_counts(source: Corpus | Sequence[Document]) -> TokenStats:
         incidence = source.incidence
     else:
         incidence = Incidence.from_documents(tuple(source))
-    return class_counts(incidence, np.ones(len(incidence.labels), dtype=bool))
+    # every document in fold 0, so the training set of fold 1 is all of them
+    _, stats = class_counts(incidence, np.zeros(len(incidence.labels), np.int64), 2)
+    return stats
 
 
 def mutual_information_batch(
@@ -145,16 +164,20 @@ def select_attributes(stats: TokenStats, m: int) -> AttributeSet:
 
 def presence_matrix(incidence: Incidence, ids: Sequence[int]) -> np.ndarray:
     """(documents, len(ids)) uint8: column j marks the documents containing
-    token id ids[j]; an id of -1 gives an all-zero column."""
+    token id ids[j]; an id of -1 gives an all-zero column.  Only the
+    postings of the listed ids are read."""
     ids = np.asarray(ids, dtype=np.int64)
-    column = np.full(len(incidence.vocabulary), -1, dtype=np.int32)
-    known = ids >= 0
-    column[ids[known]] = np.flatnonzero(known)
-    columns = column[incidence.indices]
-    hits = np.flatnonzero(columns >= 0)
-    rows = np.searchsorted(incidence.indptr, hits, side="right") - 1
+    columns = np.flatnonzero(ids >= 0)
+    known = ids[columns]
+    starts = incidence.indptr[known]
+    lengths = incidence.indptr[known + 1] - starts
+    # column j's postings sit at starts[j] + 0 .. lengths[j] - 1, and are
+    # laid out back to back: shift a running count by each column's offset
+    ends = np.cumsum(lengths)
+    at = np.arange(ends[-1] if len(ends) else 0)
+    at += np.repeat(starts - (ends - lengths), lengths)
     matrix = np.zeros((len(incidence.labels), len(ids)), dtype=np.uint8)
-    matrix[rows, columns[hits]] = 1
+    matrix[incidence.indices[at], np.repeat(columns, lengths)] = 1
     return matrix
 
 

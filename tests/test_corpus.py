@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import subject_body_words
 
@@ -24,7 +24,7 @@ from spamlab import (
     tokenize,
 )
 import spamlab.corpus as corpus_module
-from spamlab.corpus import Corpus, label_for_filename, write_fixture_corpus
+from spamlab.corpus import Corpus, Incidence, label_for_filename, write_fixture_corpus
 
 LIGHT = NormalizerConfig(stemming="light")
 PLAIN = NormalizerConfig(stemming="none")
@@ -359,15 +359,46 @@ class TestFixtureCorpus:
         assert ids == sorted(ids)
 
 
+def assert_incidence_matches(inc, documents):
+    """Set oracle: the sorted distinct tokens, and for each token's column,
+    in ascending order, exactly the rows of the documents containing it."""
+    vocabulary = sorted({t for d in documents for t in d.tokens})
+    assert list(inc.vocabulary) == vocabulary
+    assert inc.labels.tolist() == [int(d.label) for d in documents]
+    assert len(inc.indptr) == len(vocabulary) + 1
+    assert inc.indptr[-1] == len(inc.indices)
+    for t, token in enumerate(vocabulary):
+        rows = inc.indices[inc.indptr[t] : inc.indptr[t + 1]].tolist()
+        assert rows == [r for r, d in enumerate(documents) if token in set(d.tokens)]
+
+
+INCIDENCE_WORDS = ("ant", "bee", "cat", "dog", "eel", "fly")
+
+
 class TestDocumentHelpers:
-    def test_incidence_rows_match_tokens(self, small_corpus):
-        inc = small_corpus.incidence
-        assert list(inc.vocabulary) == sorted(set(inc.vocabulary))
-        assert inc.labels.tolist() == [int(d.label) for d in small_corpus.documents]
-        for r, doc in enumerate(small_corpus.documents):
-            ids = inc.indices[inc.indptr[r] : inc.indptr[r + 1]].tolist()
-            assert ids == sorted(set(ids))
-            assert {inc.vocabulary[i] for i in ids} == set(doc.tokens)
+    def test_incidence_columns_match_tokens(self, small_corpus):
+        assert_incidence_matches(small_corpus.incidence, small_corpus.documents)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(INCIDENCE_WORDS), max_size=8), st.booleans()
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    @example([(["cat", "ant", "cat"], True)], False)  # a single document
+    @example([(["dog", "bee"], False), (["bee"], True)], True)  # one repeated
+    def test_incidence_matches_set_oracle(self, drawn, repeat_first):
+        docs = [
+            Document(tuple(tokens), Label(spam), f"m{i}")
+            for i, (tokens, spam) in enumerate(drawn)
+        ]
+        if repeat_first:
+            docs.insert(len(docs) // 2 + 1, docs[0])
+        assert_incidence_matches(Incidence.from_documents(docs), docs)
 
     def test_incidence_built_once_and_not_by_loading(self, tmp_path):
         generate_fixture_corpus(5, 12, 4, out_dir=tmp_path)

@@ -358,27 +358,51 @@ class TestFoldFeatures:
     corpus incidence, select_attributes, then presence_matrix."""
 
     @staticmethod
-    def _train_mask(plan, fold):
-        return np.array(plan.assignment) != fold
+    def _fold_stats(corpus, plan):
+        return class_counts(corpus.incidence, np.array(plan.assignment), plan.k_folds)
 
     @staticmethod
     def _train_docs(corpus, plan, fold):
         return [d for d, f in zip(corpus.documents, plan.assignment) if f != fold]
 
+    @staticmethod
+    def _assert_presence(corpus, ids):
+        # set membership per document; an id of -1 names no token
+        vocabulary = corpus.incidence.vocabulary
+        matrix = presence_matrix(corpus.incidence, ids)
+        assert matrix.shape == (len(corpus), len(ids))
+        tokens = [vocabulary[i] if i >= 0 else None for i in ids]
+        for row, d in zip(matrix, corpus.documents):
+            present = set(d.tokens)
+            assert row.tolist() == [int(t in present) for t in tokens]
+
     def test_rankings_and_vectors_match_brute_force(self, hard_corpus):
         plan = make_stratified_folds(hard_corpus, seed=0)
-        incidence = hard_corpus.incidence
-        for fold in range(plan.k_folds):
+        last = len(hard_corpus.incidence.vocabulary) - 1
+        for fold, stats in enumerate(self._fold_stats(hard_corpus, plan)):
             train = self._train_docs(hard_corpus, plan, fold)
             ranked = ranking_direct([(d.tokens, d.label is Label.SPAM) for d in train])
-            stats = class_counts(incidence, self._train_mask(plan, fold))
             attrs = select_attributes(stats, len(ranked))
             assert attrs.tokens == tuple(token for token, _ in ranked), fold
             assert attrs.scores == pytest.approx([mi for _, mi in ranked], abs=1e-12)
-            matrix = presence_matrix(incidence, attrs.ids[:30])
-            for row, d in zip(matrix, hard_corpus.documents):
-                present = set(d.tokens)
-                assert row.tolist() == [int(t in present) for t in attrs.tokens[:30]]
+            top = list(attrs.ids[:30])
+            for ids in (top, [-1, *top[:3], -1, -1, top[3], -1], [], [last, top[0], last]):
+                self._assert_presence(hard_corpus, ids)
+        assert fold == plan.k_folds - 1
+
+    @pytest.mark.parametrize("k_folds", [2, 3, 10])
+    def test_fold_counts_match_brute_force(self, hard_corpus, k_folds):
+        plan = make_stratified_folds(hard_corpus, k_folds=k_folds, seed=0)
+        folds = list(self._fold_stats(hard_corpus, plan))
+        assert len(folds) == k_folds
+        for fold, stats in enumerate(folds):
+            train = self._train_docs(hard_corpus, plan, fold)
+            spam = [set(d.tokens) for d in train if d.label is Label.SPAM]
+            legit = [set(d.tokens) for d in train if d.label is Label.LEGITIMATE]
+            assert (stats.n_spam, stats.n_legit) == (len(spam), len(legit)), fold
+            for n1, docs in ((stats.n1_spam, spam), (stats.n1_legit, legit)):
+                per_token = Counter(t for tokens in docs for t in tokens)
+                assert n1.tolist() == [per_token[t] for t in stats.vocabulary], fold
 
     def test_token_only_in_test_documents_is_no_candidate(self, hard_corpus):
         plan = make_stratified_folds(hard_corpus, seed=0)
@@ -391,12 +415,12 @@ class TestFoldFeatures:
             for d, f in zip(hard_corpus.documents, plan.assignment)
         )
         assert make_stratified_folds(planted, seed=0) == plan
-        stats = class_counts(planted.incidence, self._train_mask(plan, fold))
+        folds = list(self._fold_stats(planted, plan))
+        stats = folds[fold]
         assert "leako" in planted.incidence.vocabulary
         assert "leako" not in stats.counts
         assert "leako" not in select_attributes(stats, len(stats.counts)).tokens
-        other = class_counts(planted.incidence, self._train_mask(plan, 0))
-        assert other.counts["leako"][0] > 0  # visible wherever it is training data
+        assert folds[0].counts["leako"][0] > 0  # visible wherever it is training data
         config = ClassifierConfig(kind="nb")
         before = cross_validate(hard_corpus, config, 1.0, 15, plan)
         after = cross_validate(planted, config, 1.0, 15, plan)

@@ -227,10 +227,21 @@ class TestVectorize:
     def test_batch_matches_scalar(self, small_corpus):
         # the scalar reference is plain set membership, document by document
         stats = token_class_counts(small_corpus)
-        attrs = select_attributes(stats, 25)
+        top = select_attributes(stats, 25).tokens
         docs = small_corpus.documents[:40]
-        matrix, labels = vectorize_documents(docs, attrs)
-        for row, d in zip(matrix, docs):
-            present = set(d.tokens)
-            assert row.tolist() == [int(t in present) for t in attrs.tokens]
+        last = max(t for d in docs for t in d.tokens)  # the batch's largest id
+        index = {t: i for i, t in enumerate(stats.vocabulary)}
+        for tokens in (
+            top,
+            ("nonesuch", *top[:3], "absent", "unseen", top[3]),  # unknown: id -1
+            (),
+            (last, top[0], last),
+        ):
+            ids = tuple(index.get(t, -1) for t in tokens)
+            attrs = AttributeSet(tokens, (0.0,) * len(tokens), ids)
+            matrix, labels = vectorize_documents(docs, attrs)
+            assert matrix.shape == (len(docs), len(tokens))
+            for row, d in zip(matrix, docs):
+                present = set(d.tokens)
+                assert row.tolist() == [int(t in present) for t in tokens]
         assert labels.tolist() == [int(d.label) for d in docs]
