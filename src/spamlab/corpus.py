@@ -133,6 +133,12 @@ class Corpus:
         """Built on first use (cross-validation, stats), then kept."""
         return Incidence.from_documents(self.documents)
 
+    @cached_property
+    def rankings(self) -> dict:
+        """Fold plan -> each fold's candidate token ids (int32), best first.
+        Cross-validation fills it and keeps only the latest plan."""
+        return {}
+
 
 @dataclass(frozen=True)
 class CorpusStats:

@@ -29,7 +29,7 @@ from .bayes import (
 )
 from .corpus import Corpus, Label
 from .errors import ConfigError, DataError
-from .features import class_counts, presence_matrix, select_attributes
+from .features import check_attribute_count, class_counts, presence_matrix, rank_tokens
 from .memory import build_instance_base, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -284,29 +284,38 @@ def _run_configurations(
 ) -> list[AggregateResult]:
     """Shared CV engine.
 
-    The corpus incidence is built on the first call and kept on the corpus.
-    One count pass gives every fold's token class counts, and each fold's
-    tokens are ranked as its counts come, before any fold is vectorized, so
-    the count table is freed before classification starts.  A fold gathers
-    the postings of its top tokens at the largest m; the smaller attribute
-    sets are column prefixes of that matrix, which is exactly what per-m
-    selection would produce (top-m lists are nested).
+    The corpus incidence is built on the first call and kept on the corpus,
+    and so are the plan's fold rankings, which depend on neither the
+    classifier nor lambda nor m: only the first configuration on a plan
+    counts and ranks.  One count pass gives every fold's token class
+    counts, and each fold's candidates are ranked in full as its counts
+    come, so the count table is freed before classification starts.  Only
+    the latest plan's rankings are kept (4 bytes per candidate per fold).
+    A fold gathers the postings of its top tokens at the largest m; the
+    smaller attribute sets are column prefixes of that matrix, which is
+    exactly what per-m selection would produce (top-m lists are nested).
     Each classifier gets the whole range of a fold in one call, so each
     distance column and each class count is computed once.
-    ms stays a lazy range and per-m state grows fold by fold, so an m range
-    beyond the vocabulary fails in the first fold's ranking, not in memory.
+    ms stays a lazy range and per-m state grows fold by fold, and every
+    fold's candidate count is checked before any fold is classified, so an
+    m range beyond the vocabulary fails at once, not in memory.
     """
     policy = DecisionPolicy.from_lambda(lam)
     incidence = corpus.incidence
     assignment = np.array(plan.assignment)
-    rankings = [
-        select_attributes(stats, ms[-1]).ids
-        for stats in class_counts(incidence, assignment, plan.k_folds)
-    ]
+    rankings = corpus.rankings.get(plan)
+    if rankings is None:
+        corpus.rankings.clear()
+        rankings = corpus.rankings[plan] = tuple(
+            rank_tokens(stats)[0].astype(np.int32)
+            for stats in class_counts(incidence, assignment, plan.k_folds)
+        )
+    for ids in rankings:
+        check_attribute_count(ms[-1], len(ids))
     per_m_counts: dict[int, list[ConfusionCounts]] = {}
     for fold, ids in enumerate(rankings):
         train = assignment != fold
-        x = presence_matrix(incidence, ids)
+        x = presence_matrix(incidence, ids[: ms[-1]])
         y_test = incidence.labels[~train]
         decisions = _predict(
             config, x[train], incidence.labels[train], x[~train], y_test, policy, ms

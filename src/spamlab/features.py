@@ -123,6 +123,14 @@ def mutual_information_batch(
     return mi
 
 
+def _scaled_power(a: int, b: int, n_spam: int, n_legit: int) -> tuple[int, int]:
+    """2 ** (N * MI) of the count pair (a, b), up to a constant of the
+    training set, as a fraction of exact integers: the product of c ** c
+    over the four cells over that of r ** r over the two presence rows."""
+    cells = math.prod(c**c for c in (a, b, n_spam - a, n_legit - b))
+    return cells, math.prod(r**r for r in (a + b, n_spam + n_legit - a - b))
+
+
 def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     """(ids, scores) of all candidates by MI descending, lexicographic on ties."""
     ids = np.flatnonzero(stats.n1_spam + stats.n1_legit)
@@ -139,20 +147,36 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     scores = mutual_information_batch(a, b, stats.n_spam, stats.n_legit)
     # a class-independent token carries exactly no information
     scores[a * stats.n_legit == b * stats.n_spam] = 0.0
+    # Other pairs tie exactly too (the classes swap when n_spam == n_legit,
+    # sums of c log c coincide) and score within rounding of each other:
+    # neighbours in score order with equal 2 ** (N * MI) take one score.
+    by_score = np.argsort(scores)
+    near = np.flatnonzero(np.diff(scores[by_score]) <= 1e-12)
+    for p, q in zip(by_score[near].tolist(), by_score[near + 1].tolist()):
+        (cells_p, rows_p), (cells_q, rows_q) = (
+            _scaled_power(int(a[i]), int(b[i]), stats.n_spam, stats.n_legit) for i in (p, q)
+        )
+        if cells_p * rows_q == cells_q * rows_p:
+            scores[q] = scores[p]
     scores = scores[pair_of]
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
 
 
-def select_attributes(stats: TokenStats, m: int) -> AttributeSet:
-    """The m highest-MI tokens; selection for m1 <= m2 is a prefix of m2's."""
+def check_attribute_count(m: int, available: int) -> None:
+    """ValueError unless m >= 1; DataError when fewer than m candidate
+    tokens are available to select from."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    available = np.count_nonzero(stats.n1_spam + stats.n1_legit)
     if available < m:
         raise DataError(
             f"requested {m} attributes but only {available} distinct tokens available"
         )
+
+
+def select_attributes(stats: TokenStats, m: int) -> AttributeSet:
+    """The m highest-MI tokens; selection for m1 <= m2 is a prefix of m2's."""
+    check_attribute_count(m, np.count_nonzero(stats.n1_spam + stats.n1_legit))
     ids, scores = rank_tokens(stats)
     top = ids[:m].tolist()
     return AttributeSet(

@@ -4,8 +4,10 @@ split of message text instead of tokenizing the whole text, exact rational
 probabilities and 50-digit decimal logs instead of float ratios and logs,
 per-token set membership instead of the incidence matrix, plain
 probability products (or, for the mirrored legitimate posterior, scalar
-per-term logs) instead of vectorized log space, and sort-based
-neighborhood construction instead of the distance histograms.
+per-term logs) instead of vectorized log space, sort-based neighborhood
+construction instead of the distance histograms, and a per-fold,
+per-m, per-message loop in exact arithmetic instead of the
+cross-validation engine.
 """
 
 from __future__ import annotations
@@ -100,12 +102,13 @@ def posterior_spam_direct(
     p1_legit: list[float],
     bits: list[int],
 ) -> float:
-    """Raw probability products, no logs; safe for small m only."""
+    """Raw probability products, no logs; safe for small m only.  Given
+    Fractions, the posterior is an exact Fraction."""
     joint_spam = prior_spam
     joint_legit = prior_legit
     for x, ps, pl in zip(bits, p1_spam, p1_legit):
-        joint_spam *= ps if x else 1.0 - ps
-        joint_legit *= pl if x else 1.0 - pl
+        joint_spam *= ps if x else 1 - ps
+        joint_legit *= pl if x else 1 - pl
     return joint_spam / (joint_spam + joint_legit)
 
 
@@ -146,3 +149,87 @@ def neighborhood_direct(
     kept_set = set(kept)
     members = [(d, label) for d, _, label in scored if d in kept_set]
     return members, kept_set
+
+
+def cross_validate_direct(
+    documents: list[tuple[tuple[str, ...], bool]],
+    assignment: list[int],
+    kind: str,
+    k: int | None,
+    lam: int | Fraction,
+    ms: list[int],
+) -> list[tuple[list[tuple[int, int, int, int]], list[Fraction], Fraction | float, list]]:
+    """The k-fold protocol from the other oracles, one result per m of ms.
+
+    documents holds (tokens, is_spam) per message and assignment[i] is
+    message i's fold.  Each fold ranks its training messages' tokens with
+    ranking_direct and keeps the top m as attributes, marked by set
+    membership.  Kind "nb" calls spam when posterior_spam_direct, under
+    exact priors and Laplace conditionals (count + 1) / (n_class + 2),
+    strictly exceeds t = lam / (1 + lam); kind "mb" calls spam when the
+    spam members of neighborhood_direct outnumber lam times the legitimate
+    ones.  Ties go to legitimate.
+
+    Each result is (fold counts as (n_legit_legit, n_legit_spam,
+    n_spam_spam, n_spam_legit), fold WAccs, TCR, gaps): WAccs and TCR are
+    exact Fractions, TCR being the whole-corpus baseline WErr over the
+    mean fold WErr (math.inf when that is 0), and gaps lists |posterior -
+    t| of every nb decision (empty for mb).
+    """
+    lam = Fraction(lam)
+    t = lam / (1 + lam)
+    per_m = {m: ([], []) for m in ms}
+    for fold in range(max(assignment) + 1):
+        train = [d for d, f in zip(documents, assignment) if f != fold]
+        test = [d for d, f in zip(documents, assignment) if f == fold]
+        ranked = [token for token, _ in ranking_direct(train)]
+        labels = [int(is_spam) for _, is_spam in train]
+        n_spam = sum(labels)
+        n_legit = len(labels) - n_spam
+        for m in ms:
+            attributes = ranked[:m]
+            if len(attributes) < m:
+                raise ValueError(f"fold {fold} has only {len(ranked)} candidate tokens")
+
+            def vector(tokens: tuple[str, ...]) -> list[int]:
+                present = set(tokens)
+                return [int(token in present) for token in attributes]
+
+            vectors = [vector(tokens) for tokens, _ in train]
+            p1_spam = [
+                Fraction(sum(v[j] for v, y in zip(vectors, labels) if y) + 1, n_spam + 2)
+                for j in range(m)
+            ]
+            p1_legit = [
+                Fraction(sum(v[j] for v, y in zip(vectors, labels) if not y) + 1, n_legit + 2)
+                for j in range(m)
+            ]
+            cells = {(gold, predicted): 0 for gold in (0, 1) for predicted in (0, 1)}
+            counts, gaps = per_m[m]
+            for tokens, is_spam in test:
+                query = vector(tokens)
+                if kind == "nb":
+                    posterior = posterior_spam_direct(
+                        Fraction(n_spam, len(labels)), Fraction(n_legit, len(labels)),
+                        p1_spam, p1_legit, query,
+                    )
+                    gaps.append(abs(posterior - t))
+                    predicted = int(posterior > t)
+                elif kind == "mb":
+                    members, _ = neighborhood_direct(vectors, labels, query, k)
+                    spam_votes = sum(label for _, label in members)
+                    predicted = int(spam_votes > lam * (len(members) - spam_votes))
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+                cells[int(is_spam), predicted] += 1
+            counts.append((cells[0, 0], cells[0, 1], cells[1, 1], cells[1, 0]))
+    n_spam = sum(1 for _, is_spam in documents if is_spam)
+    baseline_werr = n_spam / (lam * (len(documents) - n_spam) + n_spam)
+    results = []
+    for m in ms:
+        counts, gaps = per_m[m]
+        waccs = [(lam * ll + ss) / (lam * (ll + ls) + ss + sl) for ll, ls, ss, sl in counts]
+        mean_werr = 1 - sum(waccs) / len(waccs)
+        tcr = baseline_werr / mean_werr if mean_werr else math.inf
+        results.append((counts, waccs, tcr, gaps))
+    return results

@@ -404,6 +404,9 @@ class TestDocumentHelpers:
         generate_fixture_corpus(5, 12, 4, out_dir=tmp_path)
         corpus = load_corpus(tmp_path, layout="fixture")
         assert "incidence" not in corpus.__dict__
+        assert "rankings" not in corpus.__dict__
+        assert corpus_stats(corpus).vocabulary_size == len(corpus.incidence.vocabulary)
+        assert "rankings" not in corpus.__dict__
         assert corpus.incidence is corpus.incidence
 
     def test_incidence_of_no_documents(self):

@@ -6,10 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import ranking_direct
+from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
     ClassifierConfig,
@@ -355,7 +355,8 @@ class TestCrossValidate:
 
 class TestFoldFeatures:
     """Per-fold features as the engine computes them: class_counts over the
-    corpus incidence, select_attributes, then presence_matrix."""
+    corpus incidence, the ranking (select_attributes is its top-m prefix),
+    then presence_matrix; and the engine's per-plan ranking cache."""
 
     @staticmethod
     def _fold_stats(corpus, plan):
@@ -463,6 +464,159 @@ class TestFoldFeatures:
         assert built == [len(corpus)]
         assert corpus.incidence is incidence
         assert second == first
+
+    @staticmethod
+    def _counting_class_counts(monkeypatch):
+        calls = []
+
+        def counting(incidence, folds, k_folds):
+            calls.append(k_folds)
+            return class_counts(incidence, folds, k_folds)
+
+        monkeypatch.setattr("spamlab.evaluate.class_counts", counting)
+        return calls
+
+    def test_second_configuration_reuses_the_rankings(self, hard_corpus, monkeypatch):
+        calls = self._counting_class_counts(monkeypatch)
+        corpus = Corpus.from_documents(hard_corpus.documents)  # nothing cached
+        plan = make_stratified_folds(corpus, seed=2)
+        nb = cross_validate(corpus, ClassifierConfig(kind="nb"), 9.0, 20, plan)
+        rankings = corpus.rankings[plan]
+        assert len(rankings) == plan.k_folds and calls == [plan.k_folds]
+        mb = cross_validate(corpus, ClassifierConfig(kind="mb", k=2), 1.0, 30, plan)
+        assert calls == [plan.k_folds]
+        assert corpus.rankings[plan] is rankings
+        fresh = Corpus.from_documents(hard_corpus.documents)
+        assert nb == cross_validate(fresh, ClassifierConfig(kind="nb"), 9.0, 20, plan)
+        fresh = Corpus.from_documents(hard_corpus.documents)
+        assert mb == cross_validate(fresh, ClassifierConfig(kind="mb", k=2), 1.0, 30, plan)
+        for fold, stats in enumerate(self._fold_stats(corpus, plan)):
+            top = select_attributes(stats, 30).ids
+            assert rankings[fold].dtype == np.int32
+            assert rankings[fold][:30].tolist() == list(top), fold
+
+    def test_new_plan_recounts_and_replaces_the_rankings(self, hard_corpus, monkeypatch):
+        calls = self._counting_class_counts(monkeypatch)
+        corpus = Corpus.from_documents(hard_corpus.documents)
+        config = ClassifierConfig(kind="nb")
+        first, second = (make_stratified_folds(corpus, k, seed) for k, seed in ((10, 0), (3, 1)))
+        results = [cross_validate(corpus, config, 1.0, 15, p) for p in (first, second)]
+        assert calls == [10, 3]
+        assert list(corpus.rankings) == [second]
+        assert len(corpus.rankings[second]) == 3
+        assert cross_validate(corpus, config, 1.0, 15, first) == results[0]
+        assert calls == [10, 3, 10]
+        assert list(corpus.rankings) == [first]
+        # an equal plan built again is the same key
+        again = make_stratified_folds(corpus, 10, 0)
+        assert again is not first
+        assert cross_validate(corpus, config, 1.0, 15, again) == results[0]
+        assert calls == [10, 3, 10]
+
+    def test_m_checks_on_a_warm_cache(self, hard_corpus):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        limit = min(
+            len({t for d in self._train_docs(hard_corpus, plan, fold) for t in d.tokens})
+            for fold in range(plan.k_folds)
+        )
+        config = ClassifierConfig(kind="nb")
+        errors = []
+        for warm in (False, True):
+            corpus = Corpus.from_documents(hard_corpus.documents)
+            if warm:
+                cross_validate(corpus, config, 1.0, 10, plan)
+                assert plan in corpus.rankings
+            with pytest.raises(DataError) as error:
+                cross_validate(corpus, config, 1.0, limit + 1, plan)
+            errors.append(str(error.value))
+            with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+                cross_validate(corpus, config, 1.0, 0, plan)
+        assert errors == 2 * [
+            f"requested {limit + 1} attributes but only {limit} distinct tokens available"
+        ]
+
+
+ORACLE_WORDS = ("ab", "cd", "ef", "gh", "ij", "kl", "mn", "op")
+
+
+def direct_protocol(corpus, plan, config, lam, ms):
+    documents = [(d.tokens, d.label is Label.SPAM) for d in corpus.documents]
+    return cross_validate_direct(
+        documents, list(plan.assignment), config.kind, config.k, lam, list(ms)
+    )
+
+
+def assert_matches_direct(corpus, plan, config, lam, ms, expected):
+    """sweep_attributes over ms against direct_protocol's results: equal
+    fold counts, and fold WAccs and TCR within 1e-12 relative."""
+    results = sweep_attributes(corpus, config, float(lam), plan, ms.start, ms.stop - 1, ms.step)
+    assert [r.m for r in results] == list(ms)
+    for result, (counts, waccs, tcr, _) in zip(results, expected):
+        got = [(c.n_legit_legit, c.n_legit_spam, c.n_spam_spam, c.n_spam_legit)
+               for c in result.fold_counts]
+        assert got == counts, result.m
+        for wacc, exact in zip(result.fold_waccs, waccs):
+            assert math.isclose(wacc, exact, rel_tol=1e-12, abs_tol=0.0), result.m
+        assert result.tcr == tcr or math.isclose(result.tcr, tcr, rel_tol=1e-12), result.m
+
+
+class TestDirectOracle:
+    """The whole protocol (fold split, training-only ranking, top-m prefix,
+    presence, classification, pooling, WAcc and TCR) against
+    oracles.cross_validate_direct, which shares no library code."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        k_folds=st.integers(2, 4),
+        n_words=st.integers(3, 8),
+        lam=st.sampled_from([1, 9, 999]),
+        k=st.sampled_from([1, 2, 10]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sweeps_match_the_direct_protocol(self, data, k_folds, n_words, lam, k, seed):
+        message = st.lists(st.sampled_from(ORACLE_WORDS[:n_words]), min_size=1, max_size=6)
+        docs = [
+            Document(tuple(tokens), label, f"{label}{i:02d}")
+            for label in (Label.LEGITIMATE, Label.SPAM)
+            for i, tokens in enumerate(data.draw(st.lists(message, min_size=k_folds, max_size=12)))
+        ]
+        corpus = Corpus.from_documents(docs)
+        smallest = min(corpus.n_legit, corpus.n_spam)
+        folds_b = data.draw(st.integers(2, min(4, smallest)))
+        plan_a = make_stratified_folds(corpus, k_folds=k_folds, seed=seed)
+        plan_b = make_stratified_folds(corpus, k_folds=folds_b, seed=seed + 1)
+        # A, then B replaces it, then A again: misses, replacements, and a
+        # hit for each plan's second configuration
+        for plan in (plan_a, plan_b, plan_a):
+            limit = min(
+                len({t for d, f in zip(corpus.documents, plan.assignment) if f != fold
+                     for t in d.tokens})
+                for fold in range(plan.k_folds)
+            )
+            for config in (ClassifierConfig(kind="nb"), ClassifierConfig(kind="mb", k=k)):
+                m_from = data.draw(st.integers(1, limit))
+                m_to = data.draw(st.integers(m_from, limit))
+                ms = range(m_from, m_to + 1, data.draw(st.integers(1, 3)))
+                expected = direct_protocol(corpus, plan, config, lam, ms)
+                # float posteriors this close to t may round to either side
+                near_ties = sum(gap <= 1e-9 for *_, gaps in expected for gap in gaps)
+                assume(near_ties == 0)
+                assert_matches_direct(corpus, plan, config, lam, ms, expected)
+                assert list(corpus.rankings) == [plan]
+
+    def test_nb_exact_ties_go_to_legitimate(self):
+        # every fold trains on 2 + 2 identical messages: equal priors and
+        # equal conditionals give every posterior exactly 1/2 = t at lambda 1
+        docs = [Document(("ab", "cd"), label, f"{label}{i}") for label in Label for i in range(4)]
+        corpus = Corpus.from_documents(docs)
+        plan = make_stratified_folds(corpus, k_folds=2, seed=0)
+        for config in (ClassifierConfig(kind="nb"), ClassifierConfig(kind="mb", k=1)):
+            expected = direct_protocol(corpus, plan, config, 1, range(1, 3))
+            assert all(gap == 0 for *_, gaps in expected for gap in gaps)
+            assert_matches_direct(corpus, plan, config, 1, range(1, 3), expected)
+        result = cross_validate(corpus, ClassifierConfig(kind="nb"), 1.0, 2, plan)
+        assert result.spam_recall == 0.0
 
 
 SWEPT_CONFIGS = [

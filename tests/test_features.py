@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import mi_direct
+from oracles import mi_direct, mi_exact
 from spamlab import (
     DataError,
     Document,
@@ -168,6 +168,22 @@ class TestSelectAttributes:
     def test_lexicographic_tie_break(self):
         stats = self._stats({"b": (2, 0), "a": (2, 0)}, n_spam=2, n_legit=2)
         assert select_attributes(stats, 1).tokens == ("a",)
+
+    @pytest.mark.parametrize("n_spam,n_legit", [(6, 8), (7, 3), (7, 7), (8, 8), (4, 9)])
+    def test_every_count_pair_ranks_in_exact_order(self, n_spam, n_legit):
+        # exact MI ties beyond complements: the class swap at n_spam ==
+        # n_legit, and coincidences such as (0, 2) ~ (4, 2) at 6 / 8
+        pairs = [(a, b) for a in range(n_spam + 1) for b in range(n_legit + 1) if a + b]
+        stats = TokenStats(
+            tuple(f"t{i:03d}" for i in range(len(pairs))),
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), n_spam, n_legit,
+        )
+        exact = [mi_exact(a, b, n_spam, n_legit) for a, b in pairs]
+        ids, scores = rank_tokens(stats)
+        assert ids.tolist() == sorted(range(len(pairs)), key=lambda i: (-exact[i], i))
+        # equal exact scores, and only those, are equal floats
+        ties = [exact[i] == exact[j] for i, j in zip(ids.tolist(), ids[1:].tolist())]
+        assert ties == (scores[:-1] == scores[1:]).tolist()
 
     def test_error_reports_available_count(self):
         stats = self._stats({"a": (1, 0)}, n_spam=1, n_legit=1)
