@@ -44,14 +44,7 @@ from .evaluate import (
     total_cost_ratio,
     weighted_accuracy,
 )
-from .features import (
-    AttributeSet,
-    TokenStats,
-    mutual_information_batch,
-    select_attributes,
-    token_class_counts,
-    vectorize_documents,
-)
+from .features import TokenStats, mutual_information_batch
 from .memory import (
     InstanceBase,
     build_instance_base,

@@ -67,11 +67,15 @@ class NormalizerConfig:
 
 @dataclass(frozen=True)
 class Document:
-    """An ordered list of normalized tokens plus the gold label."""
+    """An ordered list of normalized tokens plus the gold label; a label of
+    0 or 1 is stored as its Label, any other value raises ValueError."""
 
     tokens: tuple[str, ...]
     label: Label
     source_id: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", Label(self.label))
 
 
 @dataclass(frozen=True, eq=False)

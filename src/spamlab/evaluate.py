@@ -29,7 +29,7 @@ from .bayes import (
 )
 from .corpus import Corpus, Label
 from .errors import ConfigError, DataError
-from .features import check_attribute_count, class_counts, presence_matrix, rank_tokens
+from .features import class_counts, presence_matrix, rank_tokens
 from .memory import build_instance_base, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -149,6 +149,19 @@ class FoldPlan:
     k_folds: int
     assignment: tuple[int, ...]
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.k_folds < 2:
+            raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
+        folds = set(range(self.k_folds))
+        outside = set(self.assignment) - folds
+        if outside:
+            raise ValueError(
+                f"fold ids {sorted(outside)} are outside range({self.k_folds})"
+            )
+        empty = folds.difference(self.assignment)
+        if empty:
+            raise ValueError(f"folds {sorted(empty)} hold no documents")
 
     def test_indices(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.assignment) if f == fold]
@@ -301,6 +314,14 @@ def _run_configurations(
     m range beyond the vocabulary fails at once, not in memory.
     """
     policy = DecisionPolicy.from_lambda(lam)
+    if len(plan.assignment) != len(corpus):
+        raise ValueError(
+            f"fold plan covers {len(plan.assignment)} documents "
+            f"but the corpus has {len(corpus)}"
+        )
+    largest = ms[-1]
+    if largest < 1:
+        raise ValueError(f"m must be >= 1, got {largest}")
     incidence = corpus.incidence
     assignment = np.array(plan.assignment)
     rankings = corpus.rankings.get(plan)
@@ -311,11 +332,15 @@ def _run_configurations(
             for stats in class_counts(incidence, assignment, plan.k_folds)
         )
     for ids in rankings:
-        check_attribute_count(ms[-1], len(ids))
+        if len(ids) < largest:
+            raise DataError(
+                f"requested {largest} attributes "
+                f"but only {len(ids)} distinct tokens available"
+            )
     per_m_counts: dict[int, list[ConfusionCounts]] = {}
     for fold, ids in enumerate(rankings):
         train = assignment != fold
-        x = presence_matrix(incidence, ids[: ms[-1]])
+        x = presence_matrix(incidence, ids[:largest])
         y_test = incidence.labels[~train]
         decisions = _predict(
             config, x[train], incidence.labels[train], x[~train], y_test, policy, ms

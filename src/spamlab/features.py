@@ -1,12 +1,14 @@
-"""Mutual-information attribute selection and binary vectorization.
+"""Mutual-information attribute selection and presence gather over an
+``Incidence``.
 
 Attributes are word-presence indicators: bit i of a document vector is 1
 iff attribute token i occurs in the document.  Candidate tokens are ranked
 by the mutual information between the presence indicator and the class,
 estimated from document-level frequency ratios with no smoothing and the
 0*log0 := 0 convention.  Scores are in bits (base-2 logs); the base only
-scales scores and never changes the ranking.  Counting, scoring and
-vectorizing are array work over a corpus ``Incidence``.
+scales scores and never changes the ranking.  The attributes of a training
+set are the top m ids of its ranking, and their presence matrix is
+gathered from the postings of just those ids.
 """
 
 from __future__ import annotations
@@ -17,41 +19,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, Incidence
-from .errors import DataError
+from .corpus import Incidence
 
 
 @dataclass(frozen=True, eq=False)
 class TokenStats:
-    """Per token id (an index into ``vocabulary``), the counted documents of
-    each class containing it; tokens with zero counts are not candidates."""
+    """Per token id (an index into the incidence's vocabulary), the counted
+    documents of each class containing it; tokens with zero counts are not
+    candidates."""
 
-    vocabulary: tuple[str, ...]
     n1_spam: np.ndarray
     n1_legit: np.ndarray
     n_spam: int
     n_legit: int
-
-    @property
-    def counts(self) -> dict[str, tuple[int, int]]:
-        """Candidate token -> (n docs with token | spam, | legit)."""
-        ids = np.flatnonzero(self.n1_spam + self.n1_legit).tolist()
-        spam, legit = self.n1_spam.tolist(), self.n1_legit.tolist()
-        return {self.vocabulary[i]: (spam[i], legit[i]) for i in ids}
-
-
-@dataclass(frozen=True)
-class AttributeSet:
-    """Top-m tokens in rank order with their MI scores (non-increasing) and
-    their ids in the vocabulary they were selected from."""
-
-    tokens: tuple[str, ...]
-    scores: tuple[float, ...]
-    ids: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.tokens)
 
 
 def class_counts(
@@ -81,18 +61,7 @@ def class_counts(
     for fold in range(k_folds):  # rows by Label: LEGITIMATE = 0, SPAM = 1
         n1_legit, n1_spam = totals - table[:, fold]
         n_legit, n_spam = train_docs[:, fold].tolist()
-        yield TokenStats(incidence.vocabulary, n1_spam, n1_legit, n_spam, n_legit)
-
-
-def token_class_counts(source: Corpus | Sequence[Document]) -> TokenStats:
-    """Count, per distinct token, the documents of each class containing it."""
-    if isinstance(source, Corpus):
-        incidence = source.incidence
-    else:
-        incidence = Incidence.from_documents(tuple(source))
-    # every document in fold 0, so the training set of fold 1 is all of them
-    _, stats = class_counts(incidence, np.zeros(len(incidence.labels), np.int64), 2)
-    return stats
+        yield TokenStats(n1_spam, n1_legit, n_spam, n_legit)
 
 
 def mutual_information_batch(
@@ -163,53 +132,17 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], scores[order]
 
 
-def check_attribute_count(m: int, available: int) -> None:
-    """ValueError unless m >= 1; DataError when fewer than m candidate
-    tokens are available to select from."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if available < m:
-        raise DataError(
-            f"requested {m} attributes but only {available} distinct tokens available"
-        )
-
-
-def select_attributes(stats: TokenStats, m: int) -> AttributeSet:
-    """The m highest-MI tokens; selection for m1 <= m2 is a prefix of m2's."""
-    check_attribute_count(m, np.count_nonzero(stats.n1_spam + stats.n1_legit))
-    ids, scores = rank_tokens(stats)
-    top = ids[:m].tolist()
-    return AttributeSet(
-        tokens=tuple(stats.vocabulary[i] for i in top),
-        scores=tuple(scores[:m].tolist()),
-        ids=tuple(top),
-    )
-
-
 def presence_matrix(incidence: Incidence, ids: Sequence[int]) -> np.ndarray:
     """(documents, len(ids)) uint8: column j marks the documents containing
-    token id ids[j]; an id of -1 gives an all-zero column.  Only the
-    postings of the listed ids are read."""
+    token id ids[j].  Only the postings of the listed ids are read."""
     ids = np.asarray(ids, dtype=np.int64)
-    columns = np.flatnonzero(ids >= 0)
-    known = ids[columns]
-    starts = incidence.indptr[known]
-    lengths = incidence.indptr[known + 1] - starts
+    starts = incidence.indptr[ids]
+    lengths = incidence.indptr[ids + 1] - starts
     # column j's postings sit at starts[j] + 0 .. lengths[j] - 1, and are
     # laid out back to back: shift a running count by each column's offset
     ends = np.cumsum(lengths)
     at = np.arange(ends[-1] if len(ends) else 0)
     at += np.repeat(starts - (ends - lengths), lengths)
     matrix = np.zeros((len(incidence.labels), len(ids)), dtype=np.uint8)
-    matrix[incidence.indices[at], np.repeat(columns, lengths)] = 1
+    matrix[incidence.indices[at], np.repeat(np.arange(len(ids)), lengths)] = 1
     return matrix
-
-
-def vectorize_documents(
-    docs: Sequence[Document], attributes: AttributeSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack document vectors into an (n, m) matrix plus a 0/1 label array."""
-    incidence = Incidence.from_documents(tuple(docs))
-    index = {token: i for i, token in enumerate(incidence.vocabulary)}
-    ids = [index.get(token, -1) for token in attributes.tokens]
-    return presence_matrix(incidence, ids), incidence.labels

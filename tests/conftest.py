@@ -3,14 +3,42 @@ from __future__ import annotations
 import errno
 import os
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from spamlab import FixtureParams, generate_fixture_corpus
+from spamlab import FixtureParams, TokenStats, generate_fixture_corpus
+from spamlab.corpus import Corpus
+from spamlab.features import class_counts, presence_matrix, rank_tokens
 
 # Heavy shared vocabulary so the classes are not trivially separable;
 # used wherever tests need real errors and mid-range posteriors.
 HARD_PARAMS = FixtureParams(overlap=0.85, shared_fraction=0.5)
+
+
+class Features(NamedTuple):
+    stats: TokenStats
+    tokens: tuple[str, ...]  # the top m, best first
+    scores: tuple[float, ...]
+    x: np.ndarray  # (documents, m) presence of those tokens
+    y: np.ndarray  # labels, 1 = spam
+
+
+def top_features(corpus: Corpus, m: int) -> Features:
+    """The engine's feature path with every document as training data:
+    class counts with all documents outside fold 0 (so fold 0 trains on
+    the whole corpus), the MI ranking, and the presence of the top m."""
+    incidence = corpus.incidence
+    stats = next(class_counts(incidence, np.ones(len(corpus), np.int64), 2))
+    ids, scores = rank_tokens(stats)
+    return Features(
+        stats,
+        tuple(incidence.vocabulary[i] for i in ids[:m].tolist()),
+        tuple(scores[:m].tolist()),
+        presence_matrix(incidence, ids[:m]),
+        incidence.labels,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import top_features
 from oracles import mi_direct, posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     ClassifierConfig,
@@ -38,12 +39,9 @@ from spamlab import (
     neighborhood_votes,
     paired_t_test,
     posterior_spam_batch,
-    select_attributes,
     sweep_attributes,
-    token_class_counts,
     total_cost_ratio,
     train_naive_bayes,
-    vectorize_documents,
     weighted_accuracy,
 )
 from spamlab.cli import main as cli_main
@@ -224,7 +222,7 @@ class TestCriterion4OracleSuites:
                         f"{prefix}{trial:02d}{i:03d}",
                     )
                 )
-            stats = token_class_counts(Corpus.from_documents(docs))
+            stats = top_features(Corpus.from_documents(docs), 0).stats
             if stats.n_spam == 0 or stats.n_legit == 0:
                 continue
             mine = mutual_information_batch(
@@ -308,8 +306,8 @@ class TestCriterion5Properties:
         corpus = generate_fixture_corpus(
             7, 170, 30, FixtureParams(overlap=0.85, shared_fraction=0.5)
         )
-        attrs = select_attributes(token_class_counts(corpus), 30)
-        matrix, labels = vectorize_documents(corpus.documents, attrs)
+        attrs = top_features(corpus, 30)
+        matrix, labels = attrs.x, attrs.y
         queries = matrix[:200]
         model = train_naive_bayes(matrix, labels)
         base = build_instance_base(matrix, labels)
@@ -341,10 +339,9 @@ class TestCriterion5Properties:
 
     def test_top_m_prefix(self):
         corpus = generate_fixture_corpus(7, 90, 10)
-        stats = token_class_counts(corpus)
-        full = select_attributes(stats, 80)
+        full = top_features(corpus, 80)
         ok = all(
-            select_attributes(stats, m).tokens == full.tokens[:m]
+            top_features(corpus, m).tokens == full.tokens[:m]
             for m in (1, 5, 20, 50, 79)
         )
         report(5, "top-m prefix property", ok)

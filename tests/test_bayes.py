@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import top_features
 from oracles import posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     DataError,
@@ -87,11 +88,8 @@ class TestTraining:
             build(np.array(vectors), [1, 0])
 
     def test_smoothed_conditionals_strictly_inside_unit_interval(self, hard_corpus):
-        from spamlab import select_attributes, token_class_counts, vectorize_documents
-
-        attrs = select_attributes(token_class_counts(hard_corpus), 40)
-        matrix, labels = vectorize_documents(hard_corpus.documents, attrs)
-        model = train_naive_bayes(matrix, labels)
+        attrs = top_features(hard_corpus, 40)
+        model = train_naive_bayes(attrs.x, attrs.y)
         for table in (model.p1_spam, model.p1_legit):
             assert np.all(table > 0.0) and np.all(table < 1.0)
 
@@ -190,12 +188,9 @@ class TestPosterior:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothed_model_never_saturates(self, hard_corpus):
-        from spamlab import select_attributes, token_class_counts, vectorize_documents
-
-        attrs = select_attributes(token_class_counts(hard_corpus), 30)
-        matrix, labels = vectorize_documents(hard_corpus.documents, attrs)
-        model = train_naive_bayes(matrix, labels)
-        posteriors = posterior_spam_batch(model, matrix)
+        attrs = top_features(hard_corpus, 30)
+        model = train_naive_bayes(attrs.x, attrs.y)
+        posteriors = posterior_spam_batch(model, attrs.x)
         assert np.all(posteriors > 0.0) and np.all(posteriors < 1.0)
 
     def test_unsmoothed_zero_in_one_class(self):

@@ -1,26 +1,60 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = Path(__file__).resolve().parents[1] / "src" / "spamlab"
+import spamlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / "spamlab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
-def test_library_imports_only_stdlib_and_numpy():
+def imported_packages(path: Path) -> set[str]:
+    """Top-level packages named by the absolute imports of a source file."""
     imported = set()
-    for path in SOURCES.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    imported = set().union(*map(imported_packages, SOURCES.glob("*.py")))
     assert imported and imported <= ALLOWED, sorted(imported - ALLOWED)
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+def test_oracles_import_no_library_code():
+    # the oracles pin the library's results only while they share no code;
+    # stdlib only, so no test module can bring spamlab in either
+    imported = imported_packages(ROOT / "tests" / "oracles.py")
+    stdlib = set(sys.stdlib_module_names)
+    assert imported and imported <= stdlib, sorted(imported - stdlib)
+
+
+def test_readme_lists_the_package_api():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        (module, name)
+        for module, names in re.findall(r"^- `spamlab\.(\w+)`: (.*(?:\n  .*)*)", section, re.M)
+        for name in re.findall(r"`(\w+)`", names)
+    }
+    exported = {
+        (getattr(spamlab, name).__module__.removeprefix("spamlab."), name)
+        for name in vars(spamlab)
+        if not name.startswith("_") and not inspect.ismodule(getattr(spamlab, name))
+    }
+    assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
+
+
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st

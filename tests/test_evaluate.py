@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import top_features
 from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
@@ -18,6 +19,7 @@ from spamlab import (
     DataError,
     Document,
     FixtureParams,
+    FoldPlan,
     Label,
     baseline_metrics,
     confusion_counts,
@@ -33,13 +35,7 @@ from spamlab import (
 from spamlab.cli import main
 from spamlab.corpus import Corpus, Incidence
 from spamlab.evaluate import t_critical_value
-from spamlab.features import (
-    class_counts,
-    presence_matrix,
-    select_attributes,
-    token_class_counts,
-    vectorize_documents,
-)
+from spamlab.features import class_counts, presence_matrix, rank_tokens
 from spamlab.bayes import train_naive_bayes
 
 
@@ -271,6 +267,35 @@ class TestFoldPlan:
         seen = sorted(i for fold in range(10) for i in plan.test_indices(fold))
         assert seen == list(range(len(corpus)))
 
+    @pytest.mark.parametrize(
+        "make_plan,message",
+        [
+            (
+                lambda n: make_stratified_folds(tiny_corpus(60, 12), seed=0),
+                "fold plan covers 72 documents but the corpus has 240",
+            ),
+            (
+                lambda n: FoldPlan(10, tuple(i % 11 for i in range(n)), 0),
+                r"fold ids \[10\] are outside range\(10\)",
+            ),
+            (
+                lambda n: FoldPlan(10, (-1,) + (0,) * (n - 1), 0),
+                r"fold ids \[-1\] are outside range\(10\)",
+            ),
+            (lambda n: FoldPlan(1, (0,) * n, 0), "k_folds must be >= 2, got 1"),
+            (lambda n: FoldPlan(4, tuple(i % 3 for i in range(n)), 0), r"folds \[3\] hold no"),
+            (lambda n: FoldPlan(2, (), 0), r"folds \[0, 1\] hold no documents"),
+        ],
+        ids=[
+            "another corpus", "fold id at k_folds", "negative fold id", "one fold",
+            "empty fold", "no documents",
+        ],
+    )
+    def test_plan_that_does_not_fit_the_corpus_is_refused(self, hard_corpus, make_plan, message):
+        with pytest.raises(ValueError, match=message):
+            plan = make_plan(len(hard_corpus))
+            cross_validate(hard_corpus, ClassifierConfig(kind="nb"), 1.0, 10, plan)
+
 
 class TestCrossValidate:
     def test_always_legitimate_reproduces_baseline_exactly(self, cv_corpus):
@@ -320,6 +345,21 @@ class TestCrossValidate:
         assert pooled.total == len(cv_corpus)
         assert pooled.n_spam == cv_corpus.n_spam
 
+    def test_integer_labels_count_as_their_label(self, hard_corpus):
+        as_ints = Corpus.from_documents(
+            Document(d.tokens, int(d.label), d.source_id) for d in hard_corpus.documents
+        )
+        assert all(type(d.label) is Label for d in as_ints.documents)
+        assert (as_ints.n_legit, as_ints.n_spam) == (hard_corpus.n_legit, hard_corpus.n_spam)
+        assert (as_ints.n_legit, as_ints.n_spam) == (200, 40)
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        config = ClassifierConfig(kind="nb")
+        result = cross_validate(as_ints, config, 9.0, 20, plan)
+        assert result == cross_validate(hard_corpus, config, 9.0, 20, plan)
+        assert result.baseline_werr == pytest.approx(40 / (9 * 200 + 40))
+        with pytest.raises(ValueError, match="2 is not a valid Label"):
+            Document(("free",), 2, "msg00000")
+
     def test_no_leakage_from_test_documents(self, hard_corpus):
         plan = make_stratified_folds(hard_corpus, seed=0)
         fold = 3
@@ -330,7 +370,7 @@ class TestCrossValidate:
             return train, test
 
         train_before, test_before = split(hard_corpus, plan)
-        attrs_before = select_attributes(token_class_counts(train_before), m)
+        attrs_before = top_features(Corpus.from_documents(train_before), m)
 
         # drop one test-fold document and rebuild plan for the survivors
         victim = test_before[0]
@@ -344,19 +384,19 @@ class TestCrossValidate:
         )
         train_after, _ = split(reduced, reduced_plan)
         assert train_after == train_before
-        attrs_after = select_attributes(token_class_counts(train_after), m)
-        assert attrs_after == attrs_before
-        x_before, y_before = vectorize_documents(train_before, attrs_before)
-        x_after, y_after = vectorize_documents(train_after, attrs_after)
-        model_before = train_naive_bayes(x_before, y_before)
-        model_after = train_naive_bayes(x_after, y_after)
+        attrs_after = top_features(Corpus.from_documents(train_after), m)
+        assert attrs_after.tokens == attrs_before.tokens
+        assert attrs_after.scores == attrs_before.scores
+        model_before = train_naive_bayes(attrs_before.x, attrs_before.y)
+        model_after = train_naive_bayes(attrs_after.x, attrs_after.y)
         assert model_before.prior_spam == model_after.prior_spam
         assert (model_before.p1_spam == model_after.p1_spam).all()
 
 class TestFoldFeatures:
     """Per-fold features as the engine computes them: class_counts over the
-    corpus incidence, the ranking (select_attributes is its top-m prefix),
-    then presence_matrix; and the engine's per-plan ranking cache."""
+    corpus incidence, rank_tokens (a fold's attributes are the top-m prefix
+    of its ranking), then presence_matrix; and the engine's per-plan
+    ranking cache."""
 
     @staticmethod
     def _fold_stats(corpus, plan):
@@ -368,26 +408,27 @@ class TestFoldFeatures:
 
     @staticmethod
     def _assert_presence(corpus, ids):
-        # set membership per document; an id of -1 names no token
+        # set membership per document
         vocabulary = corpus.incidence.vocabulary
         matrix = presence_matrix(corpus.incidence, ids)
         assert matrix.shape == (len(corpus), len(ids))
-        tokens = [vocabulary[i] if i >= 0 else None for i in ids]
+        tokens = [vocabulary[i] for i in ids]
         for row, d in zip(matrix, corpus.documents):
             present = set(d.tokens)
             assert row.tolist() == [int(t in present) for t in tokens]
 
     def test_rankings_and_vectors_match_brute_force(self, hard_corpus):
         plan = make_stratified_folds(hard_corpus, seed=0)
-        last = len(hard_corpus.incidence.vocabulary) - 1
+        vocabulary = hard_corpus.incidence.vocabulary
+        last = len(vocabulary) - 1
         for fold, stats in enumerate(self._fold_stats(hard_corpus, plan)):
             train = self._train_docs(hard_corpus, plan, fold)
             ranked = ranking_direct([(d.tokens, d.label is Label.SPAM) for d in train])
-            attrs = select_attributes(stats, len(ranked))
-            assert attrs.tokens == tuple(token for token, _ in ranked), fold
-            assert attrs.scores == pytest.approx([mi for _, mi in ranked], abs=1e-12)
-            top = list(attrs.ids[:30])
-            for ids in (top, [-1, *top[:3], -1, -1, top[3], -1], [], [last, top[0], last]):
+            ids, scores = rank_tokens(stats)
+            assert [vocabulary[i] for i in ids] == [token for token, _ in ranked], fold
+            assert scores.tolist() == pytest.approx([mi for _, mi in ranked], abs=1e-12)
+            top = ids[:30].tolist()
+            for ids in (top, [], [last, top[0], last], top[::-1]):
                 self._assert_presence(hard_corpus, ids)
         assert fold == plan.k_folds - 1
 
@@ -403,7 +444,8 @@ class TestFoldFeatures:
             assert (stats.n_spam, stats.n_legit) == (len(spam), len(legit)), fold
             for n1, docs in ((stats.n1_spam, spam), (stats.n1_legit, legit)):
                 per_token = Counter(t for tokens in docs for t in tokens)
-                assert n1.tolist() == [per_token[t] for t in stats.vocabulary], fold
+                vocabulary = hard_corpus.incidence.vocabulary
+                assert n1.tolist() == [per_token[t] for t in vocabulary], fold
 
     def test_token_only_in_test_documents_is_no_candidate(self, hard_corpus):
         plan = make_stratified_folds(hard_corpus, seed=0)
@@ -418,10 +460,10 @@ class TestFoldFeatures:
         assert make_stratified_folds(planted, seed=0) == plan
         folds = list(self._fold_stats(planted, plan))
         stats = folds[fold]
-        assert "leako" in planted.incidence.vocabulary
-        assert "leako" not in stats.counts
-        assert "leako" not in select_attributes(stats, len(stats.counts)).tokens
-        assert folds[0].counts["leako"][0] > 0  # visible wherever it is training data
+        leako = planted.incidence.vocabulary.index("leako")
+        assert stats.n1_spam[leako] == stats.n1_legit[leako] == 0
+        assert leako not in rank_tokens(stats)[0]
+        assert folds[0].n1_spam[leako] > 0  # visible wherever it is training data
         config = ClassifierConfig(kind="nb")
         before = cross_validate(hard_corpus, config, 1.0, 15, plan)
         after = cross_validate(planted, config, 1.0, 15, plan)
@@ -491,9 +533,8 @@ class TestFoldFeatures:
         fresh = Corpus.from_documents(hard_corpus.documents)
         assert mb == cross_validate(fresh, ClassifierConfig(kind="mb", k=2), 1.0, 30, plan)
         for fold, stats in enumerate(self._fold_stats(corpus, plan)):
-            top = select_attributes(stats, 30).ids
             assert rankings[fold].dtype == np.int32
-            assert rankings[fold][:30].tolist() == list(top), fold
+            assert rankings[fold].tolist() == rank_tokens(stats)[0].tolist(), fold
 
     def test_new_plan_recounts_and_replaces_the_rankings(self, hard_corpus, monkeypatch):
         calls = self._counting_class_counts(monkeypatch)

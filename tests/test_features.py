@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import top_features
 from oracles import mi_direct, mi_exact
 from spamlab import (
+    ClassifierConfig,
     DataError,
     Document,
     Label,
+    cross_validate,
+    make_stratified_folds,
     mutual_information_batch,
-    select_attributes,
-    token_class_counts,
-    vectorize_documents,
 )
-from spamlab.corpus import Corpus
-from spamlab.features import AttributeSet, TokenStats, rank_tokens
+from spamlab.corpus import Corpus, Incidence
+from spamlab.features import TokenStats, presence_matrix, rank_tokens
 
 
 def doc(tokens, label, source_id):
@@ -28,25 +29,30 @@ def corpus_of(*docs):
     return Corpus.from_documents(docs)
 
 
+def counts(corpus):
+    """Whole-corpus class counts: token -> (n docs with token | spam, | legit)."""
+    stats = top_features(corpus, 0).stats
+    pairs = zip(stats.n1_spam.tolist(), stats.n1_legit.tolist())
+    return dict(zip(corpus.incidence.vocabulary, pairs)), stats
+
+
 class TestTokenClassCounts:
     def test_both_spam_docs_contain_token(self):
-        stats = token_class_counts(
+        per_token, stats = counts(
             corpus_of(
                 doc(["free", "cash"], Label.SPAM, "spmsg1"),
                 doc(["free"], Label.SPAM, "spmsg2"),
             )
         )
-        assert stats.counts["free"] == (2, 0)
+        assert per_token["free"] == (2, 0)
         assert stats.n_spam == 2 and stats.n_legit == 0
 
     def test_repeated_token_counts_once_per_document(self):
-        stats = token_class_counts(
-            corpus_of(doc(["echo", "echo", "echo"], Label.SPAM, "spmsg1"))
-        )
-        assert stats.counts["echo"] == (1, 0)
+        per_token, _ = counts(corpus_of(doc(["echo", "echo", "echo"], Label.SPAM, "spmsg1")))
+        assert per_token["echo"] == (1, 0)
 
     def test_four_document_enumeration(self):
-        stats = token_class_counts(
+        per_token, stats = counts(
             corpus_of(
                 doc(["cash"], Label.SPAM, "spmsg1"),
                 doc(["cash", "now"], Label.SPAM, "spmsg2"),
@@ -54,7 +60,7 @@ class TestTokenClassCounts:
                 doc(["agenda"], Label.LEGITIMATE, "msg2"),
             )
         )
-        assert stats.counts["cash"] == (2, 0)
+        assert per_token["cash"] == (2, 0)
         assert stats.n_spam == 2 and stats.n_legit == 2
 
 
@@ -106,16 +112,15 @@ class TestMutualInformation:
                 tokens = rng.sample(vocabulary, rng.randint(1, 8))
                 prefix = "spmsg" if label is Label.SPAM else "msg"
                 docs.append(doc(tokens, label, f"{prefix}{trial:02d}{i:03d}"))
-            stats = token_class_counts(docs)
+            per_token, stats = counts(Corpus.from_documents(docs))
             if stats.n_spam == 0 or stats.n_legit == 0:
                 continue
             mine = mutual_information_batch(
                 stats.n1_spam, stats.n1_legit, stats.n_spam, stats.n_legit
             )
-            for token, (n1s, n1l) in stats.counts.items():
+            for score, (token, (n1s, n1l)) in zip(mine, per_token.items()):
                 reference = mi_direct(n1s, n1l, stats.n_spam, stats.n_legit)
-                index = stats.vocabulary.index(token)
-                assert mine[index] == pytest.approx(reference, abs=1e-12), token
+                assert score == pytest.approx(reference, abs=1e-12), token
 
 
 class TestMutualInformationBatch:
@@ -143,31 +148,39 @@ class TestMutualInformationBatch:
             doc(["zeta", "alpha", "mid", "zeta"], Label.SPAM, "spmsg1"),
             doc(["beta"], Label.LEGITIMATE, "msg1"),
         ]
-        attrs = select_attributes(token_class_counts(docs), 4)
+        attrs = top_features(Corpus.from_documents(docs), 4)
         assert attrs.tokens == ("alpha", "beta", "mid", "zeta")
         assert attrs.scores == (1.0, 1.0, 1.0, 1.0)
 
 
 class TestSelectAttributes:
+    """The top m of rank_tokens, and the engine's check of m against the
+    candidates of every fold."""
+
     @staticmethod
-    def _stats(counts, n_spam, n_legit):
-        vocabulary = tuple(sorted(counts))
-        n1_spam = np.array([counts[t][0] for t in vocabulary])
-        n1_legit = np.array([counts[t][1] for t in vocabulary])
-        return TokenStats(vocabulary, n1_spam, n1_legit, n_spam, n_legit)
+    def _ranked(per_token, n_spam, n_legit):
+        vocabulary = sorted(per_token)
+        n1_spam = np.array([per_token[t][0] for t in vocabulary])
+        n1_legit = np.array([per_token[t][1] for t in vocabulary])
+        ids, scores = rank_tokens(TokenStats(n1_spam, n1_legit, n_spam, n_legit))
+        return [vocabulary[i] for i in ids], scores.tolist()
+
+    @staticmethod
+    def _cross_validate(corpus, m):
+        plan = make_stratified_folds(corpus, k_folds=2, seed=0)
+        return cross_validate(corpus, ClassifierConfig(kind="nb"), 1.0, m, plan)
 
     def test_orders_by_score(self):
         # b is a perfect marker, a partial, c carries nothing
-        stats = self._stats(
+        tokens, scores = self._ranked(
             {"a": (3, 1), "b": (4, 0), "c": (2, 2)}, n_spam=4, n_legit=4
         )
-        selected = select_attributes(stats, 2)
-        assert selected.tokens == ("b", "a")
-        assert selected.scores[0] >= selected.scores[1]
+        assert tokens[:2] == ["b", "a"]
+        assert scores[0] >= scores[1]
 
     def test_lexicographic_tie_break(self):
-        stats = self._stats({"b": (2, 0), "a": (2, 0)}, n_spam=2, n_legit=2)
-        assert select_attributes(stats, 1).tokens == ("a",)
+        tokens, _ = self._ranked({"b": (2, 0), "a": (2, 0)}, n_spam=2, n_legit=2)
+        assert tokens[:1] == ["a"]
 
     @pytest.mark.parametrize("n_spam,n_legit", [(6, 8), (7, 3), (7, 7), (8, 8), (4, 9)])
     def test_every_count_pair_ranks_in_exact_order(self, n_spam, n_legit):
@@ -175,8 +188,7 @@ class TestSelectAttributes:
         # n_legit, and coincidences such as (0, 2) ~ (4, 2) at 6 / 8
         pairs = [(a, b) for a in range(n_spam + 1) for b in range(n_legit + 1) if a + b]
         stats = TokenStats(
-            tuple(f"t{i:03d}" for i in range(len(pairs))),
-            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), n_spam, n_legit,
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), n_spam, n_legit
         )
         exact = [mi_exact(a, b, n_spam, n_legit) for a, b in pairs]
         ids, scores = rank_tokens(stats)
@@ -186,78 +198,82 @@ class TestSelectAttributes:
         assert ties == (scores[:-1] == scores[1:]).tolist()
 
     def test_error_reports_available_count(self):
-        stats = self._stats({"a": (1, 0)}, n_spam=1, n_legit=1)
+        # every training set holds the one token "a"
+        corpus = corpus_of(
+            *(doc(["a"], Label.SPAM, f"spmsg{i}") for i in range(2)),
+            *(doc(["a", "a"], Label.LEGITIMATE, f"msg{i}") for i in range(2)),
+        )
+        assert self._cross_validate(corpus, 1).m == 1
         with pytest.raises(DataError, match="only 1"):
-            select_attributes(stats, 2)
+            self._cross_validate(corpus, 2)
 
     def test_no_documents_reports_zero_available(self):
+        # documents without tokens leave no candidates
+        corpus = corpus_of(
+            *(doc([], label, f"{label}{i}") for label in Label for i in range(2))
+        )
         with pytest.raises(DataError, match="only 0"):
-            select_attributes(token_class_counts([]), 1)
+            self._cross_validate(corpus, 1)
 
     def test_requested_cardinality(self, small_corpus):
-        stats = token_class_counts(small_corpus)
-        assert select_attributes(stats, 100).m == 100
+        attrs = top_features(small_corpus, 100)
+        assert len(attrs.tokens) == len(attrs.scores) == 100
+        assert attrs.x.shape == (len(small_corpus), 100)
 
     def test_prefix_property(self, small_corpus):
-        stats = token_class_counts(small_corpus)
-        bigger = select_attributes(stats, 60)
+        bigger = top_features(small_corpus, 60)
         for m in (1, 7, 30, 59):
-            smaller = select_attributes(stats, m)
+            smaller = top_features(small_corpus, m)
             assert smaller.tokens == bigger.tokens[:m]
+            assert np.array_equal(smaller.x, bigger.x[:, :m])
 
     def test_scores_non_increasing(self, small_corpus):
-        stats = token_class_counts(small_corpus)
-        scores = select_attributes(stats, 80).scores
+        scores = top_features(small_corpus, 80).scores
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_rank_covers_every_candidate(self, small_corpus):
-        stats = token_class_counts(small_corpus)
+        stats = top_features(small_corpus, 0).stats
         tokens, scores = rank_tokens(stats)
-        assert len(tokens) == len(stats.counts) == len(scores)
-
-
-def vectorize(d, attributes):
-    return vectorize_documents([d], attributes)[0][0]
+        candidates = np.flatnonzero(stats.n1_spam + stats.n1_legit)
+        assert sorted(tokens.tolist()) == candidates.tolist()
+        assert len(scores) == len(candidates) == len(small_corpus.incidence.vocabulary)
 
 
 class TestVectorize:
-    # ids index the vocabulary ("earn", "free") the set was selected from
-    ATTRS = AttributeSet(tokens=("free", "earn"), scores=(0.5, 0.25), ids=(1, 0))
+    """presence_matrix: column j marks the documents containing ids[j]."""
+
+    DOCS = (
+        doc(["free", "cash"], Label.SPAM, "s1"),
+        doc([], Label.LEGITIMATE, "m1"),
+        doc(["earn", "free"], Label.SPAM, "s2"),
+    )
+
+    def _rows(self):
+        incidence = Incidence.from_documents(self.DOCS)
+        ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
+        return presence_matrix(incidence, ids).tolist()
 
     def test_presence_bits(self):
-        vector = vectorize(doc(["free", "cash"], Label.SPAM, "s1"), self.ATTRS)
-        assert vector.tolist() == [1, 0]
+        assert self._rows()[0] == [1, 0]
 
     def test_empty_document_all_zero(self):
-        vector = vectorize(doc([], Label.LEGITIMATE, "m1"), self.ATTRS)
-        assert vector.tolist() == [0, 0]
+        assert self._rows()[1] == [0, 0]
 
     def test_full_document_all_one(self):
-        vector = vectorize(doc(["earn", "free"], Label.SPAM, "s1"), self.ATTRS)
-        assert vector.tolist() == [1, 1]
+        assert self._rows()[2] == [1, 1]
 
     def test_pure_function(self):
-        d = doc(["free"], Label.SPAM, "s1")
-        assert np.array_equal(vectorize(d, self.ATTRS), vectorize(d, self.ATTRS))
+        assert self._rows() == self._rows()
 
     def test_batch_matches_scalar(self, small_corpus):
         # the scalar reference is plain set membership, document by document
-        stats = token_class_counts(small_corpus)
-        top = select_attributes(stats, 25).tokens
-        docs = small_corpus.documents[:40]
-        last = max(t for d in docs for t in d.tokens)  # the batch's largest id
-        index = {t: i for i, t in enumerate(stats.vocabulary)}
-        for tokens in (
-            top,
-            ("nonesuch", *top[:3], "absent", "unseen", top[3]),  # unknown: id -1
-            (),
-            (last, top[0], last),
-        ):
-            ids = tuple(index.get(t, -1) for t in tokens)
-            attrs = AttributeSet(tokens, (0.0,) * len(tokens), ids)
-            matrix, labels = vectorize_documents(docs, attrs)
-            assert matrix.shape == (len(docs), len(tokens))
-            for row, d in zip(matrix, docs):
+        incidence = small_corpus.incidence
+        index = {t: i for i, t in enumerate(incidence.vocabulary)}
+        top = top_features(small_corpus, 25).tokens
+        last = incidence.vocabulary[-1]  # the largest id
+        for tokens in (top, (), (last, top[0], last), top[::-1]):
+            matrix = presence_matrix(incidence, [index[t] for t in tokens])
+            assert matrix.shape == (len(small_corpus), len(tokens))
+            for row, d in zip(matrix, small_corpus.documents):
                 present = set(d.tokens)
                 assert row.tolist() == [int(t in present) for t in tokens]
-        assert labels.tolist() == [int(d.label) for d in docs]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import top_features
 from oracles import neighborhood_direct
 from spamlab import (
     DataError,
@@ -280,21 +281,17 @@ class TestSweep:
 
 class TestLargeKDegeneracy:
     def test_k_covering_all_distances_acts_like_majority_rule(self, hard_corpus):
-        from spamlab import select_attributes, token_class_counts, vectorize_documents
-
-        attrs = select_attributes(token_class_counts(hard_corpus), 10)
-        matrix, labels = vectorize_documents(hard_corpus.documents, attrs)
+        attrs = top_features(hard_corpus, 10)
+        matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
         policy = DecisionPolicy.from_lambda(1.0)
         # k > m means every distance value is inside the neighborhood
-        predicted = classify_mb_batch(base, matrix, attrs.m + 1, policy)
+        predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, policy)
         assert predicted.tolist() == [0] * len(matrix)
 
     def test_k10_on_few_attributes_approaches_the_baseline(self, hard_corpus):
-        from spamlab import select_attributes, token_class_counts, vectorize_documents
-
-        attrs = select_attributes(token_class_counts(hard_corpus), 10)
-        matrix, labels = vectorize_documents(hard_corpus.documents, attrs)
+        attrs = top_features(hard_corpus, 10)
+        matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
         policy = DecisionPolicy.from_lambda(1.0)
         predicted = classify_mb_batch(base, matrix, 10, policy)
