@@ -44,7 +44,13 @@ from .evaluate import (
     total_cost_ratio,
     weighted_accuracy,
 )
-from .features import TokenStats, mutual_information_batch
+from .features import (
+    TokenStats,
+    class_counts,
+    mutual_information_batch,
+    presence_matrix,
+    rank_tokens,
+)
 from .memory import (
     InstanceBase,
     build_instance_base,

@@ -93,7 +93,7 @@ def training_set(
     y = np.asarray(labels)
     if len(y) != len(matrix):
         raise DataError("vector and label counts differ")
-    if not np.isin(y, (0, 1)).all():
+    if not is_zero_one(y):
         raise DataError("labels must be 0 (legitimate) or 1 (spam)")
     return matrix, y.astype(np.uint8)
 

@@ -60,14 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt_g(value: float) -> str:
-    return f"{value:g}"
-
-
-def _fmt_frac(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6f}"
-
-
 def _fmt_pct(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value * 100:.3f}%"
 
@@ -138,16 +130,16 @@ def _result_row(result: AggregateResult) -> str:
     return ",".join(
         (
             result.classifier,
-            _fmt_g(result.lam),
+            f"{result.lam:g}",
             str(result.m),
             k,
             str(result.seed),
-            _fmt_frac(result.spam_recall),
-            _fmt_frac(result.spam_precision),
-            _fmt_frac(result.mean_wacc),
-            _fmt_frac(result.mean_werr),
-            _fmt_frac(result.baseline_werr),
-            _fmt_frac(result.tcr),
+            f"{result.spam_recall:.6f}",
+            f"{result.spam_precision:.6f}",
+            f"{result.mean_wacc:.6f}",
+            f"{result.mean_werr:.6f}",
+            f"{result.baseline_werr:.6f}",
+            f"{result.tcr:.6f}",
             fold_waccs,
         )
     )
@@ -194,10 +186,10 @@ def _emit(echo: dict, results: list[AggregateResult], out: str) -> None:
     for r in results:
         k_part = f" k={r.k}" if r.k is not None else ""
         print(
-            f"{r.classifier} lambda={_fmt_g(r.lam)} m={r.m}{k_part} seed={r.seed}: "
+            f"{r.classifier} lambda={r.lam:g} m={r.m}{k_part} seed={r.seed}: "
             f"SR={_fmt_pct(r.spam_recall)} SP={_fmt_pct(r.spam_precision)} "
             f"WAcc={_fmt_pct(r.mean_wacc)} baseline={_fmt_pct(r.baseline_wacc)} "
-            f"TCR={'inf' if math.isinf(r.tcr) else f'{r.tcr:.2f}'}",
+            f"TCR={r.tcr:.2f}",
             file=summary_stream,
         )
 
@@ -294,11 +286,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     print(f"A: {_ident(row_a)} wacc_mean={row_a['wacc_mean']}")
     print(f"B: {_ident(row_b)} wacc_mean={row_b['wacc_mean']}")
-    t = outcome.t_statistic
-    t_text = "inf" if t == math.inf else ("-inf" if t == -math.inf else f"{t:.3f}")
     verdict = "significant" if outcome.significant_at_05 else "not significant"
     print(
-        f"t={t_text} df={outcome.degrees_of_freedom} "
+        f"t={outcome.t_statistic:.3f} df={outcome.degrees_of_freedom} "
         f"{verdict} at 0.05 (one-tailed, A > B)"
     )
     return 0

@@ -19,9 +19,10 @@ from __future__ import annotations
 import enum
 import os
 import string
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
@@ -86,7 +87,8 @@ class Incidence:
     the attribute-ranking tie-break.  Token id t occurs in exactly the
     document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending (int32,
     4 bytes per document-token pair); ``labels[r]`` is row r's Label.  Only
-    presence is kept, never a dense document x vocabulary matrix.
+    presence is kept, never a dense document x vocabulary matrix.  The build
+    makes one dict lookup and a transient 8-byte key per token occurrence.
     """
 
     vocabulary: tuple[str, ...]
@@ -96,23 +98,27 @@ class Incidence:
 
     @classmethod
     def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
-        vocabulary = tuple(sorted(set().union(*(d.tokens for d in documents))))
-        index = {token: i for i, token in enumerate(vocabulary)}.__getitem__
-        rows = [np.fromiter(map(index, set(d.tokens)), np.int32) for d in documents]
-        n = max(len(rows), 1)
-        # one key token * n + row per pair: sorted, it lists each token's
-        # rows in ascending order, token after token
-        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-        key = np.concatenate(rows, dtype=np.int64) if rows else np.zeros(0, np.int64)
-        del rows  # the int64 key now holds every pair; keep one copy alive
-        key *= n
+        n = max(len(documents), 1)
+        lengths = np.fromiter((len(d.tokens) for d in documents), np.int64, len(documents))
+        first_seen = defaultdict(count().__next__)  # token -> id by first sight
+        occurrences = chain.from_iterable(d.tokens for d in documents)
+        key = np.fromiter(map(first_seen.__getitem__, occurrences), np.int64, int(lengths.sum()))
+        vocabulary = tuple(sorted(first_seen))
+        order = np.fromiter(map(first_seen.__getitem__, vocabulary), np.int64, len(vocabulary))
+        # one key token * n + row per occurrence, token the lexicographic id
+        # (mapped in place; mode "raise" would buffer a copy): sorted, with
+        # adjacent duplicates dropped, it lists each token's rows in ascending
+        # order, token after token
+        scaled = np.empty(len(order), np.int64)
+        scaled[order] = np.arange(0, len(order) * n, n, dtype=np.int64)
+        np.take(scaled, key, out=key, mode="clip")
         key += np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         key.sort()
+        key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
         indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
         key %= n
-        indices = key.astype(np.int32)
         labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
-        return cls(vocabulary, indptr, indices, labels)
+        return cls(vocabulary, indptr, key.astype(np.int32), labels)
 
 
 @dataclass(frozen=True)

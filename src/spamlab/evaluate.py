@@ -24,6 +24,7 @@ import numpy as np
 from .bayes import (
     DecisionPolicy,
     classify_nb_batch,
+    is_zero_one,
     lambda_to_threshold,
     train_naive_bayes,
 )
@@ -74,13 +75,13 @@ def confusion_counts(
     gold: Sequence[Label] | np.ndarray, predicted: Sequence[Label] | np.ndarray
 ) -> ConfusionCounts:
     """Tally the four cells from parallel gold and predicted labels (1 = spam)."""
-    g = np.asarray(gold, dtype=np.intp)
-    p = np.asarray(predicted, dtype=np.intp)
+    g = np.asarray(gold)
+    p = np.asarray(predicted)
     if g.shape != p.shape:
         raise ValueError(f"gold and predicted lengths differ: {len(g)} vs {len(p)}")
-    if not np.isin(g, (0, 1)).all() or not np.isin(p, (0, 1)).all():
+    if not is_zero_one(g) or not is_zero_one(p):
         raise ValueError("labels must be 0 (legitimate) or 1 (spam)")
-    ll, ls, sl, ss = np.bincount(2 * g + p, minlength=4).tolist()
+    ll, ls, sl, ss = np.bincount((2 * g + p).astype(np.intp), minlength=4).tolist()
     return ConfusionCounts(
         n_legit_legit=ll, n_legit_spam=ls, n_spam_spam=ss, n_spam_legit=sl
     )
@@ -162,9 +163,6 @@ class FoldPlan:
         empty = folds.difference(self.assignment)
         if empty:
             raise ValueError(f"folds {sorted(empty)} hold no documents")
-
-    def test_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
 
 
 def make_stratified_folds(corpus: Corpus, k_folds: int = 10, seed: int = 0) -> FoldPlan:

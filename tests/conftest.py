@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from spamlab import FixtureParams, TokenStats, generate_fixture_corpus
+from spamlab import FixtureParams, FoldPlan, TokenStats, generate_fixture_corpus
 from spamlab.corpus import Corpus
 from spamlab.features import class_counts, presence_matrix, rank_tokens
 
@@ -39,6 +39,11 @@ def top_features(corpus: Corpus, m: int) -> Features:
         presence_matrix(incidence, ids[:m]),
         incidence.labels,
     )
+
+
+def fold_members(plan: FoldPlan, fold: int) -> list[int]:
+    """The indices of the documents that a fold plan tests in one fold."""
+    return [i for i, f in enumerate(plan.assignment) if f == fold]
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import top_features
+from conftest import fold_members, top_features
 from oracles import mi_direct, posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     ClassifierConfig,
@@ -390,7 +390,7 @@ class TestCriterion5Properties:
             for take_spam in (True, False):
                 sizes = []
                 for fold in range(plan.k_folds):
-                    indices = plan.test_indices(fold)
+                    indices = fold_members(plan, fold)
                     spam = sum(
                         1
                         for i in indices

@@ -83,7 +83,7 @@ class TestEvaluate:
 
     def test_oracle_hook_reports_infinite_tcr(self, capsys, fixture_dir, tmp_path):
         out_file = tmp_path / "oracle.csv"
-        code, _, _ = run(capsys, [
+        code, out, _ = run(capsys, [
             "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
             "--m", "15", "--oracle", "--out", str(out_file),
         ])
@@ -91,6 +91,7 @@ class TestEvaluate:
         row = out_file.read_text().splitlines()[3].split(",")
         assert row[0] == "oracle"
         assert row[10] == "inf"
+        assert out.rstrip().endswith(" TCR=inf")
 
     def test_mb_k_recorded(self, capsys, fixture_dir, tmp_path):
         out_file = tmp_path / "mb.csv"
@@ -253,6 +254,26 @@ class TestCompare:
         assert code == 0
         assert "t=0.000" in out
         assert "not significant" in out
+
+    @pytest.mark.parametrize("wacc_a,wacc_b,expected", [
+        ("0.900000", "0.800000", "t=inf df=9 significant"),
+        ("0.800000", "0.900000", "t=-inf df=9 not significant"),
+    ])
+    def test_constant_fold_difference_gives_infinite_t(
+        self, capsys, fixture_dir, tmp_path, wacc_a, wacc_b, expected
+    ):
+        base = tmp_path / "base.csv"
+        self._evaluate(fixture_dir, base, [])
+        lines = base.read_text().splitlines()
+        paths = []
+        for name, wacc in (("a.csv", wacc_a), ("b.csv", wacc_b)):
+            fields = lines[3].split(",")
+            fields[-1] = ";".join([wacc] * 10)
+            paths.append(tmp_path / name)
+            paths[-1].write_text("\n".join(lines[:3] + [",".join(fields)]) + "\n")
+        code, out, _ = run(capsys, ["compare", str(paths[0]), str(paths[1])])
+        assert code == 0
+        assert expected in out
 
     def test_mismatched_seeds_exit_3(self, capsys, fixture_dir, tmp_path):
         a = tmp_path / "a.csv"

@@ -373,6 +373,10 @@ def assert_incidence_matches(inc, documents):
 
 
 INCIDENCE_WORDS = ("ant", "bee", "cat", "dog", "eel", "fly")
+# a loaded corpus shares one str object per token; an in-memory one may not
+INCIDENCE_TOKENS = st.sampled_from(INCIDENCE_WORDS) | st.sampled_from(INCIDENCE_WORDS).map(
+    lambda word: "".join(list(word))
+)
 
 
 class TestDocumentHelpers:
@@ -381,9 +385,7 @@ class TestDocumentHelpers:
 
     @given(
         st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(INCIDENCE_WORDS), max_size=8), st.booleans()
-            ),
+            st.tuples(st.lists(INCIDENCE_TOKENS, max_size=8), st.booleans()),
             min_size=1,
             max_size=8,
         ),
@@ -391,6 +393,12 @@ class TestDocumentHelpers:
     )
     @example([(["cat", "ant", "cat"], True)], False)  # a single document
     @example([(["dog", "bee"], False), (["bee"], True)], True)  # one repeated
+    # equal tokens that are distinct str objects
+    @example([(["cat", "".join(["c", "at"])], False), (["".join(["ca", "t"])], True)], False)
+    # first seen in reverse lexicographic order
+    @example([(["fly", "eel"], False), (["dog", "cat", "bee", "ant"], True)], False)
+    # documents without tokens between non-empty ones
+    @example([(["bee"], False), ([], True), ([], False), (["ant", "bee"], True)], False)
     def test_incidence_matches_set_oracle(self, drawn, repeat_first):
         docs = [
             Document(tuple(tokens), Label(spam), f"m{i}")

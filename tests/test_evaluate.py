@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import top_features
+from conftest import fold_members, top_features
 from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
@@ -78,7 +78,10 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             confusion_counts([Label.SPAM], [])
 
-    @pytest.mark.parametrize("gold,predicted", [([2], [0]), ([0], [2]), ([1], [-1])])
+    @pytest.mark.parametrize(
+        "gold,predicted",
+        [([2], [0]), ([0], [2]), ([1], [-1]), ([0.5], [1]), ([1], [1.7]), (["1"], [0])],
+    )
     def test_labels_outside_zero_one_rejected(self, gold, predicted):
         with pytest.raises(ValueError, match="0 .legitimate. or 1 .spam."):
             confusion_counts(gold, predicted)
@@ -229,7 +232,7 @@ class TestFoldPlan:
     def test_exactly_divisible_classes(self):
         plan = make_stratified_folds(tiny_corpus(100, 20), seed=5)
         for fold in range(10):
-            test_idx = plan.test_indices(fold)
+            test_idx = fold_members(plan, fold)
             spam = sum(1 for i in test_idx if i >= 100)
             assert len(test_idx) == 12 and spam == 2
 
@@ -241,7 +244,7 @@ class TestFoldPlan:
         plan = make_stratified_folds(tiny_corpus(20, 481), seed=1)
         sizes = []
         for fold in range(10):
-            sizes.append(sum(1 for i in plan.test_indices(fold) if i >= 20))
+            sizes.append(sum(1 for i in fold_members(plan, fold) if i >= 20))
         assert sorted(sizes) == [48] * 9 + [49]
 
     def test_stratification_bound_over_seeds(self):
@@ -251,7 +254,7 @@ class TestFoldPlan:
             spam_counts = []
             legit_counts = []
             for fold in range(10):
-                test_idx = plan.test_indices(fold)
+                test_idx = fold_members(plan, fold)
                 spam_counts.append(sum(1 for i in test_idx if i >= 73))
                 legit_counts.append(len(test_idx) - spam_counts[-1])
             assert max(spam_counts) - min(spam_counts) <= 1
@@ -264,7 +267,7 @@ class TestFoldPlan:
     def test_folds_partition_the_corpus(self):
         corpus = tiny_corpus(55, 25)
         plan = make_stratified_folds(corpus, seed=2)
-        seen = sorted(i for fold in range(10) for i in plan.test_indices(fold))
+        seen = sorted(i for fold in range(10) for i in fold_members(plan, fold))
         assert seen == list(range(len(corpus)))
 
     @pytest.mark.parametrize(
