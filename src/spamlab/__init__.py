@@ -7,7 +7,6 @@ cross-validation.
 """
 
 from .bayes import (
-    DecisionPolicy,
     NaiveBayesModel,
     classify_nb_batch,
     lambda_to_threshold,

@@ -19,18 +19,6 @@ import numpy as np
 from .corpus import Label
 from .errors import ConfigError, DataError
 
-@dataclass(frozen=True)
-class DecisionPolicy:
-    """Cost ratio lambda and the equivalent posterior threshold."""
-
-    lam: float
-    threshold: float
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "DecisionPolicy":
-        return cls(lam=lam, threshold=lambda_to_threshold(lam))
-
-
 def lambda_to_threshold(lam: float) -> float:
     """t = lambda / (1 + lambda); the inverse is lambda = t / (1 - t).
 
@@ -181,9 +169,9 @@ def posterior_spam_batch(
 
 
 def classify_nb_batch(
-    model: NaiveBayesModel, matrix: np.ndarray, policy: DecisionPolicy,
-    ms: Sequence[int] | None = None,
+    model: NaiveBayesModel, matrix: np.ndarray, lam: float, ms: Sequence[int] | None = None
 ) -> np.ndarray:
     """uint8 decision per row, 1 = spam: the spam posterior strictly exceeds
-    the policy threshold; shaped as posterior_spam_batch."""
-    return (posterior_spam_batch(model, matrix, ms) > policy.threshold).astype(np.uint8)
+    t = lambda / (1 + lambda); shaped as posterior_spam_batch."""
+    threshold = lambda_to_threshold(lam)
+    return (posterior_spam_batch(model, matrix, ms) > threshold).astype(np.uint8)

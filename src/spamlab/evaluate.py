@@ -21,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import (
-    DecisionPolicy,
-    classify_nb_batch,
-    is_zero_one,
-    lambda_to_threshold,
-    train_naive_bayes,
-)
+from .bayes import classify_nb_batch, is_zero_one, lambda_to_threshold, train_naive_bayes
 from .corpus import Corpus, Label
 from .errors import ConfigError, DataError
 from .features import class_counts, presence_matrix, rank_tokens
@@ -77,10 +71,8 @@ def confusion_counts(
     """Tally the four cells from parallel gold and predicted labels (1 = spam)."""
     g = np.asarray(gold)
     p = np.asarray(predicted)
-    if g.shape != p.shape:
-        raise ValueError(f"gold and predicted lengths differ: {len(g)} vs {len(p)}")
-    if not is_zero_one(g) or not is_zero_one(p):
-        raise ValueError("labels must be 0 (legitimate) or 1 (spam)")
+    if g.ndim != 1 or g.shape != p.shape or not is_zero_one(g) or not is_zero_one(p):
+        raise ValueError("labels must be 1-D, equally long, and 0 (legitimate) or 1 (spam)")
     ll, ls, sl, ss = np.bincount((2 * g + p).astype(np.intp), minlength=4).tolist()
     return ConfusionCounts(
         n_legit_legit=ll, n_legit_spam=ls, n_spam_spam=ss, n_spam_legit=sl
@@ -239,15 +231,15 @@ def _predict(
     y_train: np.ndarray,
     x_test: np.ndarray,
     y_test: np.ndarray,
-    policy: DecisionPolicy,
+    lam: float,
     ms: range,
 ) -> np.ndarray:
     """uint8 decisions, 1 = spam: one row per m of ms, over the first m columns."""
     if config.kind == "nb":
-        return classify_nb_batch(train_naive_bayes(x_train, y_train), x_test, policy, ms)
+        return classify_nb_batch(train_naive_bayes(x_train, y_train), x_test, lam, ms)
     if config.kind == "mb":
         base = build_instance_base(x_train, y_train)
-        return classify_mb_batch(base, x_test, config.k, policy, ms)
+        return classify_mb_batch(base, x_test, config.k, lam, ms)
     if config.kind == "oracle":
         return np.tile(y_test, (len(ms), 1))
     return np.zeros((len(ms), len(y_test)), dtype=np.uint8)
@@ -311,7 +303,7 @@ def _run_configurations(
     fold's candidate count is checked before any fold is classified, so an
     m range beyond the vocabulary fails at once, not in memory.
     """
-    policy = DecisionPolicy.from_lambda(lam)
+    lambda_to_threshold(lam)  # validates lambda before any work
     if len(plan.assignment) != len(corpus):
         raise ValueError(
             f"fold plan covers {len(plan.assignment)} documents "
@@ -341,7 +333,7 @@ def _run_configurations(
         x = presence_matrix(incidence, ids[:largest])
         y_test = incidence.labels[~train]
         decisions = _predict(
-            config, x[train], incidence.labels[train], x[~train], y_test, policy, ms
+            config, x[train], incidence.labels[train], x[~train], y_test, lam, ms
         )
         for m, predicted in zip(ms, decisions):
             per_m_counts.setdefault(m, []).append(confusion_counts(y_test, predicted))

@@ -50,7 +50,7 @@ def class_counts(
     """
     size = len(incidence.vocabulary)
     group = incidence.labels.astype(np.int64) * k_folds + folds
-    key = np.take(group * size, incidence.indices)
+    key = (group * size)[incidence.indices]
     key += np.repeat(np.arange(size, dtype=np.int32), np.diff(incidence.indptr))
     table = np.bincount(key, minlength=2 * k_folds * size).astype(np.int32)
     del key  # else this frame keeps it alive while the folds are ranked
@@ -134,8 +134,14 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
 
 def presence_matrix(incidence: Incidence, ids: Sequence[int]) -> np.ndarray:
     """(documents, len(ids)) uint8: column j marks the documents containing
-    token id ids[j].  Only the postings of the listed ids are read."""
-    ids = np.asarray(ids, dtype=np.int64)
+    token id ids[j].  Only the postings of the listed ids are read;
+    ValueError unless the ids are integers in range(len(vocabulary))."""
+    ids, size = np.asarray(ids), len(incidence.vocabulary)
+    if ids.ndim != 1 or len(ids) and not (
+        ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < size
+    ):
+        raise ValueError(f"token ids must be integers in range({size})")
+    ids = ids.astype(np.int64)
     starts = incidence.indptr[ids]
     lengths = incidence.indptr[ids + 1] - starts
     # column j's postings sit at starts[j] + 0 .. lengths[j] - 1, and are

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import DecisionPolicy, is_zero_one, m_range, training_set
+from .bayes import is_zero_one, lambda_to_threshold, m_range, training_set
 from .corpus import Label
 from .errors import DataError
 
@@ -121,10 +121,11 @@ def neighborhood_votes(
 
 
 def classify_mb_batch(
-    base: InstanceBase, queries: np.ndarray, k: int, policy: DecisionPolicy,
+    base: InstanceBase, queries: np.ndarray, k: int, lam: float,
     ms: Sequence[int] | None = None,
 ) -> np.ndarray:
     """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
     of neighborhood_votes, shaped as its counts; ties go to legitimate."""
+    lambda_to_threshold(lam)  # validates lambda
     spam, legit = neighborhood_votes(base, queries, k, ms)
-    return (spam > policy.lam * legit).astype(np.uint8)
+    return (spam > lam * legit).astype(np.uint8)

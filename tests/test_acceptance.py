@@ -24,7 +24,6 @@ from oracles import mi_direct, posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     ClassifierConfig,
     ConfusionCounts,
-    DecisionPolicy,
     FixtureParams,
     Label,
     baseline_metrics,
@@ -314,12 +313,12 @@ class TestCriterion5Properties:
         lambdas = (1.0, 3.0, 9.0, 99.0, 999.0)
         ok = True
         for classify in (
-            lambda policy: classify_nb_batch(model, queries, policy),
-            lambda policy: classify_mb_batch(base, queries, 3, policy),
+            lambda lam: classify_nb_batch(model, queries, lam),
+            lambda lam: classify_mb_batch(base, queries, 3, lam),
         ):
             spam_sets = []
             for lam in lambdas:
-                predicted = classify(DecisionPolicy.from_lambda(lam))
+                predicted = classify(lam)
                 spam_sets.append(set(np.flatnonzero(predicted == 1).tolist()))
             ok = ok and bool(spam_sets[0])
             ok = ok and all(b <= a for a, b in zip(spam_sets, spam_sets[1:]))

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 from conftest import top_features
 from oracles import posterior_legit_direct, posterior_spam_direct
 from spamlab import (
+    ConfigError,
     DataError,
-    DecisionPolicy,
     Label,
     NaiveBayesModel,
     build_instance_base,
+    classify_mb_batch,
     classify_nb_batch,
     lambda_to_threshold,
     posterior_spam_batch,
@@ -118,10 +119,14 @@ class TestThreshold:
         assert 0.0 < t < 1.0
         assert t / (1.0 - t) == pytest.approx(lam, rel=1e-12)
 
-    def test_policy_carries_consistent_pair(self):
-        policy = DecisionPolicy.from_lambda(9.0)
-        assert policy.threshold == pytest.approx(0.9, abs=1e-12)
-        assert policy.lam == 9.0
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), 1e16])
+    @pytest.mark.parametrize("classify", [
+        lambda x, lam: classify_nb_batch(model_of(0.5, [0.8], [0.2]), x, lam),
+        lambda x, lam: classify_mb_batch(build_instance_base(x, [1, 0]), x, 1, lam),
+    ], ids=["classify_nb_batch", "classify_mb_batch"])
+    def test_classifiers_reject_invalid_lambda(self, classify, lam):
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            classify(np.array([[1], [0]], dtype=np.uint8), lam)
 
 
 class TestPosterior:
@@ -148,7 +153,7 @@ class TestPosterior:
     @pytest.mark.parametrize("query", [[2, 0], [-1, 0], [0.5, 0], [float("nan"), 0]])
     @pytest.mark.parametrize("kernel", [
         posterior_spam_batch,
-        lambda model, x: classify_nb_batch(model, x, DecisionPolicy.from_lambda(1.0)),
+        lambda model, x: classify_nb_batch(model, x, 1.0),
     ], ids=["posterior_spam_batch", "classify_nb_batch"])
     def test_query_other_than_0_or_1_rejected(self, kernel, query):
         model = model_of(0.5, [0.8, 0.3], [0.2, 0.6])
@@ -248,8 +253,7 @@ class TestSweep:
 
     def test_decisions_per_m(self):
         model = model_of(0.5, [0.95, 0.05], [0.05, 0.95])
-        policy = DecisionPolicy.from_lambda(1.0)
-        decisions = classify_nb_batch(model, np.array([[1, 1], [1, 0]]), policy, [1, 2])
+        decisions = classify_nb_batch(model, np.array([[1, 1], [1, 0]]), 1.0, [1, 2])
         assert decisions.dtype == np.uint8
         assert decisions.tolist() == [[1, 1], [0, 1]]
 
@@ -267,21 +271,18 @@ class TestClassify:
         model = model_of(0.5, [0.95], [0.05])
         vector = np.array([[1]])
         assert posterior_spam_batch(model, vector)[0] == pytest.approx(0.95)
-        policy = DecisionPolicy.from_lambda(9.0)
-        assert classify_nb_batch(model, vector, policy).tolist() == [Label.SPAM]
+        assert classify_nb_batch(model, vector, 9.0).tolist() == [Label.SPAM]
 
     def test_legitimate_when_threshold_not_exceeded(self):
         model = model_of(0.5, [0.95], [0.05])
         vector = np.array([[1]])
-        policy = DecisionPolicy.from_lambda(999.0)
-        assert classify_nb_batch(model, vector, policy).tolist() == [Label.LEGITIMATE]
+        assert classify_nb_batch(model, vector, 999.0).tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         model = model_of(0.5, [], [])
         vector = np.zeros((1, 0), dtype=np.uint8)
         assert posterior_spam_batch(model, vector).tolist() == [0.5]
-        policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_nb_batch(model, vector, policy).tolist() == [Label.LEGITIMATE]
+        assert classify_nb_batch(model, vector, 1.0).tolist() == [Label.LEGITIMATE]
 
     def test_lambda_monotone_spam_sets(self):
         rng = random.Random(41)
@@ -293,8 +294,7 @@ class TestClassify:
         lambdas = [1.0, 3.0, 9.0, 99.0, 999.0]
         spam_sets = []
         for lam in lambdas:
-            policy = DecisionPolicy.from_lambda(lam)
-            labels = classify_nb_batch(model, vectors, policy)
+            labels = classify_nb_batch(model, vectors, lam)
             assert labels.dtype == np.uint8
             spam_sets.append(set(np.flatnonzero(labels == 1).tolist()))
         assert spam_sets[0]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spamlab
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +30,28 @@ def imported_packages(path: Path) -> set[str]:
 def test_library_imports_only_stdlib_and_numpy():
     imported = set().union(*map(imported_packages, SOURCES.glob("*.py")))
     assert imported and imported <= ALLOWED, sorted(imported - ALLOWED)
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a source file imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(SOURCES.glob("*.py")) - {SOURCES / "__init__.py"}), ids=lambda p: p.name
+)
+def test_library_modules_use_every_import(path):
+    # a deleted name must not leave its import behind
+    assert not unused_imports(path)
 
 
 def test_oracles_import_no_library_code():

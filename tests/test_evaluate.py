@@ -80,9 +80,11 @@ class TestConfusionCounts:
 
     @pytest.mark.parametrize(
         "gold,predicted",
-        [([2], [0]), ([0], [2]), ([1], [-1]), ([0.5], [1]), ([1], [1.7]), (["1"], [0])],
+        [([2], [0]), ([0], [2]), ([1], [-1]), ([0.5], [1]), ([1], [1.7]), (["1"], [0]),
+         (1, [1]), (1, 1), ([[0, 1]], [[1, 0]])],
     )
     def test_labels_outside_zero_one_rejected(self, gold, predicted):
+        # also labels that are not one 1-D sequence each
         with pytest.raises(ValueError, match="0 .legitimate. or 1 .spam."):
             confusion_counts(gold, predicted)
 
@@ -700,6 +702,13 @@ class TestSweep:
             assert alone.fold_counts == result.fold_counts
             assert alone.fold_waccs == result.fold_waccs
             assert alone.tcr == result.tcr
+
+    def test_invalid_lambda_rejected_before_any_work(self):
+        corpus = generate_fixture_corpus(7, 40, 20)
+        plan = make_stratified_folds(corpus, seed=0)
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            sweep_attributes(corpus, ClassifierConfig(kind="nb"), 0.0, plan, 1, 5, 1)
+        assert "incidence" not in corpus.__dict__
 
     def test_invalid_range_rejected(self, cv_corpus):
         plan = make_stratified_folds(cv_corpus, seed=0)

@@ -265,6 +265,13 @@ class TestVectorize:
     def test_pure_function(self):
         assert self._rows() == self._rows()
 
+    @pytest.mark.parametrize("ids", [[-2], [2.7], [-1], [3]], ids=["-2", "2.7", "-1", "len"])
+    def test_ids_outside_the_vocabulary_rejected(self, ids):
+        incidence = Incidence.from_documents(self.DOCS)
+        assert len(incidence.vocabulary) == 3
+        with pytest.raises(ValueError, match=r"integers in range\(3\)"):
+            presence_matrix(incidence, ids)
+
     def test_batch_matches_scalar(self, small_corpus):
         # the scalar reference is plain set membership, document by document
         incidence = small_corpus.incidence

@@ -10,7 +10,6 @@ from conftest import top_features
 from oracles import neighborhood_direct
 from spamlab import (
     DataError,
-    DecisionPolicy,
     Label,
     build_instance_base,
     classify_mb_batch,
@@ -131,36 +130,30 @@ class TestClassify:
 
     def test_majority_spam_at_lambda_one(self):
         base = self._neighborhood_base()
-        policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.SPAM]
+        assert classify_mb_batch(base, self.ZERO, 1, 1.0).tolist() == [Label.SPAM]
 
     def test_lambda_scales_legitimate_votes(self):
         base = self._neighborhood_base()
-        policy = DecisionPolicy.from_lambda(9.0)
-        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 1, 9.0).tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         base = base_of([[0, 0]] * 4, [1, 1, 0, 0])
-        policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_mb_batch(base, self.ZERO, 1, policy).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 1, 1.0).tolist() == [Label.LEGITIMATE]
 
     def test_no_spam_neighbors_means_legitimate(self):
         base = base_of([[0, 0]] * 3, [0, 0, 0])
-        policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_mb_batch(base, self.ZERO, 2, policy).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 2, 1.0).tolist() == [Label.LEGITIMATE]
 
     def test_pure_spam_neighborhood_beats_any_lambda(self):
         base = base_of([[0, 0]] * 3, [1, 1, 1])
-        policy = DecisionPolicy.from_lambda(999.0)
-        assert classify_mb_batch(base, self.ZERO, 2, policy).tolist() == [Label.SPAM]
+        assert classify_mb_batch(base, self.ZERO, 2, 999.0).tolist() == [Label.SPAM]
 
     def test_self_classification(self):
         rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1]]
         base = base_of(rows, [1, 0, 0])
-        policy = DecisionPolicy.from_lambda(1.0)
         query = np.array(rows[:1], dtype=np.uint8)
         assert votes(base, query, 1) == ([1], [0])
-        assert classify_mb_batch(base, query, 1, policy).tolist() == [Label.SPAM]
+        assert classify_mb_batch(base, query, 1, 1.0).tolist() == [Label.SPAM]
 
     def test_lambda_monotone_decisions(self):
         rng = random.Random(61)
@@ -171,7 +164,7 @@ class TestClassify:
         )
         spam_sets = []
         for lam in (1.0, 3.0, 9.0, 99.0, 999.0):
-            predicted = classify_mb_batch(base, queries, 3, DecisionPolicy.from_lambda(lam))
+            predicted = classify_mb_batch(base, queries, 3, lam)
             spam_sets.append(set(np.flatnonzero(predicted == 1).tolist()))
         assert spam_sets[0]
         for looser, stricter in zip(spam_sets, spam_sets[1:]):
@@ -187,8 +180,7 @@ class TestClassify:
         )
         for k in (1, 2, 5):
             for lam in (1.0, 9.0):
-                policy = DecisionPolicy.from_lambda(lam)
-                batch = classify_mb_batch(base, queries, k, policy)
+                batch = classify_mb_batch(base, queries, k, lam)
                 spam, legit = direct_votes(rows, labels, queries, k)
                 scalar = [int(s > lam * l) for s, l in zip(spam, legit)]
                 assert batch.dtype == np.uint8 and batch.tolist() == scalar
@@ -215,9 +207,7 @@ class TestSweep:
     def test_every_m_matches_vote_over_direct_neighborhood(self, case):
         train, labels, queries, ms, k, lam = case
         base = base_of(train, labels)
-        swept = classify_mb_batch(
-            base, np.array(queries, dtype=np.uint8), k, DecisionPolicy.from_lambda(lam), ms
-        )
+        swept = classify_mb_batch(base, np.array(queries, dtype=np.uint8), k, lam, ms)
         assert swept.shape == (len(ms), len(queries)) and swept.dtype == np.uint8
         spam_votes, legit_votes = votes(base, queries, k, ms)
         for m, decisions, spam, legit in zip(ms, swept, spam_votes, legit_votes):
@@ -259,16 +249,15 @@ class TestSweep:
         base = base_of([[0, 1, 1], [1, 0, 0]], [1, 0])
         queries = np.zeros((2, width), dtype=np.uint8)
         with pytest.raises(ValueError):
-            classify_mb_batch(base, queries, 1, DecisionPolicy.from_lambda(1.0), ms)
+            classify_mb_batch(base, queries, 1, 1.0, ms)
 
     def test_block_wider_than_exact_float32_sums_rejected(self, monkeypatch):
         monkeypatch.setattr(memory_module, "_EXACT_FLOAT32_WIDTH", 2)
         base = base_of([[0, 1, 1], [1, 0, 0]], [1, 0])
         queries = np.zeros((1, 3), dtype=np.uint8)
-        policy = DecisionPolicy.from_lambda(1.0)
-        assert classify_mb_batch(base, queries, 1, policy, [2, 3]).shape == (2, 1)
+        assert classify_mb_batch(base, queries, 1, 1.0, [2, 3]).shape == (2, 1)
         with pytest.raises(ValueError, match="too wide"):
-            classify_mb_batch(base, queries, 1, policy)
+            classify_mb_batch(base, queries, 1, 1.0)
 
 
     def test_exact_float32_width_is_tight(self):
@@ -284,17 +273,15 @@ class TestLargeKDegeneracy:
         attrs = top_features(hard_corpus, 10)
         matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
-        policy = DecisionPolicy.from_lambda(1.0)
         # k > m means every distance value is inside the neighborhood
-        predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, policy)
+        predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, 1.0)
         assert predicted.tolist() == [0] * len(matrix)
 
     def test_k10_on_few_attributes_approaches_the_baseline(self, hard_corpus):
         attrs = top_features(hard_corpus, 10)
         matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
-        policy = DecisionPolicy.from_lambda(1.0)
-        predicted = classify_mb_batch(base, matrix, 10, policy)
+        predicted = classify_mb_batch(base, matrix, 10, 1.0)
         legit_fraction = np.count_nonzero(predicted == 0) / len(predicted)
         baseline = hard_corpus.n_legit / len(hard_corpus)
         # ties at 10 distinct distances flood the neighborhood with most of
