@@ -15,12 +15,9 @@ from .bayes import (
 )
 from .corpus import (
     Corpus,
-    CorpusStats,
     Document,
     FixtureParams,
     Label,
-    NormalizerConfig,
-    corpus_stats,
     generate_fixture_corpus,
     load_corpus,
     normalize_token,

@@ -25,6 +25,7 @@ def lambda_to_threshold(lam: float) -> float:
     The one lambda validator, raising ConfigError.  lambda must also keep t
     below 1.0 (lambda under about 9.0e15): no posterior can exceed t = 1.
     """
+    lam = float(lam)
     if not (math.isfinite(lam) and lam > 0 and lam / (1.0 + lam) < 1.0):
         raise ConfigError(f"lambda must be positive and below about 9.0e15, got {lam:g}")
     return lam / (1.0 + lam)

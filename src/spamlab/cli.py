@@ -20,11 +20,12 @@ from pathlib import Path
 
 from .bayes import lambda_to_threshold
 from .corpus import (
+    LAYOUTS,
+    STEMMING,
     FixtureParams,
-    NormalizerConfig,
-    corpus_stats,
     generate_fixture_corpus,
     load_corpus,
+    write_fixture_corpus,
 )
 from .errors import ConfigError, CorpusError, DataError, SpamlabError
 from .evaluate import (
@@ -66,8 +67,8 @@ def _fmt_pct(value: float) -> str:
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus root directory")
-    parser.add_argument("--layout", choices=("lingspam", "fixture"), default="lingspam")
-    parser.add_argument("--stemming", choices=("none", "light"), default="light")
+    parser.add_argument("--layout", choices=LAYOUTS, default="lingspam")
+    parser.add_argument("--stemming", choices=STEMMING, default="light")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,12 +196,11 @@ def _emit(echo: dict, results: list[AggregateResult], out: str) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = NormalizerConfig(stemming=args.stemming)
-    corpus = load_corpus(args.corpus, layout=args.layout, config=config)
-    stats = corpus_stats(corpus)
+    corpus = load_corpus(args.corpus, layout=args.layout, stemming=args.stemming)
     print(
-        f"legit={stats.n_legit} spam={stats.n_spam} "
-        f"rate={stats.spam_rate * 100:.1f}% vocab={stats.vocabulary_size}"
+        f"legit={corpus.n_legit} spam={corpus.n_spam} "
+        f"rate={corpus.n_spam / len(corpus) * 100:.1f}% "
+        f"vocab={len(corpus.incidence.vocabulary)}"
     )
     return 0
 
@@ -217,8 +217,7 @@ def _cross_validate(
     classifier = ClassifierConfig(args.classifier, k=k)
     if args.oracle:
         classifier = ClassifierConfig("oracle")
-    config = NormalizerConfig(stemming=args.stemming)
-    corpus = load_corpus(args.corpus, layout=args.layout, config=config)
+    corpus = load_corpus(args.corpus, layout=args.layout, stemming=args.stemming)
     plan = make_stratified_folds(corpus, k_folds=K_FOLDS, seed=args.seed)
     results = sweep_attributes(
         corpus, classifier, args.lam, plan, m_from=m_from, m_to=m_to, m_step=m_step
@@ -308,10 +307,9 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid fixture parameters: {exc}")
+    corpus = generate_fixture_corpus(args.seed, args.n_legit, args.n_spam, params)
     try:
-        corpus = generate_fixture_corpus(
-            args.seed, args.n_legit, args.n_spam, params, out_dir=args.out
-        )
+        write_fixture_corpus(corpus, args.out)
     except OSError as exc:
         raise CorpusError(f"cannot write fixture corpus: {exc}")
     print(f"wrote {len(corpus)} messages to {args.out}")

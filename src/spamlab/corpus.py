@@ -53,20 +53,6 @@ class Label(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class NormalizerConfig:
-    """Token normalization: stemming is "none" or "light".
-
-    Tokens are always lowercased and never dropped.
-    """
-
-    stemming: str = "light"
-
-    def __post_init__(self) -> None:
-        if self.stemming not in ("none", "light"):
-            raise ValueError(f"unknown stemming mode: {self.stemming!r}")
-
-
-@dataclass(frozen=True)
 class Document:
     """An ordered list of normalized tokens plus the gold label; a label of
     0 or 1 is stored as its Label, any other value raises ValueError."""
@@ -123,20 +109,25 @@ class Incidence:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Documents in deterministic order (sorted by source_id) plus label tallies."""
+    """Documents, in deterministic order (sorted by source_id) when built by
+    from_documents; the label tallies are counted from them."""
 
     documents: tuple[Document, ...]
-    n_legit: int
-    n_spam: int
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
-        docs = tuple(sorted(documents, key=lambda d: d.source_id))
-        n_spam = sum(1 for d in docs if d.label is Label.SPAM)
-        return cls(documents=docs, n_legit=len(docs) - n_spam, n_spam=n_spam)
+        return cls(tuple(sorted(documents, key=lambda d: d.source_id)))
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @cached_property
+    def n_spam(self) -> int:
+        return sum(d.label for d in self.documents)
+
+    @property
+    def n_legit(self) -> int:
+        return len(self) - self.n_spam
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -148,14 +139,6 @@ class Corpus:
         """Fold plan -> each fold's candidate token ids (int32), best first.
         Cross-validation fills it and keeps only the latest plan."""
         return {}
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    n_legit: int
-    n_spam: int
-    spam_rate: float
-    vocabulary_size: int
 
 
 def tokenize(text: str | bytes) -> list[str]:
@@ -179,10 +162,13 @@ def _strip_suffixes(token: str) -> str:
             return token
 
 
-def normalize_token(token: str, config: NormalizerConfig) -> str:
-    """Lowercase one token, then strip suffixes under light stemming."""
+def normalize_token(token: str, stemming: str) -> str:
+    """Lowercase one token, then strip suffixes under light stemming; tokens
+    are never dropped.  ValueError for a mode outside STEMMING."""
+    if stemming not in STEMMING:
+        raise ValueError(f"unknown stemming mode: {stemming!r}")
     token = token.lower()
-    if config.stemming == "light":
+    if stemming == "light":
         token = _strip_suffixes(token)
     return token
 
@@ -192,18 +178,19 @@ def label_for_filename(name: str) -> Label:
 
 
 LAYOUTS = ("lingspam", "fixture")
+STEMMING = ("none", "light")
 
 
 class _Normalized(dict):
     """Raw word -> token for one load: each distinct word is normalized once,
     on its first lookup, and every later occurrence shares that string."""
 
-    def __init__(self, config: NormalizerConfig) -> None:
+    def __init__(self, stemming: str) -> None:
         super().__init__()
-        self.config = config
+        self.stemming = stemming
 
     def __missing__(self, word: str) -> str:
-        token = self[word] = normalize_token(word, self.config)
+        token = self[word] = normalize_token(word, self.stemming)
         return token
 
 
@@ -242,7 +229,7 @@ def _message_files(root: Path) -> list[tuple[str, str]]:
 def load_corpus(
     directory: str | Path,
     layout: str = "lingspam",
-    config: NormalizerConfig | None = None,
+    stemming: str = "light",
 ) -> Corpus:
     """Load every regular file under a corpus root, recursively.
 
@@ -253,17 +240,18 @@ def load_corpus(
     Each file is tokenized from its raw bytes, which gives the words of its
     lossily decoded text without decoding it (see the module docstring).
     CorpusError names the first unlistable directory, unreadable file or
-    empty message, or an empty corpus.
+    empty message, or an empty corpus; an unknown layout or stemming mode
+    fails before anything is read.
     """
     if layout not in LAYOUTS:
         raise CorpusError(f"unknown corpus layout: {layout!r}")
-    config = config or NormalizerConfig()
+    normalize_token("", stemming)  # validates the mode
     root = Path(directory)
     if not root.is_dir():
         raise CorpusError(f"unreadable directory: {root}")
 
     documents = []
-    normalized = _Normalized(config)
+    normalized = _Normalized(stemming)
     for source_id, path in _message_files(root):
         try:
             with open(path, "rb") as handle:
@@ -279,16 +267,6 @@ def load_corpus(
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
     return Corpus.from_documents(documents)
-
-
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    total = corpus.n_legit + corpus.n_spam
-    return CorpusStats(
-        n_legit=corpus.n_legit,
-        n_spam=corpus.n_spam,
-        spam_rate=corpus.n_spam / total if total else 0.0,
-        vocabulary_size=len(corpus.incidence.vocabulary),
-    )
 
 
 @dataclass(frozen=True)
@@ -351,14 +329,9 @@ def generate_fixture_corpus(
     n_legit: int,
     n_spam: int,
     params: FixtureParams | None = None,
-    out_dir: str | Path | None = None,
 ) -> Corpus:
     """Deterministic synthetic corpus; same seed, same corpus, byte for byte.
-
-    With ``out_dir`` the corpus is also persisted in the standard directory
-    convention (legit files ``msgNNNN.txt``, spam files ``spmsgNNNN.txt``)
-    and reloading it reproduces the returned corpus exactly.
-    """
+    Legit documents are named ``msgNNNN.txt``, spam ``spmsgNNNN.txt``."""
     if n_legit < 0 or n_spam < 0 or n_legit + n_spam < 1:
         raise CorpusError("fixture corpus needs at least one document")
     params = params or FixtureParams()
@@ -384,17 +357,15 @@ def generate_fixture_corpus(
             name = f"spmsg{i:04d}.txt" if label is Label.SPAM else f"msg{i:04d}.txt"
             documents.append(Document(tokens=tuple(tokens), label=label, source_id=name))
 
-    corpus = Corpus.from_documents(documents)
-    if out_dir is not None:
-        write_fixture_corpus(corpus, out_dir)
-    return corpus
+    return Corpus.from_documents(documents)
 
 
 def write_fixture_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     """Persist a corpus in the standard layout, one file per document.
 
     The first tokens go on the Subject line and the rest into the body, so
-    loading the files reproduces the document token list.
+    loading the files reproduces the document token list; reloading a
+    fixture corpus reproduces it exactly, under either stemming mode.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

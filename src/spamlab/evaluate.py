@@ -15,6 +15,7 @@ and training both see only the nine training parts of each fold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
@@ -97,6 +98,7 @@ def _weighted_error(wacc: float, errors: float, weighted_total: float, lam: floa
 
 def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float]:
     """(WAcc, WErr) with each legitimate message weighted as lambda messages."""
+    lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda
     if counts.total == 0:
         raise DataError("cannot score an empty split")
@@ -108,16 +110,12 @@ def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float
 
 def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, float]:
     """(WAcc, WErr) of the no-filter policy: every message passes."""
-    lambda_to_threshold(lam)  # validates lambda
-    if n_legit + n_spam < 1:
-        raise DataError("baseline needs at least one message")
-    total = lam * n_legit + n_spam
-    wacc = lam * n_legit / total
-    return wacc, _weighted_error(wacc, n_spam, total, lam)
+    return weighted_accuracy(ConfusionCounts(n_legit_legit=n_legit, n_spam_legit=n_spam), lam)
 
 
 def total_cost_ratio(counts: ConfusionCounts, lam: float) -> float:
     """N_spam over the lambda-weighted error count; inf for a perfect filter."""
+    lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda
     denominator = lam * counts.n_legit_spam + counts.n_spam_legit
     if denominator == 0:
@@ -196,8 +194,11 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         if self.kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"unknown classifier kind: {self.kind!r}")
-        if self.kind == "mb" and (self.k is None or self.k < 1):
-            raise ConfigError(f"memory-based classifier needs k >= 1, got {self.k}")
+        if self.kind != "mb" and self.k is not None:
+            raise ConfigError(f"only the memory-based classifier takes k, got k={self.k!r}")
+        integer = hasattr(type(self.k), "__index__")  # what operator.index accepts
+        if self.kind == "mb" and not (integer and operator.index(self.k) >= 1):
+            raise ConfigError(f"memory-based classifier needs an integer k >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def _aggregate(
         classifier=config.kind,
         lam=lam,
         m=m,
-        k=config.k if config.kind == "mb" else None,
+        k=config.k,
         seed=plan.seed,
         k_folds=plan.k_folds,
         fold_counts=tuple(fold_counts),
@@ -303,6 +304,7 @@ def _run_configurations(
     fold's candidate count is checked before any fold is classified, so an
     m range beyond the vocabulary fails at once, not in memory.
     """
+    lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda before any work
     if len(plan.assignment) != len(corpus):
         raise ValueError(

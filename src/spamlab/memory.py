@@ -126,6 +126,7 @@ def classify_mb_batch(
 ) -> np.ndarray:
     """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
     of neighborhood_votes, shaped as its counts; ties go to legitimate."""
+    lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda
     spam, legit = neighborhood_votes(base, queries, k, ms)
     return (spam > lam * legit).astype(np.uint8)

@@ -44,6 +44,7 @@ from spamlab import (
     weighted_accuracy,
 )
 from spamlab.cli import main as cli_main
+from spamlab.corpus import write_fixture_corpus
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -446,7 +447,7 @@ class TestCriterion6Statistics:
 class TestCriterion7Determinism:
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
-        generate_fixture_corpus(7, 90, 10, out_dir=corpus_dir)
+        write_fixture_corpus(generate_fixture_corpus(7, 90, 10), corpus_dir)
         args = [
             "sweep", "--corpus", str(corpus_dir), "--layout", "fixture",
             "--m-range", "10:40:10", "--seed", "5",

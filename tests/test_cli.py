@@ -6,14 +6,16 @@ import sys
 
 import pytest
 
-from spamlab import generate_fixture_corpus
+import spamlab.cli
+from spamlab import Corpus, Document, Label, generate_fixture_corpus
 from spamlab.cli import CSV_COLUMNS, main
+from spamlab.corpus import write_fixture_corpus
 
 
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli") / "corpus"
-    generate_fixture_corpus(7, 90, 10, out_dir=root)
+    write_fixture_corpus(generate_fixture_corpus(7, 90, 10), root)
     return root
 
 
@@ -31,6 +33,43 @@ class TestStats:
         assert "legit=90 spam=10 rate=10.0%" in out
         assert "vocab=" in out
 
+    @staticmethod
+    def _stats_of(capsys, monkeypatch, corpus, argv=()):
+        """The stats line for a corpus handed to the command as loaded."""
+        calls = []
+
+        def loaded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return corpus
+
+        monkeypatch.setattr(spamlab.cli, "load_corpus", loaded)
+        code, out, err = run(capsys, ["stats", "--corpus", "anywhere", *argv])
+        assert code == 0 and err == "" and len(calls) == 1
+        return out, calls[0]
+
+    @pytest.mark.parametrize("n_legit,n_spam,line", [
+        (2412, 481, "legit=2412 spam=481 rate=16.6% vocab=2"),
+        (1, 0, "legit=1 spam=0 rate=0.0% vocab=1"),
+        (3, 1, "legit=3 spam=1 rate=25.0% vocab=2"),
+    ], ids=["lingspam", "no-spam", "quarter"])
+    def test_composition_line(self, capsys, monkeypatch, n_legit, n_spam, line):
+        docs = [Document(("word",), Label.LEGITIMATE, f"msg{i:05d}") for i in range(n_legit)]
+        docs += [Document(("word", "cash"), Label.SPAM, f"spmsg{i:05d}") for i in range(n_spam)]
+        out, _ = self._stats_of(capsys, monkeypatch, Corpus.from_documents(docs))
+        assert out == line + "\n"
+
+    def test_vocab_counts_distinct_tokens(self, capsys, monkeypatch, small_corpus):
+        out, _ = self._stats_of(capsys, monkeypatch, small_corpus)
+        distinct = {t for d in small_corpus.documents for t in d.tokens}
+        assert out.endswith(f" vocab={len(distinct)}\n")
+
+    @pytest.mark.parametrize("stemming", ["none", "light"])
+    def test_loads_with_the_layout_and_stemming_flags(self, capsys, monkeypatch, small_corpus,
+                                                       stemming):
+        argv = ["--layout", "fixture", "--stemming", stemming]
+        _, call = self._stats_of(capsys, monkeypatch, small_corpus, argv)
+        assert call == (("anywhere",), {"layout": "fixture", "stemming": stemming})
+
     def test_empty_directory_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -44,8 +83,8 @@ class TestStats:
         assert "unreadable directory" in err
 
     def test_unreadable_subdirectory_exits_2(self, capsys, tmp_path, deny_scandir):
-        generate_fixture_corpus(7, 9, 1, out_dir=tmp_path / "part1")
-        generate_fixture_corpus(8, 9, 1, out_dir=tmp_path / "part2")
+        write_fixture_corpus(generate_fixture_corpus(7, 9, 1), tmp_path / "part1")
+        write_fixture_corpus(generate_fixture_corpus(8, 9, 1), tmp_path / "part2")
         deny_scandir(tmp_path / "part2")
         code, out, err = run(capsys, ["stats", "--corpus", str(tmp_path)])
         assert code == 2 and out == ""
@@ -142,7 +181,7 @@ class TestEvaluate:
         # at 8e15 nothing is blocked and 1 - WAcc read 0 (TCR=inf); at 1e15
         # TCR read 0.67 for an exact 1.00
         root = tmp_path / "fx"
-        generate_fixture_corpus(7, 30, 10, out_dir=root)
+        write_fixture_corpus(generate_fixture_corpus(7, 30, 10), root)
         code, out, err = run(capsys, [
             "evaluate", "--corpus", str(root), "--layout", "fixture",
             "--m", "5", "--lambda", lam,

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from spamlab import AggregateResult, FixtureParams, generate_fixture_corpus
 from spamlab.cli import _echo, _read_result_file, _render_csv, main
+from spamlab.corpus import write_fixture_corpus
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -28,7 +29,7 @@ def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     corpus = root / "corpus"
     params = FixtureParams(vocab_size=60, doc_len_min=5, doc_len_max=15)
-    generate_fixture_corpus(7, 20, 10, params, out_dir=corpus)
+    write_fixture_corpus(generate_fixture_corpus(7, 20, 10, params), corpus)
     (root / "empty").mkdir()
     (root / "afile").write_text("not a directory")
     good = root / "good.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import re
@@ -12,22 +13,24 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import subject_body_words
 
 from spamlab import (
+    ClassifierConfig,
     CorpusError,
     Document,
     FixtureParams,
     Label,
-    NormalizerConfig,
-    corpus_stats,
+    baseline_metrics,
+    cross_validate,
     generate_fixture_corpus,
     load_corpus,
+    make_stratified_folds,
     normalize_token,
     tokenize,
 )
 import spamlab.corpus as corpus_module
-from spamlab.corpus import Corpus, Incidence, label_for_filename, write_fixture_corpus
+from spamlab.corpus import STEMMING, Corpus, Incidence, label_for_filename, write_fixture_corpus
 
-LIGHT = NormalizerConfig(stemming="light")
-PLAIN = NormalizerConfig(stemming="none")
+LIGHT = "light"
+PLAIN = "none"
 
 
 class TestParseMessage:
@@ -36,7 +39,7 @@ class TestParseMessage:
     @staticmethod
     def _tokens(tmp_path, raw: bytes) -> tuple[str, ...]:
         (tmp_path / "msg1.txt").write_bytes(raw)
-        return load_corpus(tmp_path, config=PLAIN).documents[0].tokens
+        return load_corpus(tmp_path, stemming=PLAIN).documents[0].tokens
 
     def test_subject_and_body(self, tmp_path):
         assert self._tokens(tmp_path, b"Subject: hello\n\nworld") == ("hello", "world")
@@ -83,9 +86,9 @@ class TestParseMessage:
         words = subject_body_words(raw.decode("utf-8", errors="replace"))
         with tempfile.TemporaryDirectory() as root:
             Path(root, "msg1.txt").write_bytes(raw)
-            for config in (LIGHT, PLAIN):
-                tokens = load_corpus(root, config=config).documents[0].tokens
-                assert list(tokens) == [normalize_token(w, config) for w in words]
+            for stemming in STEMMING:
+                tokens = load_corpus(root, stemming=stemming).documents[0].tokens
+                assert list(tokens) == [normalize_token(w, stemming) for w in words]
 
 
 class TestTokenize:
@@ -144,6 +147,11 @@ class TestNormalizeToken:
             once = normalize_token(word, LIGHT)
             assert normalize_token(once, LIGHT) == once
 
+    @pytest.mark.parametrize("mode", ["heavy", "", "Light", None])
+    def test_unknown_stemming_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown stemming mode"):
+            normalize_token("earnings", mode)
+
     def test_idempotent_on_suffix_stacks(self):
         # stacked suffixes collapse in one call (down to the 3-char stem
         # floor), so re-normalizing any output is stable
@@ -186,6 +194,11 @@ class TestLoadCorpus:
     def test_unknown_layout_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="layout"):
             load_corpus(tmp_path, layout="mbox")
+
+    def test_unknown_stemming_rejected_before_any_io(self, tmp_path):
+        # the root does not exist: reading anything would raise CorpusError
+        with pytest.raises(ValueError, match="unknown stemming mode: 'heavy'"):
+            load_corpus(tmp_path / "nope", stemming="heavy")
 
     def test_empty_file_names_the_culprit(self, tmp_path):
         self._write(tmp_path, "msg1.txt", "")
@@ -258,7 +271,7 @@ class TestLoadCorpus:
         text = "Subject: Earnings Report\n\nThe flies were flying; 21 e-mails."
         self._write(tmp_path, "msg1.txt", text)
         self._write(tmp_path, "spmsg1.txt", "Subject: x\n\ny")
-        corpus = load_corpus(tmp_path, config=LIGHT)
+        corpus = load_corpus(tmp_path, stemming=LIGHT)
         doc = corpus.documents[0]
         expected = [normalize_token(t, LIGHT) for t in tokenize(text)[1:]]
         assert list(doc.tokens) == expected == [
@@ -270,13 +283,14 @@ class TestLoadCorpus:
         self._write(tmp_path, "spmsg1.txt", "Subject: Walked\n\nwalked FLIES flies")
         calls = []
 
-        def counting(word, config):
+        def counting(word, stemming):
             calls.append(word)
-            return normalize_token(word, config)
+            return normalize_token(word, stemming)
 
         monkeypatch.setattr(corpus_module, "normalize_token", counting)
-        corpus = load_corpus(tmp_path, config=LIGHT)
-        assert sorted(calls) == ["FLIES", "Flies", "Walked", "flies", "walked"]
+        corpus = load_corpus(tmp_path, stemming=LIGHT)
+        # "" is the mode check that precedes any read
+        assert sorted(calls) == ["", "FLIES", "Flies", "Walked", "flies", "walked"]
         assert [d.tokens for d in corpus.documents] == [
             ("fli", "fli", "fli", "walk", "walk"),
             ("walk", "walk", "fli", "fli"),
@@ -288,31 +302,20 @@ class TestLoadCorpus:
         assert len(small_corpus) == small_corpus.n_legit + small_corpus.n_spam
 
 
-class TestCorpusStats:
-    @staticmethod
-    def _corpus(n_legit, n_spam):
-        docs = [
-            Document(("word",), Label.LEGITIMATE, f"msg{i:05d}") for i in range(n_legit)
-        ] + [
-            Document(("word",), Label.SPAM, f"spmsg{i:05d}") for i in range(n_spam)
-        ]
-        return Corpus.from_documents(docs)
-
-    def test_lingspam_composition_rate(self):
-        stats = corpus_stats(self._corpus(2412, 481))
-        assert stats.spam_rate == pytest.approx(0.166263, abs=1e-6)
-        assert f"{stats.spam_rate * 100:.1f}%" == "16.6%"
-
-    def test_no_spam(self):
-        assert corpus_stats(self._corpus(1, 0)).spam_rate == 0.0
-
-    def test_quarter(self):
-        assert corpus_stats(self._corpus(3, 1)).spam_rate == 0.25
-
-    def test_vocabulary_size(self, small_corpus):
-        stats = corpus_stats(small_corpus)
-        distinct = {t for d in small_corpus.documents for t in d.tokens}
-        assert stats.vocabulary_size == len(distinct)
+    def test_direct_corpus_tallies_its_unsorted_documents(self):
+        # 20 spam then 60 legit, built without from_documents: no sorting,
+        # and nothing to set the tallies but the labels
+        spam = generate_fixture_corpus(4, 0, 20).documents
+        legit = generate_fixture_corpus(5, 60, 0).documents
+        corpus = Corpus(documents=spam + legit)
+        assert [field.name for field in dataclasses.fields(Corpus)] == ["documents"]
+        assert (corpus.n_legit, corpus.n_spam) == (60, 20)
+        assert corpus.n_spam == sum(1 for d in corpus.documents if d.label is Label.SPAM)
+        plan = make_stratified_folds(corpus, k_folds=10, seed=0)
+        result = cross_validate(corpus, ClassifierConfig("always-legit"), 9.0, 10, plan)
+        _, baseline_werr = baseline_metrics(60, 20, 9.0)
+        assert result.baseline_werr == baseline_werr
+        assert result.tcr == pytest.approx(1.0)
 
 
 class TestFixtureCorpus:
@@ -335,12 +338,13 @@ class TestFixtureCorpus:
             generate_fixture_corpus(7, 0, 0)
 
     def test_persist_round_trip(self, tmp_path):
-        corpus = generate_fixture_corpus(11, 25, 8, out_dir=tmp_path)
-        reloaded = load_corpus(tmp_path, layout="fixture", config=LIGHT)
+        corpus = generate_fixture_corpus(11, 25, 8)
+        write_fixture_corpus(corpus, tmp_path)
+        reloaded = load_corpus(tmp_path, layout="fixture", stemming=LIGHT)
         assert reloaded == corpus
         # and the same corpus reloads identically without stemming too,
         # because fixture words are normalization fixed points
-        assert load_corpus(tmp_path, layout="fixture", config=PLAIN) == corpus
+        assert load_corpus(tmp_path, layout="fixture", stemming=PLAIN) == corpus
 
     def test_write_requires_same_convention(self, tmp_path):
         corpus = generate_fixture_corpus(3, 2, 2)
@@ -409,11 +413,14 @@ class TestDocumentHelpers:
         assert_incidence_matches(Incidence.from_documents(docs), docs)
 
     def test_incidence_built_once_and_not_by_loading(self, tmp_path):
-        generate_fixture_corpus(5, 12, 4, out_dir=tmp_path)
+        write_fixture_corpus(generate_fixture_corpus(5, 12, 4), tmp_path)
         corpus = load_corpus(tmp_path, layout="fixture")
         assert "incidence" not in corpus.__dict__
         assert "rankings" not in corpus.__dict__
-        assert corpus_stats(corpus).vocabulary_size == len(corpus.incidence.vocabulary)
+        assert (corpus.n_legit, corpus.n_spam) == (12, 4)
+        assert "incidence" not in corpus.__dict__
+        distinct = {t for d in corpus.documents for t in d.tokens}
+        assert len(corpus.incidence.vocabulary) == len(distinct)
         assert "rankings" not in corpus.__dict__
         assert corpus.incidence is corpus.incidence
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 import subprocess
@@ -76,6 +77,41 @@ def test_readme_lists_the_package_api():
         if not name.startswith("_") and not inspect.ismodule(getattr(spamlab, name))
     }
     assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
+
+
+# Every module:attribute that the benchmark's tracer in benchmarks/spans.py
+# wraps and that names a library function.  A rename there would drop a
+# layer from the benchmark's per-layer report without any error.  Delete
+# this test together with spans.py.
+TRACED = {
+    "spamlab:load_corpus",
+    "spamlab.cli:load_corpus",
+    "spamlab:make_stratified_folds",
+    "spamlab.cli:make_stratified_folds",
+    "spamlab:cross_validate",
+    "spamlab:sweep_attributes",
+    "spamlab.cli:sweep_attributes",
+    "spamlab.evaluate:train_naive_bayes",
+    "spamlab.evaluate:classify_nb_batch",
+    "spamlab.evaluate:build_instance_base",
+    "spamlab.evaluate:classify_mb_batch",
+    "spamlab.cli:main",
+}
+
+
+def test_benchmark_traced_names_resolve():
+    tree = ast.parse((ROOT / "benchmarks" / "spans.py").read_text(encoding="utf-8"))
+    (layers,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    traced = {name for names in layers.values() for name in names}
+    assert TRACED <= traced, sorted(TRACED - traced)
+    for name in sorted(TRACED):
+        module, attribute = name.split(":")
+        assert callable(getattr(importlib.import_module(module), attribute, None)), name
 
 
 PYPROJECT = ROOT / "pyproject.toml"

@@ -33,10 +33,10 @@ from spamlab import (
     weighted_accuracy,
 )
 from spamlab.cli import main
-from spamlab.corpus import Corpus, Incidence
+from spamlab.corpus import Corpus, Incidence, write_fixture_corpus
 from spamlab.evaluate import t_critical_value
 from spamlab.features import class_counts, presence_matrix, rank_tokens
-from spamlab.bayes import train_naive_bayes
+from spamlab.bayes import NaiveBayesModel, classify_nb_batch, train_naive_bayes
 
 
 def counts_of(ll, ls, ss, sl):
@@ -211,6 +211,40 @@ class TestTotalCostRatio:
         assert (tcr < 1.0) == (werr > baseline_werr)
 
 
+class TestNumpyLambda:
+    """A numpy float32 lambda scores as the Python float of its value."""
+
+    @pytest.mark.parametrize("lam", [1, 9, 999])
+    def test_measures(self, lam):
+        counts = counts_of(100, 1, 39, 9)
+        scored = weighted_accuracy(counts, np.float32(lam))
+        assert scored == weighted_accuracy(counts, lam)
+        baseline = baseline_metrics(2412, 481, np.float32(lam))
+        assert baseline == baseline_metrics(2412, 481, lam)
+        tcr = total_cost_ratio(counts, np.float32(lam))
+        assert tcr == total_cost_ratio(counts, lam)
+        assert {type(v) for v in (*scored, *baseline, tcr)} == {float}
+
+    @pytest.mark.parametrize("lam", [1, 9, 999])
+    def test_nb_thresholds_at_the_float_threshold(self, lam):
+        # a posterior at t = lambda / (1 + lambda) itself, where float32 t
+        # (0.89999998 for 0.9) sits below it
+        t = lam / (1 + lam)
+        model = NaiveBayesModel(t, 1 - t, np.empty(0), np.empty(0))
+        x = np.zeros((1, 0), dtype=np.uint8)
+        expected = classify_nb_batch(model, x, lam)
+        assert classify_nb_batch(model, x, np.float32(lam)).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("lam", [1, 9, 999])
+    def test_sweep(self, hard_corpus, lam):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        config = ClassifierConfig(kind="nb")
+        expected = sweep_attributes(hard_corpus, config, lam, plan, 10, 30, 10)
+        swept = sweep_attributes(hard_corpus, config, np.float32(lam), plan, 10, 30, 10)
+        assert swept == expected
+        assert {type(v) for r in swept for v in (r.lam, r.tcr)} == {float}
+
+
 class TestSpamRecallPrecision:
     def test_baseline_blocks_nothing(self):
         sr, sp = spam_recall_precision(counts_of(100, 0, 0, 48))
@@ -300,6 +334,36 @@ class TestFoldPlan:
         with pytest.raises(ValueError, match=message):
             plan = make_plan(len(hard_corpus))
             cross_validate(hard_corpus, ClassifierConfig(kind="nb"), 1.0, 10, plan)
+
+
+class TestClassifierConfig:
+    @pytest.mark.parametrize("k", [1, 2, np.int64(2), 10**6])
+    def test_mb_takes_an_integer_k(self, k):
+        assert ClassifierConfig("mb", k=k).k == k
+
+    @pytest.mark.parametrize("k", [None, 0, -1, np.int64(0), 1.5, 2.0, "2", np.float64(2)])
+    def test_mb_rejects_anything_else(self, k):
+        with pytest.raises(ConfigError, match="needs an integer k >= 1"):
+            ClassifierConfig("mb", k=k)
+
+    @pytest.mark.parametrize("kind", ["nb", "oracle", "always-legit"])
+    @pytest.mark.parametrize("k", [0, 1, 5, 1.5])
+    def test_other_kinds_take_no_k(self, kind, k):
+        assert ClassifierConfig(kind).k is None
+        with pytest.raises(ConfigError, match="only the memory-based classifier takes k"):
+            ClassifierConfig(kind, k=k)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown classifier kind"):
+            ClassifierConfig("svm")
+
+    def test_result_reports_the_configured_k(self, hard_corpus):
+        plan = make_stratified_folds(hard_corpus, seed=0)
+        by_int = cross_validate(hard_corpus, ClassifierConfig("mb", k=2), 1.0, 10, plan)
+        numpy_k = ClassifierConfig("mb", k=np.int64(2))
+        by_numpy = cross_validate(hard_corpus, numpy_k, 1.0, 10, plan)
+        assert by_int.k == by_numpy.k == 2 and by_int.fold_counts == by_numpy.fold_counts
+        assert cross_validate(hard_corpus, ClassifierConfig("nb"), 1.0, 10, plan).k is None
 
 
 class TestCrossValidate:
@@ -487,7 +551,7 @@ class TestFoldFeatures:
         root = tmp_path / "hard"
         from conftest import HARD_PARAMS
 
-        generate_fixture_corpus(7, 200, 40, HARD_PARAMS, out_dir=root)
+        write_fixture_corpus(generate_fixture_corpus(7, 200, 40, HARD_PARAMS), root)
         argv = ["evaluate", "--corpus", str(root), "--layout", "fixture", "--m"]
         assert main(argv + [str(limit)]) == 0
         assert main(argv + [str(limit + 1)]) == 2
