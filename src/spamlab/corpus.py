@@ -131,7 +131,7 @@ class Corpus:
 
     @cached_property
     def incidence(self) -> Incidence:
-        """Built on first use (cross-validation, stats), then kept."""
+        """Built on first use (cross-validation), then kept."""
         return Incidence.from_documents(self.documents)
 
     @cached_property

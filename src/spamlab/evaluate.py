@@ -196,7 +196,8 @@ class ClassifierConfig:
             raise ConfigError(f"unknown classifier kind: {self.kind!r}")
         if self.kind != "mb" and self.k is not None:
             raise ConfigError(f"only the memory-based classifier takes k, got k={self.k!r}")
-        integer = hasattr(type(self.k), "__index__")  # what operator.index accepts
+        # what operator.index accepts, except a bool
+        integer = hasattr(type(self.k), "__index__") and not isinstance(self.k, bool)
         if self.kind == "mb" and not (integer and operator.index(self.k) >= 1):
             raise ConfigError(f"memory-based classifier needs an integer k >= 1, got {self.k!r}")
 

@@ -6,8 +6,8 @@ attribute positions) falls among the k smallest distinct distance values,
 so it can contain far more than k members when distances tie.  Voting
 multiplies the legitimate-neighbor count by lambda before taking the
 majority; exact ties go to legitimate.  Stored and query vectors must be
-0/1: two such vectors are at most |x| + |y| apart, and the kernel's
-distance histograms are only that wide.
+0/1: two such vectors are at most |x| + |y| apart, and the kernel keeps
+its distances in an integer type only that wide.
 """
 
 from __future__ import annotations
@@ -62,19 +62,21 @@ def neighborhood_votes(
     With an ascending ms, one row of counts per m over the first m columns,
     (len(ms), n_queries); without, the counts at base.m, (n_queries,).
 
-    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most |x| + |y|.  The
-    int32 Gram term -2 x.y grows by one column block per m, so each column
-    is multiplied once.  The float32 block product of -2 x and y is exact:
-    its sums are integers of magnitude up to twice the block width, and
-    the width is checked against _EXACT_FLOAT32_WIDTH.
+    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most widest =
+    min(m, max|x| + max|y|) at the last m, so the distances are kept in the
+    narrowest signed integer type that holds widest + 1.  Each m adds its
+    column block's distances, the float32 product [-2x, |x|, 1] . [y, 1, |y|]
+    over the block, so each column is multiplied once.  The product is
+    exact: its sums are integers of magnitude up to twice the block width,
+    and the width is checked against _EXACT_FLOAT32_WIDTH.
 
-    Each row's distances go into a histogram of (distance, label) counts,
-    w = min(m, max|x| + max|y|) + 1 bins wide.  The bin of a pair is
-    label * n * w + row * w + d, written into one int64 buffer by a
-    broadcast add of the offset norms and an add of -2 x.y; before that,
-    the same buffer holds the block product.  The neighborhood is every bin
-    up to the one where the running count of occupied distances reaches k
-    (all bins when k exceeds that count).
+    A row's cut starts at its smallest distance.  Each of up to k - 1 passes
+    moves it to the next distinct distance: the minimum of d - (cut + 1)
+    read as unsigned, where the distances up to the cut wrap to large
+    values.  A row whose cut is its largest distance is done, and the
+    passes stop once every row is.  The stored rows are gathered spam
+    first: a vote counts the distances up to the cut over one column range,
+    summed in the narrowest unsigned type that holds base.size.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != base.m:
@@ -84,40 +86,38 @@ def neighborhood_votes(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sweep = m_range(ms, base.m, 1)
-    n, size = queries.shape[0], base.size
-    rows = np.arange(n, dtype=np.intp)
-    spam_offsets = (base.labels == 1) * np.intp(n)
-    neg2gram = np.zeros((n, size), dtype=np.int32)
-    x_norms = np.zeros(n, dtype=np.intp)
-    y_norms = np.zeros(size, dtype=np.intp)
-    bins = np.empty((n, size), dtype=np.intp)
-    # float32 product in the first half of bins, its int32 cast in the second
-    halves = bins.reshape(-1).view(np.int32)
-    product = halves[: n * size].view(np.float32).reshape(n, size)
-    block = halves[n * size:].reshape(n, size)
-    spam_votes, legit_votes = [], []
+    last = sweep[-1]
+    widest = min(last, sum(int(v[:, :last].sum(axis=1).max(initial=0))
+                           for v in (queries, base.vectors)))
+    dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
+    unsigned = np.dtype(f"u{dist.itemsize}")
+    product = np.zeros(dist.shape, dtype=np.float32)
+    by_class = np.argsort(base.labels == 0, kind="stable")
+    n_spam = np.count_nonzero(base.labels)
+    votes = np.empty((2, len(sweep), len(queries)), dtype=np.intp)
     done = 0
-    for m in sweep:
+    for i, m in enumerate(sweep):
         if m - done > _EXACT_FLOAT32_WIDTH:
             raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
-        x = queries[:, done:m]
-        y = base.vectors[:, done:m]
-        np.matmul(np.multiply(x, -2, dtype=np.float32), y.T.astype(np.float32), out=product)
-        np.copyto(block, product, casting="unsafe")
-        neg2gram += block
-        x_norms += x.sum(axis=1, dtype=np.intp)
-        y_norms += y.sum(axis=1, dtype=np.intp)
+        x = queries[:, done:m].astype(np.float32)
+        y = base.vectors[by_class, done:m].astype(np.float32)
+        # row sums outside BLAS, whose gemv intermittently raised a spurious invalid flag
+        x_norms, y_norms = np.einsum("ij->i", x), np.einsum("ij->i", y)
+        left = np.column_stack((-2 * x, x_norms, np.ones_like(x_norms)))
+        right = np.column_stack((y, np.ones_like(y_norms), y_norms))
+        dist += np.matmul(left, right.T, out=product).astype(dist.dtype)
         done = m
-        w = min(m, x_norms.max(initial=0) + y_norms.max()) + 1
-        np.add((x_norms + rows * w)[:, np.newaxis], y_norms + spam_offsets * w, out=bins)
-        bins += neg2gram
-        legit, spam = np.bincount(bins.ravel(), minlength=2 * n * w).reshape(2, n, w)
-        in_hood = np.cumsum((legit + spam) > 0, axis=1) <= k
-        spam_votes.append((spam * in_hood).sum(axis=1))
-        legit_votes.append((legit * in_hood).sum(axis=1))
-    if ms is None:
-        return spam_votes[0], legit_votes[0]
-    return np.array(spam_votes), np.array(legit_votes)
+        cut, top = dist.min(axis=1), dist.max(axis=1)
+        for _ in range(k - 1):
+            open_rows = cut < top
+            if not open_rows.any():
+                break
+            gap = (dist - (cut + 1)[:, np.newaxis]).view(unsigned).min(axis=1)
+            cut[open_rows] += gap[open_rows] + 1
+        inside = dist <= cut[:, np.newaxis]
+        inside[:, :n_spam].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[0, i])
+        inside[:, n_spam:].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[1, i])
+    return tuple(votes[:, 0] if ms is None else votes)
 
 
 def classify_mb_batch(

@@ -341,7 +341,9 @@ class TestClassifierConfig:
     def test_mb_takes_an_integer_k(self, k):
         assert ClassifierConfig("mb", k=k).k == k
 
-    @pytest.mark.parametrize("k", [None, 0, -1, np.int64(0), 1.5, 2.0, "2", np.float64(2)])
+    @pytest.mark.parametrize("k", [
+        None, 0, -1, np.int64(0), 1.5, 2.0, "2", np.float64(2), True, False, np.True_,
+    ])
     def test_mb_rejects_anything_else(self, k):
         with pytest.raises(ConfigError, match="needs an integer k >= 1"):
             ClassifierConfig("mb", k=k)

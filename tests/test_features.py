@@ -197,6 +197,18 @@ class TestSelectAttributes:
         ties = [exact[i] == exact[j] for i, j in zip(ids.tolist(), ids[1:].tolist())]
         assert ties == (scores[:-1] == scores[1:]).tolist()
 
+    @pytest.mark.parametrize("n_spam,n_legit", [(40, 200), (6, 8), (7, 7), (8, 8), (12, 30)])
+    def test_class_independent_pairs_score_exactly_zero(self, n_spam, n_legit):
+        # a * n_legit == b * n_spam: every ratio is 1, so no rounding residue
+        # such as the 1.7e-17 that (39, 195) at 40 / 200 sums to
+        pairs = [(a, b) for a in range(n_spam + 1) for b in range(n_legit + 1) if a + b]
+        stats = TokenStats(
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), n_spam, n_legit
+        )
+        score_of = dict(zip(*(v.tolist() for v in rank_tokens(stats))))
+        independent = [i for i, (a, b) in enumerate(pairs) if a * n_legit == b * n_spam]
+        assert len(independent) >= 2 and {score_of[i] for i in independent} == {0.0}
+
     def test_error_reports_available_count(self):
         # every training set holds the one token "a"
         corpus = corpus_of(

@@ -217,6 +217,14 @@ class TestSweep:
             assert (spam, legit) == expected
             assert decisions.tolist() == [int(s > lam * l) for s, l in zip(*expected)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=tied_sweeps(), data=st.data())
+    def test_permuting_the_base_leaves_the_votes(self, case, data):
+        train, labels, queries, ms, k, _ = case
+        order = data.draw(st.permutations(range(len(train))))
+        shuffled = base_of([train[i] for i in order], [labels[i] for i in order])
+        assert votes(shuffled, queries, k, ms) == votes(base_of(train, labels), queries, k, ms)
+
     @pytest.mark.parametrize("train,labels,queries", [
         # all-ones query against all-zero rows: a distance of exactly m
         ([[1] * 5, [0] * 5, [0] * 5, [1] * 5], [1, 0, 1, 0], [[1] * 5, [0] * 5]),
@@ -268,6 +276,57 @@ class TestSweep:
         assert int(np.float32(2 * (width + 1) - 1)) != 2 * (width + 1) - 1
 
 
+def spread_rows(width):
+    """Six base rows at six distinct distances, 0 to width, from a query of
+    width // 2 leading ones, and three queries: that one, zeros and ones."""
+    a = width // 2
+    query = [1] * a + [0] * (width - a)
+    rows = [
+        query,
+        [0] * width,
+        [0] * a + [1] * (width - a),
+        [1] * (a - 1) + [0] * (width - a + 1),
+        [1] * (width - 1) + [0],
+        [1] * width,
+    ]
+    return rows, [1, 0, 1, 0, 1, 0], [query, [0] * width, [1] * width]
+
+
+class TestDistanceType:
+    """The distances live in the narrowest signed integer type holding
+    widest + 1, widest = min(m, max|x| + max|y|); these widths sit where
+    that type changes."""
+
+    @pytest.mark.parametrize("width", [125, 126, 127, 128])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_int8_to_int16(self, width, k):
+        rows, labels, queries = spread_rows(width)
+        base = base_of(rows, labels)
+        for ms in ([width], [width // 2, width]):
+            for m, spam, legit in zip(ms, *votes(base, queries, k, ms)):
+                expected = direct_votes(
+                    [r[:m] for r in rows], labels, [q[:m] for q in queries], k
+                )
+                assert (spam, legit) == expected
+
+    @pytest.mark.parametrize("width", [32766, 32767, 32768])
+    def test_int16_to_int32(self, width):
+        rows, labels, queries = spread_rows(width)
+        base = base_of(rows, labels)
+        for k in (2, 6):
+            assert votes(base, queries, k) == direct_votes(rows, labels, queries, k)
+
+    @pytest.mark.parametrize("width", [110, 200])
+    def test_overlap_beyond_int8_as_minus_two_xy(self, width):
+        # x.y = 100 in one block: -2 x.y = -200 fits no int8, the distances do
+        query = [1] * 100 + [0] * (width - 100)
+        rows = [query, [1] * width, [0] * width, [1] * 50 + [0] * (width - 50)]
+        labels = [0, 1, 1, 0]
+        base = base_of(rows, labels)
+        for k in (1, 2, 4):
+            assert votes(base, [query], k) == direct_votes(rows, labels, [query], k)
+
+
 class TestLargeKDegeneracy:
     def test_k_covering_all_distances_acts_like_majority_rule(self, hard_corpus):
         attrs = top_features(hard_corpus, 10)
@@ -276,6 +335,18 @@ class TestLargeKDegeneracy:
         # k > m means every distance value is inside the neighborhood
         predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, 1.0)
         assert predicted.tolist() == [0] * len(matrix)
+
+    def test_huge_k_stops_at_the_distinct_distances(self, hard_corpus):
+        # one pass per distinct distance at most, so this returns at once
+        attrs = top_features(hard_corpus, 10)
+        base = build_instance_base(attrs.x, attrs.y)
+        spam, legit = neighborhood_votes(base, attrs.x, 10**9)
+        n_spam = int(np.count_nonzero(attrs.y))
+        assert spam.tolist() == [n_spam] * len(attrs.x)
+        assert legit.tolist() == [len(attrs.x) - n_spam] * len(attrs.x)
+        majority = int(n_spam > len(attrs.x) - n_spam)
+        predicted = classify_mb_batch(base, attrs.x, 10**9, 1.0)
+        assert predicted.tolist() == [majority] * len(attrs.x)
 
     def test_k10_on_few_attributes_approaches_the_baseline(self, hard_corpus):
         attrs = top_features(hard_corpus, 10)
