@@ -151,13 +151,11 @@ def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: flo
 def posterior_spam_batch(
     model: NaiveBayesModel, matrix: np.ndarray, ms: Sequence[int] | None = None
 ) -> np.ndarray:
-    """P(spam | row) for each row of an (n, model.m) 0/1 matrix, in log space;
-    ValueError for any other entry.
-
-    With an ascending ms, one row of posteriors per m under the model's
-    first m attributes, (len(ms), n); without, the posteriors at model.m,
-    (n,).  A conditional depends only on its own column, so the model at m
-    is the m-prefix of the model.
+    """P(spam | row), in log space, for each row of an (n, model.m) 0/1
+    matrix (ValueError for any other entry): one row per m of an ascending
+    ms, (model.m,) by default, under the model's first m attributes, so
+    (len(ms), n).  The model at m is its m-prefix, since a conditional
+    depends only on its own column.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != model.m:
@@ -165,8 +163,7 @@ def posterior_spam_batch(
     if not is_zero_one(matrix):
         raise ValueError("query vectors must hold only 0 and 1")
     log_spam, log_legit = _log_joints(model, matrix, m_range(ms, model.m, 0))
-    posterior = _normalize_spam(log_spam, log_legit, model.prior_spam)
-    return posterior[0] if ms is None else posterior
+    return _normalize_spam(log_spam, log_legit, model.prior_spam)
 
 
 def classify_nb_batch(

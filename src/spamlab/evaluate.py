@@ -15,7 +15,6 @@ and training both see only the nine training parts of each fold.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
@@ -26,7 +25,7 @@ from .bayes import classify_nb_batch, is_zero_one, lambda_to_threshold, train_na
 from .corpus import Corpus, Label
 from .errors import ConfigError, DataError
 from .features import class_counts, presence_matrix, rank_tokens
-from .memory import build_instance_base, classify_mb_batch
+from .memory import build_instance_base, check_k, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
 
@@ -196,10 +195,8 @@ class ClassifierConfig:
             raise ConfigError(f"unknown classifier kind: {self.kind!r}")
         if self.kind != "mb" and self.k is not None:
             raise ConfigError(f"only the memory-based classifier takes k, got k={self.k!r}")
-        # what operator.index accepts, except a bool
-        integer = hasattr(type(self.k), "__index__") and not isinstance(self.k, bool)
-        if self.kind == "mb" and not (integer and operator.index(self.k) >= 1):
-            raise ConfigError(f"memory-based classifier needs an integer k >= 1, got {self.k!r}")
+        if self.kind == "mb":
+            check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -280,14 +277,27 @@ def _aggregate(
     )
 
 
-def _run_configurations(
+def cross_validate(
     corpus: Corpus,
     config: ClassifierConfig,
     lam: float,
-    ms: range,
+    m: int,
     plan: FoldPlan,
+) -> AggregateResult:
+    """Run the full k-fold protocol for one configuration: a sweep over one m."""
+    return sweep_attributes(corpus, config, lam, plan, m, m, 1)[0]
+
+
+def sweep_attributes(
+    corpus: Corpus,
+    config: ClassifierConfig,
+    lam: float,
+    plan: FoldPlan,
+    m_from: int = 50,
+    m_to: int = 700,
+    m_step: int = 50,
 ) -> list[AggregateResult]:
-    """Shared CV engine.
+    """One AggregateResult per attribute-set size, ascending m: the CV engine.
 
     The corpus incidence is built on the first call and kept on the corpus,
     and so are the plan's fold rankings, which depend on neither the
@@ -312,9 +322,10 @@ def _run_configurations(
             f"fold plan covers {len(plan.assignment)} documents "
             f"but the corpus has {len(corpus)}"
         )
+    if m_from < 1 or m_to < m_from or m_step < 1:
+        raise ValueError(f"invalid m range {m_from}:{m_to}:{m_step}")
+    ms = range(m_from, m_to + 1, m_step)
     largest = ms[-1]
-    if largest < 1:
-        raise ValueError(f"m must be >= 1, got {largest}")
     incidence = corpus.incidence
     assignment = np.array(plan.assignment)
     rankings = corpus.rankings.get(plan)
@@ -343,33 +354,6 @@ def _run_configurations(
     return [
         _aggregate(corpus, config, lam, m, plan, per_m_counts[m]) for m in ms
     ]
-
-
-def cross_validate(
-    corpus: Corpus,
-    config: ClassifierConfig,
-    lam: float,
-    m: int,
-    plan: FoldPlan,
-) -> AggregateResult:
-    """Run the full k-fold protocol for one configuration."""
-    return _run_configurations(corpus, config, lam, range(m, m + 1), plan)[0]
-
-
-def sweep_attributes(
-    corpus: Corpus,
-    config: ClassifierConfig,
-    lam: float,
-    plan: FoldPlan,
-    m_from: int = 50,
-    m_to: int = 700,
-    m_step: int = 50,
-) -> list[AggregateResult]:
-    """One AggregateResult per attribute-set size, ascending m."""
-    if m_from < 1 or m_to < m_from or m_step < 1:
-        raise ValueError(f"invalid m range {m_from}:{m_to}:{m_step}")
-    ms = range(m_from, m_to + 1, m_step)
-    return _run_configurations(corpus, config, lam, ms, plan)
 
 
 @dataclass(frozen=True)

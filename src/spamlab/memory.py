@@ -12,6 +12,7 @@ its distances in an integer type only that wide.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .bayes import is_zero_one, lambda_to_threshold, m_range, training_set
 from .corpus import Label
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,12 @@ def build_instance_base(
     return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
 
 
+def check_k(k: int) -> None:
+    """ConfigError unless k is an integer >= 1: operator.index takes it, and no bool."""
+    if isinstance(k, bool) or not hasattr(type(k), "__index__") or operator.index(k) < 1:
+        raise ConfigError(f"memory-based classifier needs an integer k >= 1, got {k!r}")
+
+
 # Largest column block whose float32 product sums, each an integer of
 # magnitude up to twice the block width, stay exact.
 _EXACT_FLOAT32_WIDTH = 2**23
@@ -57,10 +64,9 @@ def neighborhood_votes(
     base: InstanceBase, queries: np.ndarray, k: int, ms: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(spam, legit) member counts of each query row's k-distance neighborhood:
-    every stored instance at one of the row's k smallest distinct distances.
-
-    With an ascending ms, one row of counts per m over the first m columns,
-    (len(ms), n_queries); without, the counts at base.m, (n_queries,).
+    every stored instance at one of the row's k smallest distinct distances,
+    one row of counts per m of an ascending ms ((base.m,) by default) over
+    the first m columns, (len(ms), n_queries).
 
     For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most widest =
     min(m, max|x| + max|y|) at the last m, so the distances are kept in the
@@ -83,8 +89,7 @@ def neighborhood_votes(
         raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
     if not is_zero_one(queries):
         raise ValueError("query vectors must hold only 0 and 1")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     sweep = m_range(ms, base.m, 1)
     last = sweep[-1]
     widest = min(last, sum(int(v[:, :last].sum(axis=1).max(initial=0))
@@ -108,7 +113,7 @@ def neighborhood_votes(
         dist += np.matmul(left, right.T, out=product).astype(dist.dtype)
         done = m
         cut, top = dist.min(axis=1), dist.max(axis=1)
-        for _ in range(k - 1):
+        for _ in range(1, k):
             open_rows = cut < top
             if not open_rows.any():
                 break
@@ -117,7 +122,7 @@ def neighborhood_votes(
         inside = dist <= cut[:, np.newaxis]
         inside[:, :n_spam].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[0, i])
         inside[:, n_spam:].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[1, i])
-    return tuple(votes[:, 0] if ms is None else votes)
+    return tuple(votes)
 
 
 def classify_mb_batch(

@@ -249,7 +249,7 @@ class TestCriterion4OracleSuites:
             from test_bayes import model_of
 
             model = model_of(prior, p1s, p1l)
-            mine = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0]
+            mine = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0]
             reference = posterior_spam_direct(prior, 1.0 - prior, p1s, p1l, bits)
             worst = max(worst, abs(mine - reference))
         report(4, "posterior vs raw products", worst <= 1e-9, f"max|diff|={worst:.2e}")
@@ -270,7 +270,7 @@ class TestCriterion4OracleSuites:
             query = [rng.randint(0, 1) for _ in range(m)]
             k = rng.randint(1, 6)
             spam, legit = neighborhood_votes(base, np.array([query], dtype=np.uint8), k)
-            mismatches += (spam.tolist(), legit.tolist()) != direct_votes(
+            mismatches += (spam[0].tolist(), legit[0].tolist()) != direct_votes(
                 rows, labels, [query], k
             )
         report(4, "neighborhood vs sort-based", mismatches == 0,
@@ -298,7 +298,7 @@ class TestCriterion5Properties:
                 list(model.p1_legit),
                 bits,
             )
-            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0] + legit
+            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0] + legit
             worst = max(worst, abs(total - 1.0))
         report(5, "two-class normalization", worst <= 1e-12, f"max|sum-1|={worst:.2e}")
 

@@ -17,6 +17,7 @@ from spamlab import (
     classify_mb_batch,
     classify_nb_batch,
     lambda_to_threshold,
+    neighborhood_votes,
     posterior_spam_batch,
     train_naive_bayes,
 )
@@ -132,17 +133,17 @@ class TestThreshold:
 class TestPosterior:
     def test_empty_attribute_set_returns_prior(self):
         model = model_of(0.3, [], [])
-        posterior = posterior_spam_batch(model, np.zeros((1, 0), dtype=np.uint8))
+        posterior = posterior_spam_batch(model, np.zeros((1, 0), dtype=np.uint8))[0]
         assert posterior.tolist() == pytest.approx([0.3])
 
     def test_single_attribute_present(self):
         model = model_of(0.5, [0.8], [0.2])
-        posterior = posterior_spam_batch(model, np.array([[1]]))
+        posterior = posterior_spam_batch(model, np.array([[1]]))[0]
         assert posterior.tolist() == pytest.approx([0.8], abs=1e-12)
 
     def test_single_attribute_absent(self):
         model = model_of(0.5, [0.8], [0.2])
-        posterior = posterior_spam_batch(model, np.array([[0]]))
+        posterior = posterior_spam_batch(model, np.array([[0]]))[0]
         assert posterior.tolist() == pytest.approx([0.2], abs=1e-12)
 
     def test_length_mismatch_rejected(self):
@@ -173,7 +174,7 @@ class TestPosterior:
                 list(model.p1_legit),
                 bits,
             )
-            actual = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0]
+            actual = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0]
             assert actual == pytest.approx(expected, abs=1e-9)
 
     def test_two_class_normalization(self):
@@ -189,7 +190,7 @@ class TestPosterior:
                 list(model.p1_legit),
                 bits,
             )
-            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0] + legit
+            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0] + legit
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothed_model_never_saturates(self, hard_corpus):
@@ -200,12 +201,12 @@ class TestPosterior:
 
     def test_unsmoothed_zero_in_one_class(self):
         model = model_of(0.5, [1.0], [0.0])
-        assert posterior_spam_batch(model, np.array([[1], [0]])).tolist() == [1.0, 0.0]
+        assert posterior_spam_batch(model, np.array([[1], [0]]))[0].tolist() == [1.0, 0.0]
 
     def test_unsmoothed_impossible_under_both_falls_back_to_prior(self):
         # bit 0 rules out spam, bit 1 rules out legit
         model = model_of(0.25, [0.0, 0.5], [0.5, 0.0])
-        posterior = posterior_spam_batch(model, np.array([[1, 1]]))[0]
+        posterior = posterior_spam_batch(model, np.array([[1, 1]]))[0, 0]
         assert posterior == pytest.approx(0.25)
 
     def test_batch_matches_scalar(self):
@@ -216,7 +217,7 @@ class TestPosterior:
             [[rng.randint(0, 1) for _ in range(12)] for _ in range(50)],
             dtype=np.uint8,
         )
-        batch = posterior_spam_batch(model, matrix)
+        batch = posterior_spam_batch(model, matrix)[0]
         for row, actual in zip(matrix, batch):
             expected = posterior_spam_direct(
                 model.prior_spam,
@@ -240,7 +241,7 @@ class TestSweep:
         assert swept.shape == (len(ms), len(matrix))
         for m, row in zip(ms, swept):
             prefix = model_of(model.prior_spam, model.p1_spam[:m], model.p1_legit[:m])
-            assert row.tolist() == posterior_spam_batch(prefix, matrix[:, :m]).tolist()
+            assert row.tolist() == posterior_spam_batch(prefix, matrix[:, :m])[0].tolist()
             for bits, actual in zip(matrix, row):
                 expected = posterior_spam_direct(
                     model.prior_spam,
@@ -264,25 +265,48 @@ class TestSweep:
             posterior_spam_batch(model, np.zeros((1, 2), dtype=np.uint8), ms)
 
 
+SHAPE_X = np.random.default_rng(5).integers(0, 2, size=(12, 6), dtype=np.uint8)
+SHAPE_Y = np.arange(12) % 2
+SHAPE_NB = train_naive_bayes(SHAPE_X, SHAPE_Y)
+SHAPE_BASE = build_instance_base(SHAPE_X, SHAPE_Y)
+# each classifier kernel on SHAPE_X as ms -> its result arrays
+KERNELS = {
+    "posterior_spam_batch": lambda ms: [posterior_spam_batch(SHAPE_NB, SHAPE_X, ms)],
+    "classify_nb_batch": lambda ms: [classify_nb_batch(SHAPE_NB, SHAPE_X, 1.0, ms)],
+    "neighborhood_votes": lambda ms: list(neighborhood_votes(SHAPE_BASE, SHAPE_X, 2, ms)),
+    "classify_mb_batch": lambda ms: [classify_mb_batch(SHAPE_BASE, SHAPE_X, 2, 1.0, ms)],
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_kernels_return_one_row_per_m(kernel):
+    ms = [2, 5]
+    default, swept, alone = kernel(None), kernel(ms), [kernel([m]) for m in ms]
+    for j, result in enumerate(swept):
+        assert default[j].shape == (1, 12) and result.shape == (2, 12)
+        for i in range(len(ms)):
+            assert result[i].tolist() == alone[i][j][0].tolist()
+
+
 class TestClassify:
     MODEL = model_of(0.5, [0.95, 0.9], [0.05, 0.4])
 
     def test_spam_above_threshold(self):
         model = model_of(0.5, [0.95], [0.05])
         vector = np.array([[1]])
-        assert posterior_spam_batch(model, vector)[0] == pytest.approx(0.95)
-        assert classify_nb_batch(model, vector, 9.0).tolist() == [Label.SPAM]
+        assert posterior_spam_batch(model, vector)[0, 0] == pytest.approx(0.95)
+        assert classify_nb_batch(model, vector, 9.0)[0].tolist() == [Label.SPAM]
 
     def test_legitimate_when_threshold_not_exceeded(self):
         model = model_of(0.5, [0.95], [0.05])
         vector = np.array([[1]])
-        assert classify_nb_batch(model, vector, 999.0).tolist() == [Label.LEGITIMATE]
+        assert classify_nb_batch(model, vector, 999.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         model = model_of(0.5, [], [])
         vector = np.zeros((1, 0), dtype=np.uint8)
-        assert posterior_spam_batch(model, vector).tolist() == [0.5]
-        assert classify_nb_batch(model, vector, 1.0).tolist() == [Label.LEGITIMATE]
+        assert posterior_spam_batch(model, vector)[0].tolist() == [0.5]
+        assert classify_nb_batch(model, vector, 1.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_lambda_monotone_spam_sets(self):
         rng = random.Random(41)

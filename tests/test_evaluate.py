@@ -641,7 +641,7 @@ class TestFoldFeatures:
             with pytest.raises(DataError) as error:
                 cross_validate(corpus, config, 1.0, limit + 1, plan)
             errors.append(str(error.value))
-            with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            with pytest.raises(ValueError, match="invalid m range 0:0:1"):
                 cross_validate(corpus, config, 1.0, 0, plan)
         assert errors == 2 * [
             f"requested {limit + 1} attributes but only {limit} distinct tokens available"

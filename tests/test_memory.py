@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import top_features
 from oracles import neighborhood_direct
 from spamlab import (
+    ConfigError,
     DataError,
     Label,
     build_instance_base,
@@ -43,8 +44,9 @@ def direct_votes(rows, labels, queries, k):
 
 
 def votes(base, queries, k, ms=None):
+    """neighborhood_votes as one (spam, legit) pair of count lists per m."""
     spam, legit = neighborhood_votes(base, np.array(queries, dtype=np.uint8), k, ms)
-    return spam.tolist(), legit.tolist()
+    return list(zip(spam.tolist(), legit.tolist()))
 
 
 class TestBuildInstanceBase:
@@ -74,15 +76,15 @@ class TestNeighborhood:
             [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]],
             [1, 0, 1, 0, 0],
         )
-        assert votes(base, [[0, 0, 0]], 2) == ([2], [1])
+        assert votes(base, [[0, 0, 0]], 2)[0] == ([2], [1])
 
     def test_k_beyond_distinct_distances_covers_base(self):
         base = base_of([[0, 0], [1, 0], [1, 1]], [0, 1, 0])
-        assert votes(base, [[0, 0]], 10) == ([1], [2])
+        assert votes(base, [[0, 0]], 10)[0] == ([1], [2])
 
     def test_k1_unique_nearest(self):
         base = base_of([[0, 0, 0], [1, 1, 1]], [1, 0])
-        assert votes(base, [[0, 0, 1]], 1) == ([1], [0])
+        assert votes(base, [[0, 0, 1]], 1)[0] == ([1], [0])
 
     @pytest.mark.parametrize("query", [[2, 2], [-1, 0], [0.5, 0], [float("nan"), 0]])
     def test_query_other_than_0_or_1_rejected(self, query):
@@ -90,10 +92,11 @@ class TestNeighborhood:
         with pytest.raises(ValueError, match="query vectors must hold only 0 and 1"):
             neighborhood_votes(base, np.array([[0, 0], query]), 1)
 
-    def test_invalid_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, True, 1.5, 2.0, "2", None])
+    def test_invalid_k_rejected(self, k):
         base = base_of([[0]], [0])
-        with pytest.raises(ValueError):
-            votes(base, [[0]], 0)
+        with pytest.raises(ConfigError, match="needs an integer k >= 1"):
+            votes(base, [[0]], k)
 
     def test_monotone_in_k(self):
         rng = random.Random(53)
@@ -102,7 +105,7 @@ class TestNeighborhood:
         queries = [[rng.randint(0, 1) for _ in range(6)] for _ in range(10)]
         previous = np.zeros((2, len(queries)))
         for k in range(1, 8):
-            current = np.array(votes(base, queries, k))
+            current = np.array(votes(base, queries, k)[0])
             assert (current >= previous).all()
             previous = current
 
@@ -116,7 +119,7 @@ class TestNeighborhood:
             base = base_of(rows, labels)
             queries = [[rng.randint(0, 1) for _ in range(m)] for _ in range(5)]
             k = rng.randint(1, 6)
-            assert votes(base, queries, k) == direct_votes(rows, labels, queries, k)
+            assert votes(base, queries, k)[0] == direct_votes(rows, labels, queries, k)
 
 
 class TestClassify:
@@ -130,30 +133,30 @@ class TestClassify:
 
     def test_majority_spam_at_lambda_one(self):
         base = self._neighborhood_base()
-        assert classify_mb_batch(base, self.ZERO, 1, 1.0).tolist() == [Label.SPAM]
+        assert classify_mb_batch(base, self.ZERO, 1, 1.0)[0].tolist() == [Label.SPAM]
 
     def test_lambda_scales_legitimate_votes(self):
         base = self._neighborhood_base()
-        assert classify_mb_batch(base, self.ZERO, 1, 9.0).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 1, 9.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_exact_tie_goes_legitimate(self):
         base = base_of([[0, 0]] * 4, [1, 1, 0, 0])
-        assert classify_mb_batch(base, self.ZERO, 1, 1.0).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 1, 1.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_no_spam_neighbors_means_legitimate(self):
         base = base_of([[0, 0]] * 3, [0, 0, 0])
-        assert classify_mb_batch(base, self.ZERO, 2, 1.0).tolist() == [Label.LEGITIMATE]
+        assert classify_mb_batch(base, self.ZERO, 2, 1.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_pure_spam_neighborhood_beats_any_lambda(self):
         base = base_of([[0, 0]] * 3, [1, 1, 1])
-        assert classify_mb_batch(base, self.ZERO, 2, 999.0).tolist() == [Label.SPAM]
+        assert classify_mb_batch(base, self.ZERO, 2, 999.0)[0].tolist() == [Label.SPAM]
 
     def test_self_classification(self):
         rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1]]
         base = base_of(rows, [1, 0, 0])
         query = np.array(rows[:1], dtype=np.uint8)
-        assert votes(base, query, 1) == ([1], [0])
-        assert classify_mb_batch(base, query, 1, 1.0).tolist() == [Label.SPAM]
+        assert votes(base, query, 1)[0] == ([1], [0])
+        assert classify_mb_batch(base, query, 1, 1.0)[0].tolist() == [Label.SPAM]
 
     def test_lambda_monotone_decisions(self):
         rng = random.Random(61)
@@ -180,7 +183,7 @@ class TestClassify:
         )
         for k in (1, 2, 5):
             for lam in (1.0, 9.0):
-                batch = classify_mb_batch(base, queries, k, lam)
+                batch = classify_mb_batch(base, queries, k, lam)[0]
                 spam, legit = direct_votes(rows, labels, queries, k)
                 scalar = [int(s > lam * l) for s, l in zip(spam, legit)]
                 assert batch.dtype == np.uint8 and batch.tolist() == scalar
@@ -209,8 +212,7 @@ class TestSweep:
         base = base_of(train, labels)
         swept = classify_mb_batch(base, np.array(queries, dtype=np.uint8), k, lam, ms)
         assert swept.shape == (len(ms), len(queries)) and swept.dtype == np.uint8
-        spam_votes, legit_votes = votes(base, queries, k, ms)
-        for m, decisions, spam, legit in zip(ms, swept, spam_votes, legit_votes):
+        for m, decisions, (spam, legit) in zip(ms, swept, votes(base, queries, k, ms)):
             expected = direct_votes(
                 [r[:m] for r in train], labels, [q[:m] for q in queries], k
             )
@@ -235,11 +237,10 @@ class TestSweep:
          [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]),
     ])
     @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_histogram_width_edges(self, train, labels, queries, k):
+    def test_full_width_sweep_matches_direct_votes(self, train, labels, queries, k):
         base = base_of(train, labels)
         ms = list(range(1, base.m + 1))
-        spam_votes, legit_votes = votes(base, queries, k, ms)
-        for m, spam, legit in zip(ms, spam_votes, legit_votes):
+        for m, (spam, legit) in zip(ms, votes(base, queries, k, ms)):
             expected = direct_votes(
                 [r[:m] for r in train], labels, [q[:m] for q in queries], k
             )
@@ -303,7 +304,7 @@ class TestDistanceType:
         rows, labels, queries = spread_rows(width)
         base = base_of(rows, labels)
         for ms in ([width], [width // 2, width]):
-            for m, spam, legit in zip(ms, *votes(base, queries, k, ms)):
+            for m, (spam, legit) in zip(ms, votes(base, queries, k, ms)):
                 expected = direct_votes(
                     [r[:m] for r in rows], labels, [q[:m] for q in queries], k
                 )
@@ -314,7 +315,7 @@ class TestDistanceType:
         rows, labels, queries = spread_rows(width)
         base = base_of(rows, labels)
         for k in (2, 6):
-            assert votes(base, queries, k) == direct_votes(rows, labels, queries, k)
+            assert votes(base, queries, k)[0] == direct_votes(rows, labels, queries, k)
 
     @pytest.mark.parametrize("width", [110, 200])
     def test_overlap_beyond_int8_as_minus_two_xy(self, width):
@@ -324,7 +325,7 @@ class TestDistanceType:
         labels = [0, 1, 1, 0]
         base = base_of(rows, labels)
         for k in (1, 2, 4):
-            assert votes(base, [query], k) == direct_votes(rows, labels, [query], k)
+            assert votes(base, [query], k)[0] == direct_votes(rows, labels, [query], k)
 
 
 class TestLargeKDegeneracy:
@@ -333,26 +334,26 @@ class TestLargeKDegeneracy:
         matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
         # k > m means every distance value is inside the neighborhood
-        predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, 1.0)
+        predicted = classify_mb_batch(base, matrix, len(attrs.tokens) + 1, 1.0)[0]
         assert predicted.tolist() == [0] * len(matrix)
 
     def test_huge_k_stops_at_the_distinct_distances(self, hard_corpus):
         # one pass per distinct distance at most, so this returns at once
         attrs = top_features(hard_corpus, 10)
         base = build_instance_base(attrs.x, attrs.y)
-        spam, legit = neighborhood_votes(base, attrs.x, 10**9)
+        (spam,), (legit,) = neighborhood_votes(base, attrs.x, 10**9)
         n_spam = int(np.count_nonzero(attrs.y))
         assert spam.tolist() == [n_spam] * len(attrs.x)
         assert legit.tolist() == [len(attrs.x) - n_spam] * len(attrs.x)
         majority = int(n_spam > len(attrs.x) - n_spam)
-        predicted = classify_mb_batch(base, attrs.x, 10**9, 1.0)
+        predicted = classify_mb_batch(base, attrs.x, 10**9, 1.0)[0]
         assert predicted.tolist() == [majority] * len(attrs.x)
 
     def test_k10_on_few_attributes_approaches_the_baseline(self, hard_corpus):
         attrs = top_features(hard_corpus, 10)
         matrix, labels = attrs.x, attrs.y
         base = build_instance_base(matrix, labels)
-        predicted = classify_mb_batch(base, matrix, 10, 1.0)
+        predicted = classify_mb_batch(base, matrix, 10, 1.0)[0]
         legit_fraction = np.count_nonzero(predicted == 0) / len(predicted)
         baseline = hard_corpus.n_legit / len(hard_corpus)
         # ties at 10 distinct distances flood the neighborhood with most of
