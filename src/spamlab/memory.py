@@ -6,8 +6,9 @@ attribute positions) falls among the k smallest distinct distance values,
 so it can contain far more than k members when distances tie.  Voting
 multiplies the legitimate-neighbor count by lambda before taking the
 majority; exact ties go to legitimate.  Stored and query vectors must be
-0/1: two such vectors are at most |x| + |y| apart, and the kernel keeps
-its distances in an integer type only that wide.
+0/1: two such vectors are at most |x| + |y| apart, the kernel keeps its
+distances in an integer type only that wide, and a query row with no one
+in a column block skips that block's product.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def build_instance_base(
     return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
 
 
-def check_k(k: int) -> None:
-    """ConfigError unless k is an integer >= 1: operator.index takes it, and no bool."""
+def check_k(k: int) -> int:
+    """k as an int; ConfigError unless operator.index takes it, it is >= 1 and no bool."""
     if isinstance(k, bool) or not hasattr(type(k), "__index__") or operator.index(k) < 1:
         raise ConfigError(f"memory-based classifier needs an integer k >= 1, got {k!r}")
+    return operator.index(k)
 
 
 # Largest column block whose float32 product sums, each an integer of
@@ -69,12 +71,14 @@ def neighborhood_votes(
     the first m columns, (len(ms), n_queries).
 
     For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most widest =
-    min(m, max|x| + max|y|) at the last m, so the distances are kept in the
-    narrowest signed integer type that holds widest + 1.  Each m adds its
-    column block's distances, the float32 product [-2x, |x|, 1] . [y, 1, |y|]
-    over the block, so each column is multiplied once.  The product is
-    exact: its sums are integers of magnitude up to twice the block width,
-    and the width is checked against _EXACT_FLOAT32_WIDTH.
+    min(m, max|x| + max|y|) at the last m, kept in the narrowest signed
+    integer type that holds widest + 1.  Each m adds its column block
+    [done, m) once: every row gains |y| over it, the whole update of a query
+    row with no one there, and only the rows holding a one add the float32
+    product [-2x, |x|] . [y, 1] (exact: integer sums up to twice the block
+    width), so the cost follows their share.  Both casts are exact: between
+    the adds d <= min(m, |x| + |y|) <= widest, and |x| - 2 x.y is within
+    +-|x| <= widest over the block.
 
     A row's cut starts at its smallest distance.  Each of up to k - 1 passes
     moves it to the next distinct distance: the minimum of d - (cut + 1)
@@ -89,7 +93,7 @@ def neighborhood_votes(
         raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
     if not is_zero_one(queries):
         raise ValueError("query vectors must hold only 0 and 1")
-    check_k(k)
+    k = check_k(k)
     sweep = m_range(ms, base.m, 1)
     last = sweep[-1]
     widest = min(last, sum(int(v[:, :last].sum(axis=1).max(initial=0))
@@ -97,6 +101,7 @@ def neighborhood_votes(
     dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
     unsigned = np.dtype(f"u{dist.itemsize}")
     product = np.zeros(dist.shape, dtype=np.float32)
+    inside = np.empty(dist.shape, dtype=bool)
     by_class = np.argsort(base.labels == 0, kind="stable")
     n_spam = np.count_nonzero(base.labels)
     votes = np.empty((2, len(sweep), len(queries)), dtype=np.intp)
@@ -104,22 +109,24 @@ def neighborhood_votes(
     for i, m in enumerate(sweep):
         if m - done > _EXACT_FLOAT32_WIDTH:
             raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
-        x = queries[:, done:m].astype(np.float32)
-        y = base.vectors[by_class, done:m].astype(np.float32)
-        # row sums outside BLAS, whose gemv intermittently raised a spurious invalid flag
-        x_norms, y_norms = np.einsum("ij->i", x), np.einsum("ij->i", y)
-        left = np.column_stack((-2 * x, x_norms, np.ones_like(x_norms)))
-        right = np.column_stack((y, np.ones_like(y_norms), y_norms))
-        dist += np.matmul(left, right.T, out=product).astype(dist.dtype)
+        x = queries[:, done:m]
+        x_norms = x.sum(axis=1, dtype=np.intp)
+        right = np.ones((base.size, m - done + 1), dtype=np.float32)
+        right[:, :-1] = base.vectors[by_class, done:m]
+        # |y| by einsum: BLAS gemv raised a spurious invalid flag
+        dist += np.einsum("ij->i", right[:, :-1]).astype(dist.dtype)
+        hit = np.flatnonzero(x_norms)
+        left = np.column_stack((-2 * x[hit].astype(np.float32), x_norms[hit].astype(np.float32)))
+        dist[hit] += np.matmul(left, right.T, out=product[:len(hit)]).astype(dist.dtype)
         done = m
-        cut, top = dist.min(axis=1), dist.max(axis=1)
+        cut, top = dist.min(axis=1), dist.max(axis=1) if k > 1 else None
         for _ in range(1, k):
             open_rows = cut < top
             if not open_rows.any():
                 break
             gap = (dist - (cut + 1)[:, np.newaxis]).view(unsigned).min(axis=1)
             cut[open_rows] += gap[open_rows] + 1
-        inside = dist <= cut[:, np.newaxis]
+        np.less_equal(dist, cut[:, np.newaxis], out=inside)
         inside[:, :n_spam].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[0, i])
         inside[:, n_spam:].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[1, i])
     return tuple(votes)

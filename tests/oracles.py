@@ -5,7 +5,7 @@ probabilities and 50-digit decimal logs instead of float ratios and logs,
 per-token set membership instead of the incidence matrix, plain
 probability products (or, for the mirrored legitimate posterior, scalar
 per-term logs) instead of vectorized log space, sort-based neighborhood
-construction instead of the distance histograms, and a per-fold,
+construction instead of the incremental distance matrix, and a per-fold,
 per-m, per-message loop in exact arithmetic instead of the
 cross-validation engine.
 """

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import top_features
 from oracles import neighborhood_direct
@@ -204,6 +204,22 @@ def tied_sweeps(draw):
     return train, labels, queries, ms, k, lam
 
 
+@st.composite
+def sparse_sweeps(draw):
+    """Rows with at most two ones over a few columns, and two or more blocks:
+    queries with no one in a block skip that block's product."""
+    width = draw(st.integers(2, 10))
+    row = st.sets(st.integers(0, width - 1), max_size=2).map(
+        lambda ones: [int(c in ones) for c in range(width)]
+    )
+    train = draw(st.lists(row, min_size=1, max_size=12))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
+    queries = draw(st.lists(row, min_size=1, max_size=6))
+    ms = sorted(draw(st.sets(st.integers(1, width), min_size=2)))
+    k = draw(st.sampled_from([1, 2, 3]))
+    return train, labels, queries, ms, k
+
+
 class TestSweep:
     @settings(max_examples=200, deadline=None)
     @given(case=tied_sweeps())
@@ -226,6 +242,28 @@ class TestSweep:
         order = data.draw(st.permutations(range(len(train))))
         shuffled = base_of([train[i] for i in order], [labels[i] for i in order])
         assert votes(shuffled, queries, k, ms) == votes(base_of(train, labels), queries, k, ms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sparse_sweeps())
+    # every query is zero in the block [2, 4): that product has 0 rows
+    @example(case=([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [1, 0, 0],
+                   [[1, 0, 0, 0], [0, 1, 0, 0]], [2, 4], 2))
+    # no query is zero in any block
+    @example(case=([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]], [1, 0, 1],
+                   [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 4], 1))
+    # one query row is all zero
+    @example(case=([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], [0, 1, 1],
+                   [[0, 0, 0, 0], [1, 0, 0, 1]], [1, 3, 4], 3))
+    # duplicate stored rows
+    @example(case=([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0]], [1, 0, 0, 1],
+                   [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], [2, 3, 4], 2))
+    def test_sparse_queries_match_direct_votes(self, case):
+        train, labels, queries, ms, k = case
+        for m, (spam, legit) in zip(ms, votes(base_of(train, labels), queries, k, ms)):
+            expected = direct_votes(
+                [r[:m] for r in train], labels, [q[:m] for q in queries], k
+            )
+            assert (spam, legit) == expected
 
     @pytest.mark.parametrize("train,labels,queries", [
         # all-ones query against all-zero rows: a distance of exactly m
@@ -301,9 +339,19 @@ class TestDistanceType:
     @pytest.mark.parametrize("width", [125, 126, 127, 128])
     @pytest.mark.parametrize("k", [1, 2, 6])
     def test_int8_to_int16(self, width, k):
+        # The first and zero queries have no one after width // 2, so those
+        # blocks add only |y|_block to their rows; the ones query is
+        # multiplied in every block.  Both casts into the distance type are
+        # exact: between the two adds a row holds d(x, y) over [0, done) plus
+        # |y|_block, at most done + (m - done) = m and at most |x| + |y|, so
+        # in [0, widest]; the product term |x|_block - 2 x.y lies in
+        # [-|x|_block, |x|_block], and |x|_block <= widest.  The first query
+        # reaches widest = width, through the |y|-only add, at the row of
+        # ones after width // 2, and the ones query takes the term's bounds
+        # at the all-ones and all-zero rows.
         rows, labels, queries = spread_rows(width)
         base = base_of(rows, labels)
-        for ms in ([width], [width // 2, width]):
+        for ms in ([width], [width // 2, width], [1, width // 2, width - 1, width]):
             for m, (spam, legit) in zip(ms, votes(base, queries, k, ms)):
                 expected = direct_votes(
                     [r[:m] for r in rows], labels, [q[:m] for q in queries], k
