@@ -45,13 +45,8 @@ K_FOLDS = 10
 # Echo keys that must match between two result files for a fair comparison.
 _COMPAT_KEYS = (
     "corpus",
-    "layout",
-    "lowercase",
     "stemming",
-    "min_token_length",
     "seed",
-    "k_folds",
-    "fold_strategy",
     "lambda",
 )
 
@@ -146,9 +141,9 @@ def _result_row(result: AggregateResult) -> str:
     )
 
 
-def _echo(args: argparse.Namespace, m_spec: str) -> dict:
+def _echo(args: argparse.Namespace, m_spec: str, k: int | None) -> dict:
     """The run's # config line.  lowercase, min_token_length, k_folds and
-    fold_strategy are format constants, kept so files stay comparable."""
+    fold_strategy are format constants, kept so the bytes stay the same."""
     return {
         "corpus": args.corpus,
         "layout": args.layout,
@@ -158,7 +153,7 @@ def _echo(args: argparse.Namespace, m_spec: str) -> dict:
         "classifier": args.classifier,
         "lambda": args.lam,
         "m": m_spec,
-        "k": args.k if args.classifier == "mb" else None,
+        "k": k,
         "seed": args.seed,
         "oracle": args.oracle,
         "k_folds": K_FOLDS,
@@ -222,7 +217,7 @@ def _cross_validate(
     results = sweep_attributes(
         corpus, classifier, args.lam, plan, m_from=m_from, m_to=m_to, m_step=m_step
     )
-    _emit(_echo(args, m_spec), results, args.out)
+    _emit(_echo(args, m_spec, k), results, args.out)
     return 0
 
 
@@ -334,6 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except OSError as exc:  # stdout; the commands map the file errors they expect
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        sys.stdout = None  # its unwritten bytes would fail again at exit
         return 2
     except (CorpusError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

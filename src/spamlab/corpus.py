@@ -134,12 +134,6 @@ class Corpus:
         """Built on first use (cross-validation), then kept."""
         return Incidence.from_documents(self.documents)
 
-    @cached_property
-    def rankings(self) -> dict:
-        """Fold plan -> each fold's candidate token ids (int32), best first.
-        Cross-validation fills it and keeps only the latest plan."""
-        return {}
-
 
 def tokenize(text: str | bytes) -> list[str]:
     """Maximal runs of ASCII letters, in order; everything else separates.

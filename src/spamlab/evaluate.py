@@ -14,6 +14,7 @@ and training both see only the nine training parts of each fold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from random import Random
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayes import classify_nb_batch, is_zero_one, lambda_to_threshold, train_naive_bayes
-from .corpus import Corpus, Label
+from .corpus import Corpus, Incidence, Label
 from .errors import ConfigError, DataError
 from .features import class_counts, presence_matrix, rank_tokens
 from .memory import build_instance_base, check_k, classify_mb_batch
@@ -212,7 +213,6 @@ class AggregateResult:
     m: int
     k: int | None
     seed: int
-    k_folds: int
     fold_counts: tuple[ConfusionCounts, ...]
     fold_waccs: tuple[float, ...]
     mean_wacc: float
@@ -245,17 +245,17 @@ def _predict(
 
 
 def _aggregate(
-    corpus: Corpus,
     config: ClassifierConfig,
     lam: float,
     m: int,
-    plan: FoldPlan,
-    fold_counts: list[ConfusionCounts],
+    seed: int,
+    baseline: tuple[float, float],
+    fold_counts: tuple[ConfusionCounts, ...],
 ) -> AggregateResult:
     fold_waccs = tuple(weighted_accuracy(c, lam)[0] for c in fold_counts)
     mean_wacc = math.fsum(fold_waccs) / len(fold_waccs)
     mean_werr = 1.0 - mean_wacc
-    baseline_wacc, baseline_werr = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
+    baseline_wacc, baseline_werr = baseline
     tcr = baseline_werr / mean_werr if mean_werr > 0 else math.inf
     sr, sp = spam_recall_precision(sum(fold_counts, ConfusionCounts()))
     return AggregateResult(
@@ -263,9 +263,8 @@ def _aggregate(
         lam=lam,
         m=m,
         k=config.k,
-        seed=plan.seed,
-        k_folds=plan.k_folds,
-        fold_counts=tuple(fold_counts),
+        seed=seed,
+        fold_counts=fold_counts,
         fold_waccs=fold_waccs,
         mean_wacc=mean_wacc,
         mean_werr=mean_werr,
@@ -288,6 +287,15 @@ def cross_validate(
     return sweep_attributes(corpus, config, lam, plan, m, m, 1)[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _fold_rankings(incidence: Incidence, plan: FoldPlan) -> tuple[np.ndarray, ...]:
+    """Each fold's candidate token ids (int32), best first; the Incidence hashes by id."""
+    return tuple(
+        rank_tokens(stats)[0].astype(np.int32)
+        for stats in class_counts(incidence, np.array(plan.assignment), plan.k_folds)
+    )
+
+
 def sweep_attributes(
     corpus: Corpus,
     config: ClassifierConfig,
@@ -299,13 +307,12 @@ def sweep_attributes(
 ) -> list[AggregateResult]:
     """One AggregateResult per attribute-set size, ascending m: the CV engine.
 
-    The corpus incidence is built on the first call and kept on the corpus,
-    and so are the plan's fold rankings, which depend on neither the
-    classifier nor lambda nor m: only the first configuration on a plan
-    counts and ranks.  One count pass gives every fold's token class
-    counts, and each fold's candidates are ranked in full as its counts
-    come, so the count table is freed before classification starts.  Only
-    the latest plan's rankings are kept (4 bytes per candidate per fold).
+    The incidence is built on the first call and kept on the corpus; the
+    fold rankings, which depend on neither the classifier nor lambda nor m,
+    are kept by ``_fold_rankings`` for the latest incidence and plan only (4
+    bytes per candidate per fold), so only the first configuration on a plan
+    counts and ranks.  One count pass gives every fold's counts, and each
+    fold is ranked as its counts come, freeing the table before classifying.
     A fold gathers the postings of its top tokens at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
@@ -327,21 +334,16 @@ def sweep_attributes(
     ms = range(m_from, m_to + 1, m_step)
     largest = ms[-1]
     incidence = corpus.incidence
-    assignment = np.array(plan.assignment)
-    rankings = corpus.rankings.get(plan)
-    if rankings is None:
-        corpus.rankings.clear()
-        rankings = corpus.rankings[plan] = tuple(
-            rank_tokens(stats)[0].astype(np.int32)
-            for stats in class_counts(incidence, assignment, plan.k_folds)
-        )
+    rankings = _fold_rankings(incidence, plan)
     for ids in rankings:
         if len(ids) < largest:
             raise DataError(
                 f"requested {largest} attributes "
                 f"but only {len(ids)} distinct tokens available"
             )
-    per_m_counts: dict[int, list[ConfusionCounts]] = {}
+    baseline = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
+    assignment = np.array(plan.assignment)
+    per_fold = []
     for fold, ids in enumerate(rankings):
         train = assignment != fold
         x = presence_matrix(incidence, ids[:largest])
@@ -349,10 +351,10 @@ def sweep_attributes(
         decisions = _predict(
             config, x[train], incidence.labels[train], x[~train], y_test, lam, ms
         )
-        for m, predicted in zip(ms, decisions):
-            per_m_counts.setdefault(m, []).append(confusion_counts(y_test, predicted))
+        per_fold.append([confusion_counts(y_test, predicted) for predicted in decisions])
     return [
-        _aggregate(corpus, config, lam, m, plan, per_m_counts[m]) for m in ms
+        _aggregate(config, lam, m, plan.seed, baseline, fold_counts)
+        for m, fold_counts in zip(ms, zip(*per_fold))
     ]
 
 

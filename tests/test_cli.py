@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import errno
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +331,32 @@ class TestCompare:
         assert code == 3
         assert "fold plans differ" in err
 
+    @pytest.mark.parametrize("flag,a_value,b_value", [
+        ("--stemming", "light", "none"),
+        ("--lambda", "1", "9"),
+    ], ids=["stemming", "lambda"])
+    def test_mismatched_run_setting_exits_3(
+        self, capsys, fixture_dir, tmp_path, flag, a_value, b_value
+    ):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        self._evaluate(fixture_dir, a, [flag, a_value])
+        self._evaluate(fixture_dir, b, [flag, b_value])
+        code, _, err = run(capsys, ["compare", str(a), str(b)])
+        assert code == 3
+        assert err == f"error: fold plans differ: mismatched {flag[2:]}\n"
+
+    def test_layouts_of_one_corpus_compare(self, capsys, fixture_dir, tmp_path):
+        # both layout names read the same directory convention, so the folds
+        # and their scores are the same: the t-test runs
+        a = tmp_path / "lingspam.csv"
+        b = tmp_path / "fixture.csv"
+        self._evaluate(fixture_dir, a, ["--layout", "lingspam"])
+        self._evaluate(fixture_dir, b, ["--layout", "fixture"])
+        code, out, _ = run(capsys, ["compare", str(a), str(b)])
+        assert code == 0
+        assert "t=0.000 df=9 not significant" in out
+
     def test_nb_versus_mb(self, capsys, fixture_dir, tmp_path):
         a = tmp_path / "nb.csv"
         b = tmp_path / "mb.csv"
@@ -349,6 +378,7 @@ class TestCompare:
         pytest.param(1, "# config [0]", id="config-not-object"),
         pytest.param(3, "PREFIX,abc" + ";0.5" * 9, id="non-numeric-wacc"),
         pytest.param(3, "PREFIX,nan" + ";0.5" * 9, id="nan-wacc"),
+        pytest.param(3, "PREFIX,1.5" + ";0.5" * 9, id="wacc-above-one"),
         pytest.param(3, "PREFIX,0.5" + ";0.5" * 8, id="nine-of-ten-folds"),
         pytest.param(3, "nb,1,15", id="short-row"),
         pytest.param(3, "PREFIX," + "0" * 200_000, id="oversized-field"),
@@ -460,3 +490,33 @@ class TestFailedStdout:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("argv", [
+        ["stats"],
+        ["sweep", "--m-range", "10:30:10", "--out", "{tmp}/sweep.csv"],
+    ], ids=["stats", "sweep-summary"])
+    def test_buffered_stdout_exits_2_with_one_line(self, fixture_dir, tmp_path, argv, sink):
+        # A block-buffered stdout fails at the flush in main; the bytes it
+        # still holds must not fail a second time at interpreter exit.
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        argv[1:1] = ["--corpus", str(fixture_dir), "--layout", "fixture"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(spamlab.cli.__file__).parents[1])
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "spamlab", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: cannot write output: ")
+        assert child.stderr.count("\n") == 1, child.stderr

@@ -34,7 +34,7 @@ from spamlab import (
 )
 from spamlab.cli import main
 from spamlab.corpus import Corpus, Incidence, write_fixture_corpus
-from spamlab.evaluate import t_critical_value
+from spamlab.evaluate import _fold_rankings, t_critical_value
 from spamlab.features import class_counts, presence_matrix, rank_tokens
 from spamlab.bayes import NaiveBayesModel, classify_nb_batch, train_naive_bayes
 
@@ -594,11 +594,11 @@ class TestFoldFeatures:
         corpus = Corpus.from_documents(hard_corpus.documents)  # nothing cached
         plan = make_stratified_folds(corpus, seed=2)
         nb = cross_validate(corpus, ClassifierConfig(kind="nb"), 9.0, 20, plan)
-        rankings = corpus.rankings[plan]
+        rankings = _fold_rankings(corpus.incidence, plan)
         assert len(rankings) == plan.k_folds and calls == [plan.k_folds]
         mb = cross_validate(corpus, ClassifierConfig(kind="mb", k=2), 1.0, 30, plan)
         assert calls == [plan.k_folds]
-        assert corpus.rankings[plan] is rankings
+        assert _fold_rankings(corpus.incidence, plan) is rankings
         fresh = Corpus.from_documents(hard_corpus.documents)
         assert nb == cross_validate(fresh, ClassifierConfig(kind="nb"), 9.0, 20, plan)
         fresh = Corpus.from_documents(hard_corpus.documents)
@@ -614,11 +614,11 @@ class TestFoldFeatures:
         first, second = (make_stratified_folds(corpus, k, seed) for k, seed in ((10, 0), (3, 1)))
         results = [cross_validate(corpus, config, 1.0, 15, p) for p in (first, second)]
         assert calls == [10, 3]
-        assert list(corpus.rankings) == [second]
-        assert len(corpus.rankings[second]) == 3
+        assert _fold_rankings.cache_info().currsize == 1
+        assert len(_fold_rankings(corpus.incidence, second)) == 3
+        assert calls == [10, 3]  # the second plan's rankings were kept
         assert cross_validate(corpus, config, 1.0, 15, first) == results[0]
-        assert calls == [10, 3, 10]
-        assert list(corpus.rankings) == [first]
+        assert calls == [10, 3, 10]  # the first plan's were replaced
         # an equal plan built again is the same key
         again = make_stratified_folds(corpus, 10, 0)
         assert again is not first
@@ -637,15 +637,45 @@ class TestFoldFeatures:
             corpus = Corpus.from_documents(hard_corpus.documents)
             if warm:
                 cross_validate(corpus, config, 1.0, 10, plan)
-                assert plan in corpus.rankings
+            misses = _fold_rankings.cache_info().misses
             with pytest.raises(DataError) as error:
                 cross_validate(corpus, config, 1.0, limit + 1, plan)
+            assert _fold_rankings.cache_info().misses == misses + (not warm)
             errors.append(str(error.value))
             with pytest.raises(ValueError, match="invalid m range 0:0:1"):
                 cross_validate(corpus, config, 1.0, 0, plan)
         assert errors == 2 * [
             f"requested {limit + 1} attributes but only {limit} distinct tokens available"
         ]
+
+    def test_equal_corpus_ranks_again(self, hard_corpus, monkeypatch):
+        calls = self._counting_class_counts(monkeypatch)
+        plan = make_stratified_folds(hard_corpus, seed=2)
+        config = ClassifierConfig(kind="nb")
+        first, second = (
+            cross_validate(Corpus.from_documents(hard_corpus.documents), config, 9.0, 20, plan)
+            for _ in range(2)
+        )
+        assert calls == [plan.k_folds, plan.k_folds]
+        assert second == first
+
+    def test_sweep_on_another_corpus_replaces_the_rankings(self, hard_corpus, monkeypatch):
+        calls = self._counting_class_counts(monkeypatch)
+        a, b = (Corpus.from_documents(hard_corpus.documents) for _ in range(2))
+        plan = make_stratified_folds(a, seed=2)
+        config = ClassifierConfig(kind="nb")
+        first = cross_validate(a, config, 9.0, 20, plan)
+        assert cross_validate(a, config, 9.0, 30, plan) == cross_validate(b, config, 9.0, 30, plan)
+        assert calls == [plan.k_folds, plan.k_folds]
+        assert cross_validate(a, config, 9.0, 20, plan) == first
+        assert calls == [plan.k_folds] * 3
+
+    def test_corpus_keeps_only_documents_and_incidence(self, hard_corpus):
+        corpus = Corpus.from_documents(hard_corpus.documents)
+        plan = make_stratified_folds(corpus, seed=2)
+        sweep_attributes(corpus, ClassifierConfig(kind="nb"), 9.0, plan, 10, 30, 10)
+        assert set(corpus.__dict__) <= {"documents", "incidence", "n_spam"}
+        assert "incidence" in corpus.__dict__
 
 
 ORACLE_WORDS = ("ab", "cd", "ef", "gh", "ij", "kl", "mn", "op")
@@ -701,6 +731,7 @@ class TestDirectOracle:
         # A, then B replaces it, then A again: misses, replacements, and a
         # hit for each plan's second configuration
         for plan in (plan_a, plan_b, plan_a):
+            misses = _fold_rankings.cache_info().misses
             limit = min(
                 len({t for d, f in zip(corpus.documents, plan.assignment) if f != fold
                      for t in d.tokens})
@@ -715,7 +746,7 @@ class TestDirectOracle:
                 near_ties = sum(gap <= 1e-9 for *_, gaps in expected for gap in gaps)
                 assume(near_ties == 0)
                 assert_matches_direct(corpus, plan, config, lam, ms, expected)
-                assert list(corpus.rankings) == [plan]
+                assert _fold_rankings.cache_info().misses == misses + 1
 
     def test_nb_exact_ties_go_to_legitimate(self):
         # every fold trains on 2 + 2 identical messages: equal priors and
