@@ -74,7 +74,8 @@ class Incidence:
     document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending (int32,
     4 bytes per document-token pair); ``labels[r]`` is row r's Label.  Only
     presence is kept, never a dense document x vocabulary matrix.  The build
-    makes one dict lookup and a transient 8-byte key per token occurrence.
+    makes one dict lookup and a transient key of the narrowest unsigned type
+    holding len(vocabulary) * n and n per token occurrence.
     """
 
     vocabulary: tuple[str, ...]
@@ -88,20 +89,21 @@ class Incidence:
         lengths = np.fromiter((len(d.tokens) for d in documents), np.int64, len(documents))
         first_seen = defaultdict(count().__next__)  # token -> id by first sight
         occurrences = chain.from_iterable(d.tokens for d in documents)
-        key = np.fromiter(map(first_seen.__getitem__, occurrences), np.int64, int(lengths.sum()))
+        ids = np.fromiter(map(first_seen.__getitem__, occurrences), np.int32, int(lengths.sum()))
         vocabulary = tuple(sorted(first_seen))
         order = np.fromiter(map(first_seen.__getitem__, vocabulary), np.int64, len(vocabulary))
-        # one key token * n + row per occurrence, token the lexicographic id
-        # (mapped in place; mode "raise" would buffer a copy): sorted, with
-        # adjacent duplicates dropped, it lists each token's rows in ascending
-        # order, token after token
-        scaled = np.empty(len(order), np.int64)
-        scaled[order] = np.arange(0, len(order) * n, n, dtype=np.int64)
-        np.take(scaled, key, out=key, mode="clip")
-        key += np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        # one key token * n + row per occurrence, token the lexicographic id,
+        # in the narrowest type that holds len(vocabulary) * n and n: sorted,
+        # with adjacent duplicates dropped, it lists each token's rows in
+        # ascending order, token after token
+        scaled = np.empty(len(order), np.min_scalar_type(max(len(order), 1) * n))
+        scaled[order] = np.arange(0, len(order) * n, n, dtype=scaled.dtype)
+        key = scaled[ids]
+        del ids
+        key += np.repeat(np.arange(len(lengths), dtype=key.dtype), lengths)
         key.sort()
         key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
-        indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
+        indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=key.dtype) * n)
         key %= n
         labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
         return cls(vocabulary, indptr, key.astype(np.int32), labels)

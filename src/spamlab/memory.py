@@ -7,8 +7,8 @@ so it can contain far more than k members when distances tie.  Voting
 multiplies the legitimate-neighbor count by lambda before taking the
 majority; exact ties go to legitimate.  Stored and query vectors must be
 0/1: two such vectors are at most |x| + |y| apart, the kernel keeps its
-distances in an integer type only that wide, and a query row with no one
-in a column block skips that block's product.
+distances in an integer type only that wide, and it adds one stored
+column per query one, so its cost follows the query ones.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def check_k(k: int) -> int:
     return operator.index(k)
 
 
-# Largest column block whose float32 product sums, each an integer of
-# magnitude up to twice the block width, stay exact.
-_EXACT_FLOAT32_WIDTH = 2**23
-
-
 def neighborhood_votes(
     base: InstanceBase, queries: np.ndarray, k: int, ms: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,23 +65,26 @@ def neighborhood_votes(
     one row of counts per m of an ascending ms ((base.m,) by default) over
     the first m columns, (len(ms), n_queries).
 
-    For 0/1 vectors d(x, y) = |x| + |y| - 2 x.y, at most widest =
-    min(m, max|x| + max|y|) at the last m, kept in the narrowest signed
-    integer type that holds widest + 1.  Each m adds its column block
-    [done, m) once: every row gains |y| over it, the whole update of a query
-    row with no one there, and only the rows holding a one add the float32
-    product [-2x, |x|] . [y, 1] (exact: integer sums up to twice the block
-    width), so the cost follows their share.  Both casts are exact: between
-    the adds d <= min(m, |x| + |y|) <= widest, and |x| - 2 x.y is within
-    +-|x| <= widest over the block.
+    For 0/1 vectors d(x, y) = |y| + the sum over the ones of x of 1 - 2y,
+    at most widest = min(m, max|x| + max|y|) at the last m, kept in the
+    narrowest signed integer type that holds widest + 1.  The query ones
+    are listed once, each with its column block [done, m) and its layer:
+    its rank among its row's ones in that block, so the rows of one layer
+    differ.  Each m gathers its block's stored columns as rows y, spam
+    first, in the distance type, adds |y| over the block to every query
+    row, turns y into 1 - 2y and, layer by layer, adds to each row the row
+    of y of its one: the cost follows the query ones, not the block width.
+    Every add is exact: a row stays between d + |y|_block - x.y_block >= 0
+    and d + |x or y|_block <= min(m, |x| + |y|) <= widest, d its distance
+    over [0, done).
 
     A row's cut starts at its smallest distance.  Each of up to k - 1 passes
     moves it to the next distinct distance: the minimum of d - (cut + 1)
     read as unsigned, where the distances up to the cut wrap to large
     values.  A row whose cut is its largest distance is done, and the
-    passes stop once every row is.  The stored rows are gathered spam
-    first: a vote counts the distances up to the cut over one column range,
-    summed in the narrowest unsigned type that holds base.size.
+    passes stop once every row is.  A vote counts the distances up to the
+    cut over one class's columns, summed in the narrowest unsigned type
+    that holds base.size.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != base.m:
@@ -96,28 +94,30 @@ def neighborhood_votes(
     k = check_k(k)
     sweep = m_range(ms, base.m, 1)
     last = sweep[-1]
-    widest = min(last, sum(int(v[:, :last].sum(axis=1).max(initial=0))
-                           for v in (queries, base.vectors)))
+    # the query ones row by row, so a row's ones in one block are adjacent;
+    # a one's layer is its rank among them
+    rows, cols = np.nonzero(queries[:, :last])
+    block = np.searchsorted(sweep, cols, side="right")
+    at = np.arange(len(rows))
+    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(block, prepend=-1) != 0)
+    layer = at - np.maximum.accumulate(np.where(first, at, 0))
+    y_widest = base.vectors[:, :last].sum(axis=1, dtype=np.min_scalar_type(last)).max()
+    widest = min(last, int(np.bincount(rows, minlength=1).max()) + int(y_widest))
     dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
     unsigned = np.dtype(f"u{dist.itemsize}")
-    product = np.zeros(dist.shape, dtype=np.float32)
     inside = np.empty(dist.shape, dtype=bool)
     by_class = np.argsort(base.labels == 0, kind="stable")
     n_spam = np.count_nonzero(base.labels)
     votes = np.empty((2, len(sweep), len(queries)), dtype=np.intp)
     done = 0
     for i, m in enumerate(sweep):
-        if m - done > _EXACT_FLOAT32_WIDTH:
-            raise ValueError(f"column block {done}:{m} is too wide for exact float32 sums")
-        x = queries[:, done:m]
-        x_norms = x.sum(axis=1, dtype=np.intp)
-        right = np.ones((base.size, m - done + 1), dtype=np.float32)
-        right[:, :-1] = base.vectors[by_class, done:m]
-        # |y| by einsum: BLAS gemv raised a spurious invalid flag
-        dist += np.einsum("ij->i", right[:, :-1]).astype(dist.dtype)
-        hit = np.flatnonzero(x_norms)
-        left = np.column_stack((-2 * x[hit].astype(np.float32), x_norms[hit].astype(np.float32)))
-        dist[hit] += np.matmul(left, right.T, out=product[:len(hit)]).astype(dist.dtype)
+        y = base.vectors[by_class, done:m].T.astype(dist.dtype, order="C")
+        dist += y.sum(axis=0, dtype=dist.dtype)
+        np.subtract(1, 2 * y, out=y)
+        in_block = block == i
+        r, c, t = rows[in_block], cols[in_block] - done, layer[in_block]
+        for each in range(t.max(initial=-1) + 1):  # one layer: distinct rows
+            dist[r[t == each]] += y[c[t == each]]
         done = m
         cut, top = dist.min(axis=1), dist.max(axis=1) if k > 1 else None
         for _ in range(1, k):

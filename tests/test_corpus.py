@@ -5,8 +5,10 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -428,3 +430,39 @@ class TestDocumentHelpers:
         inc = Corpus.from_documents([]).incidence
         assert inc.vocabulary == () and inc.indptr.tolist() == [0]
         assert len(inc.indices) == 0 and len(inc.labels) == 0
+
+    # len(vocabulary) * n at and just past the largest uint8 and uint16 key,
+    # and more documents than uint8 counts with no token at all
+    @pytest.mark.parametrize(
+        "n_tokens,n_docs", [(15, 17), (16, 16), (255, 257), (256, 256), (0, 300)]
+    )
+    def test_incidence_at_key_type_edges(self, n_tokens, n_docs):
+        words = [f"w{j:03d}" for j in range(n_tokens)]
+        docs = [
+            Document(
+                tuple(dict.fromkeys([words[-1 - i % n_tokens], words[3 * i % n_tokens]]))
+                if words else (),
+                Label(i % 2), f"m{i:03d}",
+            )
+            for i in range(n_docs)
+        ]
+        inc = Incidence.from_documents(docs)
+        assert inc.indptr.dtype == np.intp and inc.indices.dtype == np.int32
+        assert inc.labels.dtype == np.uint8
+        assert_incidence_matches(inc, docs)
+
+    def test_incidence_build_peaks_under_11_bytes_per_occurrence(self):
+        # 100 to 300 tokens a message over a 2000-word vocabulary, as in
+        # Ling-Spam: the first-seen ids (4 bytes) and the keys (4 bytes,
+        # uint32 here) fit; 8-byte keys would not
+        params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
+        documents = generate_fixture_corpus(7, 400, 100, params).documents
+        occurrences = sum(len(d.tokens) for d in documents)
+        assert occurrences >= 100_000
+        tracemalloc.start()
+        try:
+            Incidence.from_documents(documents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * occurrences

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from spamlab import (
     classify_mb_batch,
     neighborhood_votes,
 )
-import spamlab.memory as memory_module
 
 
 def base_of(rows, labels):
@@ -207,7 +207,7 @@ def tied_sweeps(draw):
 @st.composite
 def sparse_sweeps(draw):
     """Rows with at most two ones over a few columns, and two or more blocks:
-    queries with no one in a block skip that block's product."""
+    a query with no one in a block gets only that block's |y|."""
     width = draw(st.integers(2, 10))
     row = st.sets(st.integers(0, width - 1), max_size=2).map(
         lambda ones: [int(c in ones) for c in range(width)]
@@ -216,6 +216,20 @@ def sparse_sweeps(draw):
     labels = draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
     queries = draw(st.lists(row, min_size=1, max_size=6))
     ms = sorted(draw(st.sets(st.integers(1, width), min_size=2)))
+    k = draw(st.sampled_from([1, 2, 3]))
+    return train, labels, queries, ms, k
+
+
+@st.composite
+def dense_block_sweeps(draw):
+    """Rows mostly ones over a few columns: a query row holds many ones in
+    a block, so the block is added in many layers."""
+    width = draw(st.integers(1, 12))
+    row = st.lists(st.sampled_from([1, 1, 1, 0]), min_size=width, max_size=width)
+    train = draw(st.lists(row, min_size=1, max_size=10))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
+    queries = draw(st.lists(row, min_size=1, max_size=6))
+    ms = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
     k = draw(st.sampled_from([1, 2, 3]))
     return train, labels, queries, ms, k
 
@@ -245,7 +259,7 @@ class TestSweep:
 
     @settings(max_examples=200, deadline=None)
     @given(case=sparse_sweeps())
-    # every query is zero in the block [2, 4): that product has 0 rows
+    # every query is zero in the block [2, 4): that block has no layer
     @example(case=([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [1, 0, 0],
                    [[1, 0, 0, 0], [0, 1, 0, 0]], [2, 4], 2))
     # no query is zero in any block
@@ -258,6 +272,31 @@ class TestSweep:
     @example(case=([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0]], [1, 0, 0, 1],
                    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], [2, 3, 4], 2))
     def test_sparse_queries_match_direct_votes(self, case):
+        train, labels, queries, ms, k = case
+        for m, (spam, legit) in zip(ms, votes(base_of(train, labels), queries, k, ms)):
+            expected = direct_votes(
+                [r[:m] for r in train], labels, [q[:m] for q in queries], k
+            )
+            assert (spam, legit) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dense_block_sweeps())
+    # every column of the block [2, 5) set in the first query row
+    @example(case=([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 1, 1], [1, 0, 0, 0, 0, 1]], [1, 0, 0],
+                   [[0, 0, 1, 1, 1, 0], [1, 1, 0, 1, 0, 1]], [2, 5, 6], 2))
+    # the block [3, 4) is one column wide
+    @example(case=([[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], [0, 1, 1],
+                   [[1, 1, 1, 1], [0, 1, 1, 0]], [3, 4], 1))
+    # one block spans all of m
+    @example(case=([[1, 1, 1, 0, 1], [0, 1, 1, 1, 1], [1, 1, 1, 1, 1]], [1, 0, 1],
+                   [[1, 1, 1, 1, 0], [1, 0, 1, 1, 1]], [5], 3))
+    # two query rows with the same ones
+    @example(case=([[1, 1, 0, 1, 1], [1, 0, 1, 1, 1], [0, 1, 1, 1, 0]], [1, 1, 0],
+                   [[1, 1, 1, 0, 1], [1, 1, 1, 0, 1]], [2, 4, 5], 2))
+    # an all-zero query among rows of ones
+    @example(case=([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]], [0, 1, 0],
+                   [[0, 0, 0, 0], [1, 1, 1, 1]], [1, 3, 4], 3))
+    def test_many_ones_per_block_match_direct_votes(self, case):
         train, labels, queries, ms, k = case
         for m, (spam, legit) in zip(ms, votes(base_of(train, labels), queries, k, ms)):
             expected = direct_votes(
@@ -298,22 +337,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             classify_mb_batch(base, queries, 1, 1.0, ms)
 
-    def test_block_wider_than_exact_float32_sums_rejected(self, monkeypatch):
-        monkeypatch.setattr(memory_module, "_EXACT_FLOAT32_WIDTH", 2)
-        base = base_of([[0, 1, 1], [1, 0, 0]], [1, 0])
-        queries = np.zeros((1, 3), dtype=np.uint8)
-        assert classify_mb_batch(base, queries, 1, 1.0, [2, 3]).shape == (2, 1)
-        with pytest.raises(ValueError, match="too wide"):
-            classify_mb_batch(base, queries, 1, 1.0)
-
-
-    def test_exact_float32_width_is_tight(self):
-        # a block product sums up to width terms of magnitude 2; float32
-        # holds every integer up to 2**24 and not 2**24 + 1
-        width = memory_module._EXACT_FLOAT32_WIDTH
-        assert int(np.float32(2 * width - 1)) == 2 * width - 1
-        assert int(np.float32(2 * (width + 1) - 1)) != 2 * (width + 1) - 1
-
 
 def spread_rows(width):
     """Six base rows at six distinct distances, 0 to width, from a query of
@@ -340,21 +363,41 @@ class TestDistanceType:
     @pytest.mark.parametrize("k", [1, 2, 6])
     def test_int8_to_int16(self, width, k):
         # The first and zero queries have no one after width // 2, so those
-        # blocks add only |y|_block to their rows; the ones query is
-        # multiplied in every block.  Both casts into the distance type are
-        # exact: between the two adds a row holds d(x, y) over [0, done) plus
-        # |y|_block, at most done + (m - done) = m and at most |x| + |y|, so
-        # in [0, widest]; the product term |x|_block - 2 x.y lies in
-        # [-|x|_block, |x|_block], and |x|_block <= widest.  The first query
-        # reaches widest = width, through the |y|-only add, at the row of
-        # ones after width // 2, and the ones query takes the term's bounds
-        # at the all-ones and all-zero rows.
+        # blocks add only |y|_block to their rows; the ones query adds a
+        # layer per column of every block.  Every add stays in the distance
+        # type: a row holds its distance over [0, done) plus |y|_block, then
+        # gains +1 or -1 per query one, staying between d + |y|_block - x.y
+        # >= 0 and d + |x or y|_block <= min(m, |x| + |y|) <= widest.  The
+        # first query reaches widest = width, through the |y|-only add, at
+        # the row of ones after width // 2, and the ones query walks from
+        # |y|_block down to 0 at the all-ones row and up from 0 at the zero row.
         rows, labels, queries = spread_rows(width)
         base = base_of(rows, labels)
         for ms in ([width], [width // 2, width], [1, width // 2, width - 1, width]):
             for m, (spam, legit) in zip(ms, votes(base, queries, k, ms)):
                 expected = direct_votes(
                     [r[:m] for r in rows], labels, [q[:m] for q in queries], k
+                )
+                assert (spam, legit) == expected
+
+    @pytest.mark.parametrize("width", [125, 126, 127])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_int8_edge_with_every_query_one_in_one_block(self, width, k):
+        # widest = width (int8 up to 126, int16 at 127).  The query holds all
+        # of its width - 1 ones in the block [1, width), so one block adds
+        # them in width - 1 layers: the zero row walks up from 0 to width - 1,
+        # the row with only column 0 up from 1 to widest = width, and the
+        # row of ones down from width to 1.
+        query = [0] + [1] * (width - 1)
+        half = width // 2
+        rows = [[0] * width, [1] + [0] * (width - 1), [1] * width, query,
+                [1] * half + [0] * (width - half)]
+        labels = [1, 0, 1, 0, 1]
+        base = base_of(rows, labels)
+        for ms in ([width], [1, width]):
+            for m, (spam, legit) in zip(ms, votes(base, [query, [1] * width], k, ms)):
+                expected = direct_votes(
+                    [r[:m] for r in rows], labels, [query[:m], [1] * m], k
                 )
                 assert (spam, legit) == expected
 
@@ -367,13 +410,40 @@ class TestDistanceType:
 
     @pytest.mark.parametrize("width", [110, 200])
     def test_overlap_beyond_int8_as_minus_two_xy(self, width):
-        # x.y = 100 in one block: -2 x.y = -200 fits no int8, the distances do
+        # x.y = 100 in one block: -2 x.y = -200 fits no int8, the distances do;
+        # the query's layer adds take the row of ones from |y| down by 100
         query = [1] * 100 + [0] * (width - 100)
         rows = [query, [1] * width, [0] * width, [1] * 50 + [0] * (width - 50)]
         labels = [0, 1, 1, 0]
         base = base_of(rows, labels)
         for k in (1, 2, 4):
             assert votes(base, [query], k)[0] == direct_votes(rows, labels, [query], k)
+
+
+class TestMemoryBudget:
+    def test_fold_sized_sweep_peaks_under_5_bytes_per_distance_cell(self):
+        # About one benchmark fold: 300 queries against 2600 stored rows,
+        # word-presence rows with 2.3 ones in the first 50 columns and 0.35
+        # in each later block of 50.  The distances (1 byte a cell here), the
+        # d <= cut mask (1 byte) and one layer's gathered rows fit 5 bytes
+        # per cell; a float32 product buffer (4 bytes a cell) would not.
+        rng = np.random.default_rng(7)
+        n_queries, n_stored, m = 300, 2600, 700
+        density = np.where(np.arange(m) < 50, 0.046, 0.007)
+        base = build_instance_base(
+            (rng.random((n_stored, m)) < density).astype(np.uint8),
+            rng.integers(0, 2, n_stored),
+        )
+        queries = (rng.random((n_queries, m)) < density).astype(np.uint8)
+        ms = range(50, m + 1, 50)
+        neighborhood_votes(base, queries, 1, ms)
+        tracemalloc.start()
+        try:
+            neighborhood_votes(base, queries, 1, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n_queries * n_stored
 
 
 class TestLargeKDegeneracy:
