@@ -130,7 +130,9 @@ def _log_joints(
     cum = np.zeros((len(x), model.m + 1))
 
     def joint(prior: float, p1: np.ndarray) -> np.ndarray:
-        np.cumsum(np.where(x, np.log(p1), np.log1p(-p1)), axis=1, out=cum[:, 1:])
+        cum[:, 1:] = np.log1p(-p1)
+        np.copyto(cum[:, 1:], np.log(p1), where=x)  # selected in place: no (n, m) temporary
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
         return np.log(prior) + cum[:, list(ms)].T
 
     with np.errstate(divide="ignore"):

@@ -43,12 +43,7 @@ CSV_COLUMNS = (
 K_FOLDS = 10
 
 # Echo keys that must match between two result files for a fair comparison.
-_COMPAT_KEYS = (
-    "corpus",
-    "stemming",
-    "seed",
-    "lambda",
-)
+_COMPAT_KEYS = ("corpus", "stemming", "seed", "lambda")
 
 
 class _Parser(argparse.ArgumentParser):

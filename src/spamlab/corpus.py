@@ -296,12 +296,7 @@ class FixtureParams:
 def _fixture_word(index: int) -> str:
     # Base-26 letters with a fixed final "o" so no stemming rule ever
     # applies; fixture tokens survive write + reload byte-identically.
-    letters = []
-    i = index
-    for _ in range(3):
-        letters.append(chr(ord("a") + i % 26))
-        i //= 26
-    return "".join(reversed(letters)) + "o"
+    return "".join(chr(ord("a") + index // 26**place % 26) for place in (2, 1, 0)) + "o"
 
 
 def _fixture_pools(params: FixtureParams) -> tuple[list[str], list[str], list[str]]:

@@ -316,6 +316,8 @@ def sweep_attributes(
     A fold gathers the postings of its top tokens at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
+    One copy of a fold is held at a time: its matrix until it is split
+    into training and test rows, then those until the next fold's gather.
     Each classifier gets the whole range of a fold in one call, so each
     distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, and every
@@ -347,10 +349,11 @@ def sweep_attributes(
     for fold, ids in enumerate(rankings):
         train = assignment != fold
         x = presence_matrix(incidence, ids[:largest])
+        x_train, x_test = x[train], x[~train]
+        del x
         y_test = incidence.labels[~train]
-        decisions = _predict(
-            config, x[train], incidence.labels[train], x[~train], y_test, lam, ms
-        )
+        decisions = _predict(config, x_train, incidence.labels[train], x_test, y_test, lam, ms)
+        del x_train, x_test
         per_fold.append([confusion_counts(y_test, predicted) for predicted in decisions])
     return [
         _aggregate(config, lam, m, plan.seed, baseline, fold_counts)

@@ -21,6 +21,8 @@ import numpy as np
 
 from .corpus import Incidence
 
+_BLOCK = 2**16  # postings per count block of class_counts
+
 
 @dataclass(frozen=True, eq=False)
 class TokenStats:
@@ -40,21 +42,28 @@ def class_counts(
     """Token class counts of each training set of a k-fold split, by fold.
 
     ``folds[r]`` is document row r's fold in range(k_folds); the f-th
-    TokenStats counts the documents outside fold f.  One bincount over all
-    postings, keyed by (class, fold, token), gives every fold's own counts
-    in a 2 x k_folds x V int32 table, and a training set's counts are the
-    totals minus its fold's.  The table takes 8 * k_folds * V bytes, so it
-    grows with k_folds; it is built on the first fold and freed with the
-    iterator.  Ranking each fold before taking the next keeps one
-    TokenStats alive at a time.
+    TokenStats counts the documents outside fold f.  Every fold's own
+    counts go into one zeroed 2 x k_folds x V int32 table, block by block:
+    a block is the most whole tokens whose postings fit in _BLOCK (one
+    token at least), counted by one bincount keyed by (class, fold, token).
+    A training set's counts are the totals minus its fold's.  The table
+    (8 * k_folds * V bytes) is built on the first fold and freed with the
+    iterator; a block's key and token numbers take 16 bytes per posting,
+    its counts 16 * k_folds bytes per token.  Ranking each fold before
+    taking the next keeps one TokenStats alive at a time.
     """
-    size = len(incidence.vocabulary)
-    group = incidence.labels.astype(np.int64) * k_folds + folds
-    key = (group * size)[incidence.indices]
-    key += np.repeat(np.arange(size, dtype=np.int32), np.diff(incidence.indptr))
-    table = np.bincount(key, minlength=2 * k_folds * size).astype(np.int32)
-    del key  # else this frame keeps it alive while the folds are ranked
-    table = table.reshape(2, k_folds, size)
+    size, indptr = len(incidence.vocabulary), incidence.indptr
+    group = incidence.labels.astype(np.intp) * k_folds + folds  # intp: bincount casts no key
+    table = np.zeros((2, k_folds, size), dtype=np.int32)
+    start = 0
+    while start < size:
+        stop = max(np.searchsorted(indptr, indptr[start] + _BLOCK, "right") - 1, start + 1)
+        key = group[incidence.indices[indptr[start] : indptr[stop]]] * (stop - start)
+        key += np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
+        counts = np.bincount(key, minlength=2 * k_folds * (stop - start))
+        table[..., start:stop] += counts.reshape(2, k_folds, stop - start)
+        del key, counts  # one block alive at a time, and none once the folds are ranked
+        start = stop
     totals = table.sum(axis=1)
     docs = np.bincount(group, minlength=2 * k_folds).reshape(2, k_folds)
     train_docs = docs.sum(axis=1, keepdims=True) - docs

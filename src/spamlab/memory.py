@@ -44,10 +44,11 @@ def build_instance_base(
     vectors: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[Label] | Sequence[int] | np.ndarray,
 ) -> InstanceBase:
+    """The base of a 0/1 training set; a uint8 matrix is shared, not copied."""
     matrix, y = training_set(vectors, labels)
     if matrix.size == 0:
         raise DataError("instance base needs at least one instance")
-    return InstanceBase(vectors=matrix.astype(np.uint8), labels=y)
+    return InstanceBase(vectors=matrix.astype(np.uint8, copy=False), labels=y)
 
 
 def check_k(k: int) -> int:

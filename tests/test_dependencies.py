@@ -33,6 +33,12 @@ def test_library_imports_only_stdlib_and_numpy():
     assert imported and imported <= ALLOWED, sorted(imported - ALLOWED)
 
 
+def test_library_stays_under_1700_lines():
+    # the size gate of the design aim: the same results from less code
+    lines = sum(len(path.read_bytes().splitlines()) for path in SOURCES.glob("*.py"))
+    assert lines < 1700, lines
+
+
 def unused_imports(path: Path) -> set[str]:
     """Names a source file imports but never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

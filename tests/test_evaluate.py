@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -814,6 +815,35 @@ class TestSweep:
                 cv_corpus, ClassifierConfig(kind="nb"), 1.0, plan,
                 m_from=50, m_to=10, m_step=10,
             )
+
+
+class TestMemoryBudget:
+    """A sweep holds one copy of each fold: its matrix until it is split,
+    then its training and test rows, which the instance base shares."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        params = FixtureParams(vocab_size=3000, doc_len_min=100, doc_len_max=300)
+        return generate_fixture_corpus(7, 1000, 200, params)
+
+    @pytest.mark.parametrize(
+        "config, budget", [(ClassifierConfig("mb", k=1), 5.5), (ClassifierConfig("nb"), 4.6)],
+        ids=["mb", "nb"],
+    )
+    def test_sweep_peaks_under_budget_per_document_and_attribute(self, corpus, config, budget):
+        # With the rankings cached, the peak is a fold's presence matrix
+        # (1 byte per document and attribute at m = 300) and its classifier's
+        # transients; a copy of the matrix kept beside its two parts, or an
+        # instance base copied from the training rows, breaks the budget.
+        plan, cells = make_stratified_folds(corpus, seed=0), len(corpus) * 300
+        sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
+        tracemalloc.start()
+        try:
+            sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget * cells, peak / cells
 
 
 class TestPairedTTest:

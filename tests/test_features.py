@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from spamlab import (
     ClassifierConfig,
     DataError,
     Document,
+    FoldPlan,
     Label,
     cross_validate,
     make_stratified_folds,
     mutual_information_batch,
 )
 from spamlab.corpus import Corpus, Incidence
-from spamlab.features import TokenStats, presence_matrix, rank_tokens
+import spamlab.features as features_module
+from spamlab.features import TokenStats, class_counts, presence_matrix, rank_tokens
 
 
 def doc(tokens, label, source_id):
@@ -296,3 +299,84 @@ class TestVectorize:
             for row, d in zip(matrix, small_corpus.documents):
                 present = set(d.tokens)
                 assert row.tolist() == [int(t in present) for t in tokens]
+
+
+# the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,
+# eee 8; at 7 postings a block, aaa + bbb and ccc fill a block exactly, ddd
+# stops short of eee, and eee alone holds more than a block.  Listed out of
+# lexicographic order, so first-seen ids differ from token ids.
+BLOCK_EDGE_ROWS = {
+    "eee": range(2, 10), "ccc": range(7), "aaa": range(3), "bbb": range(2, 6), "ddd": (9,)
+}
+
+
+class TestCountBlocks:
+    """class_counts adds block after block of whole tokens into its table."""
+
+    DOCS = tuple(  # every token twice, counted once; d10 holds no token
+        doc([t for t, rows in BLOCK_EDGE_ROWS.items() if i in rows] * 2, Label(i % 2), f"d{i:02d}")
+        for i in range(11)
+    )
+
+    @staticmethod
+    def _assert_direct(corpus, plan):
+        """Each fold's counts equal a count of the training documents' token sets."""
+        folds = np.array(plan.assignment)
+        vocabulary = corpus.incidence.vocabulary
+        stats = list(class_counts(corpus.incidence, folds, plan.k_folds))
+        assert len(stats) == plan.k_folds
+        for fold, fold_stats in enumerate(stats):
+            train = [d for d, f in zip(corpus.documents, plan.assignment) if f != fold]
+            for label, n1, n in (
+                (Label.SPAM, fold_stats.n1_spam, fold_stats.n_spam),
+                (Label.LEGITIMATE, fold_stats.n1_legit, fold_stats.n_legit),
+            ):
+                sets = [set(d.tokens) for d in train if d.label is label]
+                assert n == len(sets), fold
+                assert n1.tolist() == [sum(t in s for s in sets) for t in vocabulary], fold
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_of_any_size_count_as_a_direct_count(self, monkeypatch, block, hard_corpus):
+        monkeypatch.setattr(features_module, "_BLOCK", block)
+        corpus = corpus_of(*self.DOCS)
+        indptr = corpus.incidence.indptr.tolist()
+        assert corpus.incidence.vocabulary == ("aaa", "bbb", "ccc", "ddd", "eee")
+        assert indptr == [0, 3, 7, 14, 15, 23]  # bbb's and ccc's postings end on a block edge
+        self._assert_direct(corpus, FoldPlan(3, tuple(i % 3 for i in range(11)), 0))
+        self._assert_direct(hard_corpus, make_stratified_folds(hard_corpus, k_folds=3, seed=0))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_incidence_of_no_documents(self, monkeypatch, block):
+        monkeypatch.setattr(features_module, "_BLOCK", block)
+        incidence = Incidence.from_documents(())
+        stats = list(class_counts(incidence, np.array([], np.int64), 2))
+        assert [(len(s.n1_spam), len(s.n1_legit), s.n_spam, s.n_legit) for s in stats] == [
+            (0, 0, 0, 0), (0, 0, 0, 0)
+        ]
+
+    def test_first_count_pass_peaks_under_the_table_plus_one_block(self):
+        # 2000 documents x 3000 tokens at 5% density: about 300,000
+        # postings, 4 blocks and more.  One block's key, its token numbers
+        # and the gather the key is made from take under 24 bytes a posting
+        # and its counts 16 * k_folds bytes a token (about 650 tokens a block);
+        # an int64 key over all postings would take 2.4 MB alone.
+        rng = np.random.default_rng(7)
+        n, size, k_folds = 2000, 3000, 10
+        present = rng.random((size, n)) < 0.05
+        indptr = np.r_[0, np.cumsum(present.sum(axis=1))]
+        incidence = Incidence(
+            tuple(f"t{i:04d}" for i in range(size)), indptr,
+            np.nonzero(present)[1].astype(np.int32), rng.integers(0, 2, n).astype(np.uint8),
+        )
+        del present
+        block = 2**16  # postings, at most, in a block of more than one token
+        assert indptr[-1] >= 4 * block
+        folds = rng.integers(0, k_folds, n)
+        table = 2 * k_folds * size * 4
+        tracemalloc.start()
+        try:
+            next(class_counts(incidence, folds, k_folds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table + 24 * block, (peak, table)

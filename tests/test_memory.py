@@ -421,6 +421,14 @@ class TestDistanceType:
 
 
 class TestMemoryBudget:
+    def test_uint8_vectors_are_shared_and_bool_vectors_converted(self):
+        vectors = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        assert np.shares_memory(build_instance_base(vectors, [0, 1]).vectors, vectors)
+        flags = vectors.astype(bool)
+        base = build_instance_base(flags, [0, 1])
+        assert base.vectors.dtype == np.uint8 and not np.shares_memory(base.vectors, flags)
+        assert base.vectors.tolist() == [[0, 1], [1, 0]]
+
     def test_fold_sized_sweep_peaks_under_5_bytes_per_distance_cell(self):
         # About one benchmark fold: 300 queries against 2600 stored rows,
         # word-presence rows with 2.3 ones in the first 50 columns and 0.35
