@@ -104,13 +104,12 @@ def train_naive_bayes(
         raise DataError("degenerate training set: need both classes")
 
     ones_spam = matrix[y == 1].sum(axis=0, dtype=np.int64)
-    ones_legit = matrix[y == 0].sum(axis=0, dtype=np.int64)
+    ones_legit = matrix.sum(axis=0, dtype=np.int64) - ones_spam  # no copy of the legit rows
     p1_spam = (ones_spam + 1.0) / (n_spam + 2.0)
     p1_legit = (ones_legit + 1.0) / (n_legit + 2.0)
-    total = n_spam + n_legit
     return NaiveBayesModel(
-        prior_spam=n_spam / total,
-        prior_legit=n_legit / total,
+        prior_spam=n_spam / len(y),
+        prior_legit=n_legit / len(y),
         p1_spam=p1_spam,
         p1_legit=p1_legit,
     )

@@ -71,8 +71,9 @@ class Incidence:
 
     Token ids number ``vocabulary`` in lexicographic order, so id order is
     the attribute-ranking tie-break.  Token id t occurs in exactly the
-    document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending (int32,
-    4 bytes per document-token pair); ``labels[r]`` is row r's Label.  Only
+    document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending, in the
+    narrowest unsigned type that holds n - 1 (2 bytes per document-token
+    pair for 257 to 65,536 documents); ``labels[r]`` is row r's Label.  Only
     presence is kept, never a dense document x vocabulary matrix.  The build
     makes one dict lookup and a transient key of the narrowest unsigned type
     holding len(vocabulary) * n and n per token occurrence.
@@ -106,7 +107,7 @@ class Incidence:
         indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=key.dtype) * n)
         key %= n
         labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
-        return cls(vocabulary, indptr, key.astype(np.int32), labels)
+        return cls(vocabulary, indptr, key.astype(np.min_scalar_type(n - 1)), labels)
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,6 @@ def normalize_token(token: str, stemming: str) -> str:
     if stemming == "light":
         token = _strip_suffixes(token)
     return token
-
-
-def label_for_filename(name: str) -> Label:
-    return Label.SPAM if name.startswith("spmsg") else Label.LEGITIMATE
 
 
 LAYOUTS = ("lingspam", "fixture")
@@ -258,8 +255,8 @@ def load_corpus(
             raise CorpusError(f"empty message: {source_id}")
         words = tokenize(raw)[1 if raw.startswith(b"Subject:") else 0 :]
         tokens = tuple(map(normalized.__getitem__, words))
-        label = label_for_filename(source_id.rpartition("/")[2])
-        documents.append(Document(tokens, label, source_id))
+        spam = source_id.rpartition("/")[2].startswith("spmsg")
+        documents.append(Document(tokens, Label(spam), source_id))
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
     return Corpus.from_documents(documents)

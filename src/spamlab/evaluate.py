@@ -289,9 +289,10 @@ def cross_validate(
 
 @functools.lru_cache(maxsize=1)
 def _fold_rankings(incidence: Incidence, plan: FoldPlan) -> tuple[np.ndarray, ...]:
-    """Each fold's candidate token ids (int32), best first; the Incidence hashes by id."""
+    """Each fold's candidate token ids, best first, in the narrowest type that
+    holds len(vocabulary) (uint16 up to 65,535 tokens); the Incidence hashes by id."""
     return tuple(
-        rank_tokens(stats)[0].astype(np.int32)
+        rank_tokens(stats)[0].astype(np.min_scalar_type(len(incidence.vocabulary)))
         for stats in class_counts(incidence, np.array(plan.assignment), plan.k_folds)
     )
 
@@ -309,7 +310,7 @@ def sweep_attributes(
 
     The incidence is built on the first call and kept on the corpus; the
     fold rankings, which depend on neither the classifier nor lambda nor m,
-    are kept by ``_fold_rankings`` for the latest incidence and plan only (4
+    are kept by ``_fold_rankings`` for the latest incidence and plan only (2
     bytes per candidate per fold), so only the first configuration on a plan
     counts and ranks.  One count pass gives every fold's counts, and each
     fold is ranked as its counts come, freeing the table before classifying.

@@ -74,7 +74,8 @@ def neighborhood_votes(
     differ.  Each m gathers its block's stored columns as rows y, spam
     first, in the distance type, adds |y| over the block to every query
     row, turns y into 1 - 2y and, layer by layer, adds to each row the row
-    of y of its one: the cost follows the query ones, not the block width.
+    of y of its one, 64 rows at most per add: the cost follows the query
+    ones, not the block width.
     Every add is exact: a row stays between d + |y|_block - x.y_block >= 0
     and d + |x or y|_block <= min(m, |x| + |y|) <= widest, d its distance
     over [0, done).
@@ -118,7 +119,9 @@ def neighborhood_votes(
         in_block = block == i
         r, c, t = rows[in_block], cols[in_block] - done, layer[in_block]
         for each in range(t.max(initial=-1) + 1):  # one layer: distinct rows
-            dist[r[t == each]] += y[c[t == each]]
+            rr, cc = r[t == each], c[t == each]
+            for s in range(0, len(rr), 64):  # two 64-row copies at a time
+                dist[rr[s : s + 64]] += y[cc[s : s + 64]]
         done = m
         cut, top = dist.min(axis=1), dist.max(axis=1) if k > 1 else None
         for _ in range(1, k):

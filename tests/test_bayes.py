@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ class TestTraining:
     def test_vectors_other_than_0_or_1_rejected(self, build, vectors):
         with pytest.raises(DataError, match="training vectors must hold only 0 and 1"):
             build(np.array(vectors), [1, 0])
+
+    def test_counts_copy_no_legitimate_rows(self):
+        # A benchmark fold's training set at m = 700, one message in ten
+        # spam: the legitimate counts are the column totals less the spam
+        # counts, so training copies the spam rows (a tenth of the matrix)
+        # and reduction buffers, never the legitimate rows (nine tenths).
+        rng = np.random.default_rng(7)
+        matrix = (rng.random((2600, 700)) < 0.01).astype(np.uint8)
+        labels = (np.arange(2600) % 10 == 0).astype(np.uint8)
+        train_naive_bayes(matrix, labels)
+        tracemalloc.start()
+        try:
+            model = train_naive_bayes(matrix, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes // 4
+        legit = matrix[labels == 0]
+        assert model.p1_legit.tolist() == ((legit.sum(axis=0) + 1.0) / (len(legit) + 2.0)).tolist()
 
     def test_smoothed_conditionals_strictly_inside_unit_interval(self, hard_corpus):
         attrs = top_features(hard_corpus, 40)

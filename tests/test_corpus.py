@@ -29,7 +29,7 @@ from spamlab import (
     tokenize,
 )
 import spamlab.corpus as corpus_module
-from spamlab.corpus import STEMMING, Corpus, Incidence, label_for_filename, write_fixture_corpus
+from spamlab.corpus import STEMMING, Corpus, Incidence, write_fixture_corpus
 
 LIGHT = "light"
 PLAIN = "none"
@@ -353,7 +353,8 @@ class TestFixtureCorpus:
         write_fixture_corpus(corpus, tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["msg0000.txt", "msg0001.txt", "spmsg0000.txt", "spmsg0001.txt"]
-        assert label_for_filename("spmsg0000.txt") is Label.SPAM
+        labels = [d.label for d in load_corpus(tmp_path, layout="fixture").documents]
+        assert labels == [Label.LEGITIMATE, Label.LEGITIMATE, Label.SPAM, Label.SPAM]
 
     def test_doc_lengths_respect_params(self):
         params = FixtureParams(doc_len_min=5, doc_len_max=9)
@@ -447,9 +448,16 @@ class TestDocumentHelpers:
             for i in range(n_docs)
         ]
         inc = Incidence.from_documents(docs)
-        assert inc.indptr.dtype == np.intp and inc.indices.dtype == np.int32
+        assert inc.indptr.dtype == np.intp
+        assert inc.indices.dtype == np.min_scalar_type(max(n_docs - 1, 0))
         assert inc.labels.dtype == np.uint8
         assert_incidence_matches(inc, docs)
+
+    def test_incidence_rows_take_two_bytes_from_257_documents(self):
+        corpus = generate_fixture_corpus(7, 200, 57)
+        indices = corpus.incidence.indices
+        assert len(corpus) == 257 and len(indices) > 0
+        assert indices.nbytes == 2 * len(indices)
 
     def test_incidence_build_peaks_under_11_bytes_per_occurrence(self):
         # 100 to 300 tokens a message over a 2000-word vocabulary, as in

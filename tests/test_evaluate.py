@@ -605,7 +605,7 @@ class TestFoldFeatures:
         fresh = Corpus.from_documents(hard_corpus.documents)
         assert mb == cross_validate(fresh, ClassifierConfig(kind="mb", k=2), 1.0, 30, plan)
         for fold, stats in enumerate(self._fold_stats(corpus, plan)):
-            assert rankings[fold].dtype == np.int32
+            assert rankings[fold].dtype == np.min_scalar_type(len(corpus.incidence.vocabulary))
             assert rankings[fold].tolist() == rank_tokens(stats)[0].tolist(), fold
 
     def test_new_plan_recounts_and_replaces_the_rankings(self, hard_corpus, monkeypatch):

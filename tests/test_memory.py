@@ -234,6 +234,27 @@ def dense_block_sweeps(draw):
     return train, labels, queries, ms, k
 
 
+def tall_layer(n_rows, k):
+    """n_rows queries that all hold a one in both blocks of ms = [3, 6], so
+    the first layer of each block holds n_rows rows: one 64-row add below 65
+    rows, more from 65 on.  Five patterns in turn make neighbouring rows
+    differ, so a row left out of an add changes its votes."""
+    patterns = [[1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 1],
+                [0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0]]
+    train = [[0] * 6, [1] * 6, [1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1],
+             [1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 1, 0]]
+    queries = [patterns[i % len(patterns)] for i in range(n_rows)]
+    return train, [1, 0, 1, 0, 0, 1], queries, [3, 6], k
+
+
+def with_tall_layers(test):
+    """One example per layer of 63, 64, 65 and 129 rows, at k = 1, 2, 3."""
+    for n_rows in (63, 64, 65, 129):
+        for k in (1, 2, 3):
+            test = example(case=tall_layer(n_rows, k))(test)
+    return test
+
+
 class TestSweep:
     @settings(max_examples=200, deadline=None)
     @given(case=tied_sweeps())
@@ -296,6 +317,8 @@ class TestSweep:
     # an all-zero query among rows of ones
     @example(case=([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]], [0, 1, 0],
                    [[0, 0, 0, 0], [1, 1, 1, 1]], [1, 3, 4], 3))
+    # more rows in one layer than one 64-row add takes
+    @with_tall_layers
     def test_many_ones_per_block_match_direct_votes(self, case):
         train, labels, queries, ms, k = case
         for m, (spam, legit) in zip(ms, votes(base_of(train, labels), queries, k, ms)):
@@ -452,6 +475,28 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * n_queries * n_stored
+
+    def test_a_300_row_layer_is_added_64_rows_at_a_time(self):
+        # Every query holds a one in the one block, so the block's first
+        # layer has 300 rows.  Beside the int8 distances and the d <= cut
+        # mask (one byte a cell each), an add copies at most 64 rows of the
+        # distances and 64 rows of y; adding the whole layer at once would
+        # copy 300 of each.
+        rng = np.random.default_rng(7)
+        n_queries, n_stored, m = 300, 2600, 4
+        base = build_instance_base(
+            rng.integers(0, 2, (n_stored, m), dtype=np.uint8), rng.integers(0, 2, n_stored)
+        )
+        queries = rng.integers(0, 2, (n_queries, m), dtype=np.uint8)
+        queries[:, 0] = 1
+        neighborhood_votes(base, queries, 1)
+        tracemalloc.start()
+        try:
+            neighborhood_votes(base, queries, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (2 * n_queries * n_stored + 2 * 64 * n_stored)
 
 
 class TestLargeKDegeneracy:
