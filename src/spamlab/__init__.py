@@ -37,7 +37,6 @@ from .evaluate import (
     paired_t_test,
     spam_recall_precision,
     sweep_attributes,
-    total_cost_ratio,
     weighted_accuracy,
 )
 from .features import (

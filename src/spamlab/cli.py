@@ -104,15 +104,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_m_range(text: str) -> tuple[int, int, int]:
+def _parse_ints(flag: str, text: str, fields: str) -> tuple[int, ...]:
+    """The integers of a colon-separated flag value shaped like fields."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--m-range must be FROM:TO:STEP, got {text!r}")
+    if len(parts) != fields.count(":") + 1:
+        raise ConfigError(f"{flag} must be {fields}, got {text!r}")
     try:
-        m_from, m_to, m_step = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"--m-range must be integers FROM:TO:STEP, got {text!r}")
-    return m_from, m_to, m_step
+        raise ConfigError(f"{flag} must be integers {fields}, got {text!r}")
 
 
 def _result_row(result: AggregateResult) -> str:
@@ -221,7 +221,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    m_from, m_to, m_step = _parse_m_range(args.m_range)
+    m_from, m_to, m_step = _parse_ints("--m-range", args.m_range, "FROM:TO:STEP")
     return _cross_validate(args, args.m_range, m_from, m_to, m_step)
 
 
@@ -284,16 +284,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
-    parts = args.doc_len.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"--doc-len must be MIN:MAX, got {args.doc_len!r}")
+    doc_len_min, doc_len_max = _parse_ints("--doc-len", args.doc_len, "MIN:MAX")
     try:
         params = FixtureParams(
             vocab_size=args.vocab_size,
             shared_fraction=args.shared_fraction,
             overlap=args.overlap,
-            doc_len_min=int(parts[0]),
-            doc_len_max=int(parts[1]),
+            doc_len_min=doc_len_min,
+            doc_len_max=doc_len_max,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid fixture parameters: {exc}")

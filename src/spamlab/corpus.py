@@ -113,7 +113,7 @@ class Incidence:
 @dataclass(frozen=True)
 class Corpus:
     """Documents, in deterministic order (sorted by source_id) when built by
-    from_documents; the label tallies are counted from them."""
+    from_documents or load_corpus; the label tallies are counted from them."""
 
     documents: tuple[Document, ...]
 
@@ -194,7 +194,8 @@ def _message_files(root: Path) -> list[tuple[str, str]]:
     skipped, symlinked directories are not entered, and a symlinked file
     counts as its target; an entry whose kind cannot be read (a dangling or
     looping link) is no file, as for Path.is_file.  A directory that cannot
-    be listed raises CorpusError instead of dropping its messages.
+    be listed, root included, raises CorpusError instead of dropping its
+    messages.
     """
     files = []
     pending = [("", root)]
@@ -240,9 +241,6 @@ def load_corpus(
         raise CorpusError(f"unknown corpus layout: {layout!r}")
     normalize_token("", stemming)  # validates the mode
     root = Path(directory)
-    if not root.is_dir():
-        raise CorpusError(f"unreadable directory: {root}")
-
     documents = []
     normalized = _Normalized(stemming)
     for source_id, path in _message_files(root):
@@ -259,7 +257,7 @@ def load_corpus(
         documents.append(Document(tokens, Label(spam), source_id))
     if not documents:
         raise CorpusError(f"empty corpus: {root}")
-    return Corpus.from_documents(documents)
+    return Corpus(tuple(documents))
 
 
 @dataclass(frozen=True)

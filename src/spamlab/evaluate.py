@@ -113,16 +113,6 @@ def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, floa
     return weighted_accuracy(ConfusionCounts(n_legit_legit=n_legit, n_spam_legit=n_spam), lam)
 
 
-def total_cost_ratio(counts: ConfusionCounts, lam: float) -> float:
-    """N_spam over the lambda-weighted error count; inf for a perfect filter."""
-    lam = float(lam)
-    lambda_to_threshold(lam)  # validates lambda
-    denominator = lam * counts.n_legit_spam + counts.n_spam_legit
-    if denominator == 0:
-        return math.inf
-    return counts.n_spam / denominator
-
-
 def spam_recall_precision(counts: ConfusionCounts) -> tuple[float, float]:
     """(SR, SP); SP is inf when nothing was blocked at all."""
     if counts.n_spam < 1:
@@ -326,7 +316,8 @@ def sweep_attributes(
     m range beyond the vocabulary fails at once, not in memory.
     """
     lam = float(lam)
-    lambda_to_threshold(lam)  # validates lambda before any work
+    # validates lambda, its rounding on this corpus included, before any work
+    baseline = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
     if len(plan.assignment) != len(corpus):
         raise ValueError(
             f"fold plan covers {len(plan.assignment)} documents "
@@ -344,7 +335,6 @@ def sweep_attributes(
                 f"requested {largest} attributes "
                 f"but only {len(ids)} distinct tokens available"
             )
-    baseline = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
     assignment = np.array(plan.assignment)
     per_fold = []
     for fold, ids in enumerate(rankings):
@@ -382,12 +372,6 @@ _T_CRITICAL_05 = {
 }
 
 
-def t_critical_value(df: int) -> float:
-    if df not in _T_CRITICAL_05:
-        raise ValueError(f"no embedded critical value for df={df} (supported: 1..30)")
-    return _T_CRITICAL_05[df]
-
-
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Test whether the per-fold scores in a exceed those in b on average.
 
@@ -400,6 +384,9 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
         raise ValueError("paired t-test needs at least two folds")
     d = [x - y for x, y in zip(a, b)]
     n = len(d)
+    df = n - 1
+    if df not in _T_CRITICAL_05:
+        raise ValueError(f"no embedded critical value for df={df} (supported: 1..30)")
     mean = math.fsum(d) / n
     ss = math.fsum((x - mean) ** 2 for x in d)
     if ss == 0.0:
@@ -407,9 +394,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     else:
         sd = math.sqrt(ss / (n - 1))
         t = mean / (sd / math.sqrt(n))
-    df = n - 1
     return TestResult(
         t_statistic=t,
         degrees_of_freedom=df,
-        significant_at_05=t > t_critical_value(df),
+        significant_at_05=t > _T_CRITICAL_05[df],
     )

@@ -73,6 +73,21 @@ class TestTraining:
             train_naive_bayes(ragged, [Label.SPAM, Label.LEGITIMATE])
 
     @pytest.mark.parametrize("build", [train_naive_bayes, build_instance_base])
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.array([[0, 1], [1, 0]], dtype=object), np.array([0, 1], dtype=np.uint8)],
+        ids=["object dtype", "one-dimensional"],
+    )
+    def test_matrix_of_other_shape_or_type_rejected(self, build, vectors):
+        with pytest.raises(DataError, match="training vectors must all have the same length"):
+            build(vectors, [1, 0])
+
+    @pytest.mark.parametrize("build", [train_naive_bayes, build_instance_base])
+    def test_label_count_other_than_vector_count_rejected(self, build):
+        with pytest.raises(DataError, match="vector and label counts differ"):
+            build(np.array([[0, 1], [1, 0]], dtype=np.uint8), [1, 0, 1])
+
+    @pytest.mark.parametrize("build", [train_naive_bayes, build_instance_base])
     @pytest.mark.parametrize("labels", [[2, 0], [-1, 0], [0.5, 1]])
     def test_labels_other_than_0_or_1_rejected(self, build, labels):
         with pytest.raises(DataError, match="labels must be 0"):

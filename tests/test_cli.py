@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spamlab.cli
-from spamlab import Corpus, Document, Label, generate_fixture_corpus
+from spamlab import Corpus, Document, Label, SpamlabError, generate_fixture_corpus
 from spamlab.cli import CSV_COLUMNS, main
 from spamlab.corpus import write_fixture_corpus
 
@@ -88,7 +88,8 @@ class TestStats:
     def test_missing_directory_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["stats", "--corpus", str(tmp_path / "nope")])
         assert code == 2
-        assert "unreadable directory" in err
+        assert err.startswith(f"error: unreadable directory: {tmp_path / 'nope'}: ")
+        assert "No such file or directory" in err and err.count("\n") == 1
 
     def test_unreadable_subdirectory_exits_2(self, capsys, tmp_path, deny_scandir):
         write_fixture_corpus(generate_fixture_corpus(7, 9, 1), tmp_path / "part1")
@@ -253,6 +254,13 @@ class TestSweep:
         ])
         assert code == 3
         assert "m-range" in err
+
+    def test_non_integer_range_exits_3(self, capsys, fixture_dir):
+        code, out, err = run(capsys, [
+            "sweep", "--corpus", str(fixture_dir), "--m-range", "1:x:2",
+        ])
+        assert code == 3 and out == ""
+        assert err == "error: --m-range must be integers FROM:TO:STEP, got '1:x:2'\n"
 
     def test_m_beyond_vocabulary_exits_2(self, capsys, fixture_dir):
         # the 90/10 fixture has ~118 distinct tokens
@@ -455,11 +463,18 @@ class TestFixtureCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bad_doc_len_exits_3(self, capsys, tmp_path):
-        for bad in ("20", "a:b", "9:5"):
-            code, _, _ = run(capsys, [
+        for bad, message in (
+            ("20", "--doc-len must be MIN:MAX, got '20'"),
+            ("a:b", "--doc-len must be integers MIN:MAX, got 'a:b'"),
+            ("9:x", "--doc-len must be integers MIN:MAX, got '9:x'"),
+            ("9:5", "invalid fixture parameters: need 1 <= doc_len_min <= doc_len_max"),
+        ):
+            code, _, err = run(capsys, [
                 "fixture", "--out", str(tmp_path / "x"), "--doc-len", bad,
             ])
             assert code == 3, bad
+            assert err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_unwritable_out_exits_2(self, capsys, tmp_path, out):
@@ -467,6 +482,18 @@ class TestFixtureCommand:
         code, _, err = run(capsys, ["fixture", "--out", str(tmp_path / out)])
         assert code == 2
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("error", [ValueError, SpamlabError])
+    def test_exits_1_with_one_line(self, capsys, monkeypatch, error):
+        def failing(args):
+            raise error("bad value")
+
+        monkeypatch.setitem(spamlab.cli._COMMANDS, "stats", failing)
+        code, out, err = run(capsys, ["stats", "--corpus", "anywhere"])
+        assert code == 1 and out == ""
+        assert err == "error: bad value\n"
 
 
 class _FullStream(io.StringIO):

@@ -190,8 +190,25 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
 
     def test_missing_directory_rejected(self, tmp_path):
-        with pytest.raises(CorpusError, match="unreadable directory"):
-            load_corpus(tmp_path / "nope")
+        # the walk's listing of the root reports it
+        root = tmp_path / "nope"
+        with pytest.raises(CorpusError, match=f"^unreadable directory: {re.escape(str(root))}: "):
+            load_corpus(root)
+
+    def test_message_that_vanishes_after_the_walk_rejected(self, tmp_path, monkeypatch):
+        write_fixture_corpus(generate_fixture_corpus(7, 3, 1), tmp_path / "part")
+        walk = corpus_module._message_files
+
+        def walk_then_remove(root):
+            files = walk(root)
+            os.remove(files[1][1])
+            return files
+
+        monkeypatch.setattr(corpus_module, "_message_files", walk_then_remove)
+        with pytest.raises(
+            CorpusError, match=r"^unreadable message file part/msg0001\.txt: .*No such file"
+        ):
+            load_corpus(tmp_path)
 
     def test_unknown_layout_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="layout"):
@@ -355,6 +372,25 @@ class TestFixtureCorpus:
         assert names == ["msg0000.txt", "msg0001.txt", "spmsg0000.txt", "spmsg0001.txt"]
         labels = [d.label for d in load_corpus(tmp_path, layout="fixture").documents]
         assert labels == [Label.LEGITIMATE, Label.LEGITIMATE, Label.SPAM, Label.SPAM]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vocab_size", 2, r"vocab_size must be in \[3, 17576\]"),
+        ("vocab_size", 26**3 + 1, r"vocab_size must be in \[3, 17576\]"),
+        ("shared_fraction", -0.1, r"shared_fraction must be in \[0, 1\)"),
+        ("shared_fraction", 1.0, r"shared_fraction must be in \[0, 1\)"),
+        ("overlap", -0.1, r"overlap must be in \[0, 1\]"),
+        ("overlap", 1.1, r"overlap must be in \[0, 1\]"),
+        ("doc_len_min", 0, "need 1 <= doc_len_min <= doc_len_max"),
+        ("doc_len_max", 19, "need 1 <= doc_len_min <= doc_len_max"),  # below the default min 20
+    ])
+    def test_params_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FixtureParams(**{field: value})
+
+    def test_params_at_the_range_edges_accepted(self):
+        for edges in ({"vocab_size": 3, "shared_fraction": 0.0, "overlap": 0.0},
+                      {"vocab_size": 26**3, "overlap": 1.0, "doc_len_min": 1, "doc_len_max": 1}):
+            FixtureParams(**edges)
 
     def test_doc_lengths_respect_params(self):
         params = FixtureParams(doc_len_min=5, doc_len_max=9)

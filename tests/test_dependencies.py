@@ -35,8 +35,10 @@ def test_library_imports_only_stdlib_and_numpy():
 
 def test_library_stays_under_1700_lines():
     # the size gate of the design aim: the same results from less code
-    lines = sum(len(path.read_bytes().splitlines()) for path in SOURCES.glob("*.py"))
-    assert lines < 1700, lines
+    counts = {
+        path.name: len(path.read_bytes().splitlines()) for path in sorted(SOURCES.glob("*.py"))
+    }
+    assert sum(counts.values()) < 1700, (sum(counts.values()), counts)
 
 
 def unused_imports(path: Path) -> set[str]:
@@ -83,6 +85,39 @@ def test_readme_lists_the_package_api():
         if not name.startswith("_") and not inspect.ismodule(getattr(spamlab, name))
     }
     assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
+
+
+def names_used(path: Path) -> set[str]:
+    """Names a source file reads, imports or looks up as an attribute; a
+    top-level function or class using its own name does not count."""
+    used = set()
+    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(statement.name)
+        used |= found
+    return used
+
+
+def test_every_exported_name_is_used_by_the_system():
+    # the design aim drops helpers that nothing uses: each public name must
+    # serve the library itself or the benchmark, not only the tests
+    users = set(SOURCES.glob("*.py")) - {SOURCES / "__init__.py"}
+    users |= set((ROOT / "benchmarks").glob("*.py"))
+    used = set().union(*map(names_used, users))
+    exported = {
+        name
+        for name in vars(spamlab)
+        if not name.startswith("_") and not inspect.ismodule(getattr(spamlab, name))
+    }
+    assert exported <= used, sorted(exported - used)
 
 
 # Every module:attribute that the benchmark's tracer in benchmarks/spans.py

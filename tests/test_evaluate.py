@@ -30,12 +30,11 @@ from spamlab import (
     paired_t_test,
     spam_recall_precision,
     sweep_attributes,
-    total_cost_ratio,
     weighted_accuracy,
 )
 from spamlab.cli import main
 from spamlab.corpus import Corpus, Incidence, write_fixture_corpus
-from spamlab.evaluate import _fold_rankings, t_critical_value
+from spamlab.evaluate import _T_CRITICAL_05, _fold_rankings
 from spamlab.features import class_counts, presence_matrix, rank_tokens
 from spamlab.bayes import NaiveBayesModel, classify_nb_batch, train_naive_bayes
 
@@ -180,38 +179,6 @@ class TestBaseline:
             baseline_metrics(10, 5, 0.0)
 
 
-class TestTotalCostRatio:
-    def test_baseline_counts_score_one(self):
-        counts = counts_of(100, 0, 0, 48)  # nothing blocked
-        assert total_cost_ratio(counts, 1.0) == pytest.approx(1.0)
-
-    def test_hand_example(self):
-        counts = counts_of(100, 1, 39, 9)
-        assert total_cost_ratio(counts, 1.0) == pytest.approx(4.8)
-
-    def test_lambda_one_denominator_is_the_error_count(self):
-        counts = counts_of(80, 7, 30, 3)
-        errors = counts.n_legit_spam + counts.n_spam_legit
-        assert total_cost_ratio(counts, 1.0) == pytest.approx(counts.n_spam / errors)
-
-    def test_perfect_filter_is_infinite(self):
-        assert total_cost_ratio(counts_of(10, 0, 8, 0), 9.0) == math.inf
-
-    @given(
-        ll=st.integers(0, 300), ls=st.integers(0, 300),
-        ss=st.integers(0, 300), sl=st.integers(0, 300),
-        lam=st.sampled_from([1.0, 3.0, 9.0, 999.0]),
-    )
-    def test_below_one_iff_worse_than_baseline(self, ll, ls, ss, sl, lam):
-        counts = counts_of(ll, ls, ss, sl)
-        if counts.total == 0 or counts.n_spam == 0:
-            return
-        tcr = total_cost_ratio(counts, lam)
-        _, werr = weighted_accuracy(counts, lam)
-        _, baseline_werr = baseline_metrics(counts.n_legit, counts.n_spam, lam)
-        assert (tcr < 1.0) == (werr > baseline_werr)
-
-
 class TestNumpyLambda:
     """A numpy float32 lambda scores as the Python float of its value."""
 
@@ -222,9 +189,7 @@ class TestNumpyLambda:
         assert scored == weighted_accuracy(counts, lam)
         baseline = baseline_metrics(2412, 481, np.float32(lam))
         assert baseline == baseline_metrics(2412, 481, lam)
-        tcr = total_cost_ratio(counts, np.float32(lam))
-        assert tcr == total_cost_ratio(counts, lam)
-        assert {type(v) for v in (*scored, *baseline, tcr)} == {float}
+        assert {type(v) for v in (*scored, *baseline)} == {float}
 
     @pytest.mark.parametrize("lam", [1, 9, 999])
     def test_nb_thresholds_at_the_float_threshold(self, lam):
@@ -300,6 +265,12 @@ class TestFoldPlan:
     def test_insufficient_documents_rejected(self):
         with pytest.raises(DataError):
             make_stratified_folds(tiny_corpus(100, 9), k_folds=10)
+
+    @pytest.mark.parametrize("k_folds", [1, 0])
+    def test_fewer_than_two_folds_rejected_before_dealing(self, k_folds):
+        # at 0 folds dealing would divide by zero before FoldPlan could check
+        with pytest.raises(ValueError, match=f"k_folds must be >= 2, got {k_folds}"):
+            make_stratified_folds(tiny_corpus(20, 20), k_folds=k_folds)
 
     def test_folds_partition_the_corpus(self):
         corpus = tiny_corpus(55, 25)
@@ -808,6 +779,23 @@ class TestSweep:
             sweep_attributes(corpus, ClassifierConfig(kind="nb"), 0.0, plan, 1, 5, 1)
         assert "incidence" not in corpus.__dict__
 
+    def test_lambda_lost_to_rounding_rejected_before_the_incidence(self, monkeypatch):
+        built = []
+        build = Incidence.from_documents
+
+        def counting(documents):
+            built.append(len(documents))
+            return build(documents)
+
+        monkeypatch.setattr(Incidence, "from_documents", staticmethod(counting))
+        corpus = generate_fixture_corpus(7, 40, 20)
+        plan = make_stratified_folds(corpus, seed=0)
+        with pytest.raises(ConfigError, match="out of range for this corpus"):
+            sweep_attributes(corpus, ClassifierConfig(kind="nb"), 1e15, plan, 1, 5, 1)
+        assert built == [] and "incidence" not in corpus.__dict__
+        sweep_attributes(corpus, ClassifierConfig(kind="nb"), 999.0, plan, 1, 5, 1)
+        assert built == [len(corpus)]
+
     def test_invalid_range_rejected(self, cv_corpus):
         plan = make_stratified_folds(cv_corpus, seed=0)
         with pytest.raises(ValueError):
@@ -897,10 +885,14 @@ class TestPairedTTest:
             paired_t_test([0.5, 0.6], [0.4])
 
     def test_critical_values_match_reference(self):
-        for df in range(1, 31):
+        assert sorted(_T_CRITICAL_05) == list(range(1, 31))
+        for df, critical in _T_CRITICAL_05.items():
             reference = scipy_stats.t.ppf(0.95, df)
-            assert t_critical_value(df) == pytest.approx(reference, abs=1.5e-3)
+            assert critical == pytest.approx(reference, abs=1.5e-3)
 
     def test_unsupported_df_rejected(self):
-        with pytest.raises(ValueError):
-            t_critical_value(31)
+        a = [0.9 + 0.001 * i for i in range(32)]
+        b = [0.8] * 32
+        assert paired_t_test(a[:31], b[:31]).degrees_of_freedom == 30
+        with pytest.raises(ValueError, match="no embedded critical value for df=31"):
+            paired_t_test(a, b)

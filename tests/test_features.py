@@ -145,6 +145,10 @@ class TestMutualInformationBatch:
         expected = [mi_direct(a, b, n_spam, n_legit) for a, b in pairs]
         assert mi.tolist() == pytest.approx(expected, abs=1e-12)
 
+    def test_no_documents_rejected(self):
+        with pytest.raises(ValueError, match="totals must cover at least one document"):
+            mutual_information_batch(np.array([0]), np.array([0]), 0, 0)
+
     def test_equal_counts_rank_lexicographically(self):
         # four perfect one-bit markers: three with counts (1, 0), one (0, 1)
         docs = [
