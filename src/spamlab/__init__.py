@@ -10,7 +10,6 @@ from .bayes import (
     NaiveBayesModel,
     classify_nb_batch,
     lambda_to_threshold,
-    posterior_spam_batch,
     train_naive_bayes,
 )
 from .corpus import (

@@ -1,11 +1,12 @@
 """Naive Bayes training and cost-threshold classification.
 
-Posteriors come from class priors and per-attribute conditionals under the
-conditional-independence assumption.  Joint likelihoods are accumulated in
-log space (raw products underflow well before m = 700) and normalized over
-the two classes at the end.  A message is called spam when the spam
-posterior strictly exceeds t = lambda / (1 + lambda); ties go to
-legitimate, the safer direction for lambda >= 1.
+The paper's rule is a ratio: a message is spam when P(spam | x) /
+P(legit | x) exceeds lambda, the same as its spam posterior exceeding
+t = lambda / (1 + lambda).  The classifier decides on that ratio's log,
+one cumulative sum of per-attribute log odds under the
+conditional-independence assumption (raw products underflow well before
+m = 700), against log lambda; ties go to legitimate, the safer direction
+for lambda >= 1.
 """
 
 from __future__ import annotations
@@ -115,62 +116,51 @@ def train_naive_bayes(
     )
 
 
-def _log_joints(
-    model: NaiveBayesModel, matrix: np.ndarray, ms: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log prior + log likelihood per class over the first m columns of each
-    row of a 0/1 matrix, (len(ms), n) per class.
+def _logs(values: Sequence[float]) -> tuple[list[float], list[float]]:
+    """log v and log(1 - v) of each value by math's logs, -inf at v = 0 and
+    v = 1 respectively: numpy's SIMD logs differ in the last bit by CPU."""
+    return (
+        [math.log(v) if v > 0 else -math.inf for v in values],
+        [math.log1p(-v) if v < 1 else -math.inf for v in values],
+    )
 
-    One cumulative sum of the per-attribute terms gives every m.  The terms
-    are selected, not multiplied by indicators, so a hard zero in a
-    hand-built model contributes -inf only when its bit is actually set.
+
+def _log_odds(model: NaiveBayesModel, matrix: np.ndarray, ms: tuple[int, ...]) -> np.ndarray:
+    """log P(spam | row) - log P(legit | row) over the first m columns of
+    each row of a 0/1 matrix, (len(ms), n): one cumulative sum of the prior
+    log odds (column 0) and the per-attribute log odds gives every m, as a
+    conditional depends only on its own column.  The terms are selected, not
+    multiplied by indicators, so a hand-built hard zero counts only where
+    its bit is set: +-inf if it rules out one class, nan if both.
     """
     x = matrix.astype(bool)
-    cum = np.zeros((len(x), model.m + 1))
-
-    def joint(prior: float, p1: np.ndarray) -> np.ndarray:
-        cum[:, 1:] = np.log1p(-p1)
-        np.copyto(cum[:, 1:], np.log(p1), where=x)  # selected in place: no (n, m) temporary
-        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
-        return np.log(prior) + cum[:, list(ms)].T
-
-    with np.errstate(divide="ignore"):
-        return joint(model.prior_spam, model.p1_spam), joint(model.prior_legit, model.p1_legit)
-
-
-def _normalize_spam(log_spam: np.ndarray, log_legit: np.ndarray, prior_spam: float) -> np.ndarray:
-    # exp(L_legit - L_spam) maps -inf joints to the right limits; only the
-    # double-zero case (both joints impossible) needs a convention, and it
-    # falls back to the prior.
-    both_dead = np.isneginf(log_spam) & np.isneginf(log_legit)
-    with np.errstate(over="ignore", invalid="ignore"):
-        posterior = 1.0 / (1.0 + np.exp(log_legit - log_spam))
-    posterior[both_dead] = prior_spam
-    return posterior
-
-
-def posterior_spam_batch(
-    model: NaiveBayesModel, matrix: np.ndarray, ms: Sequence[int] | None = None
-) -> np.ndarray:
-    """P(spam | row), in log space, for each row of an (n, model.m) 0/1
-    matrix (ValueError for any other entry): one row per m of an ascending
-    ms, (model.m,) by default, under the model's first m attributes, so
-    (len(ms), n).  The model at m is its m-prefix, since a conditional
-    depends only on its own column.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[1] != model.m:
-        raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
-    if not is_zero_one(matrix):
-        raise ValueError("query vectors must hold only 0 and 1")
-    log_spam, log_legit = _log_joints(model, matrix, m_range(ms, model.m, 0))
-    return _normalize_spam(log_spam, log_legit, model.prior_spam)
+    (prior_spam, prior_legit), _ = _logs([model.prior_spam, model.prior_legit])
+    on_spam, off_spam = _logs(model.p1_spam.tolist())
+    on_legit, off_legit = _logs(model.p1_legit.tolist())
+    cum = np.empty((len(x), model.m + 1))
+    cum[:, 0] = prior_spam - prior_legit
+    with np.errstate(invalid="ignore"):  # inf - inf: ruled out under both classes
+        cum[:, 1:] = np.subtract(off_spam, off_legit)
+        np.copyto(cum[:, 1:], np.subtract(on_spam, on_legit), where=x)  # no (n, m) temporary
+        np.cumsum(cum, axis=1, out=cum)
+    return cum[:, list(ms)].T
 
 
 def classify_nb_batch(
     model: NaiveBayesModel, matrix: np.ndarray, lam: float, ms: Sequence[int] | None = None
 ) -> np.ndarray:
-    """uint8 decision per row, 1 = spam: the spam posterior strictly exceeds
-    t = lambda / (1 + lambda); shaped as posterior_spam_batch."""
+    """uint8 decision per row of an (n, model.m) 0/1 matrix (ValueError for
+    any other entry), 1 = spam: its log odds exceed log lambda, or, if it is
+    ruled out under both classes, prior_spam exceeds t.  One row per m of an
+    ascending ms, (model.m,) by default, so (len(ms), n).
+    """
     threshold = lambda_to_threshold(lam)
-    return (posterior_spam_batch(model, matrix, ms) > threshold).astype(np.uint8)
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[1] != model.m:
+        raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
+    if not is_zero_one(matrix):
+        raise ValueError("query vectors must hold only 0 and 1")
+    odds = _log_odds(model, matrix, m_range(ms, model.m, 0))
+    spam = odds > math.log(float(lam))
+    spam[np.isnan(odds)] = model.prior_spam > threshold
+    return spam.astype(np.uint8)

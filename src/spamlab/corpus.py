@@ -205,7 +205,7 @@ def _message_files(root: Path) -> list[tuple[str, str]]:
             with os.scandir(directory) as listing:
                 entries = list(listing)
         except OSError as exc:
-            raise CorpusError(f"unreadable directory: {prefix.rstrip('/') or root}: {exc}")
+            raise CorpusError(f"unreadable directory: {prefix.rstrip('/') or root}: {exc.strerror}")
         for entry in entries:
             if entry.name.startswith("."):
                 continue

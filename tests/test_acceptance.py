@@ -37,7 +37,6 @@ from spamlab import (
     mutual_information_batch,
     neighborhood_votes,
     paired_t_test,
-    posterior_spam_batch,
     sweep_attributes,
     train_naive_bayes,
     weighted_accuracy,
@@ -245,13 +244,13 @@ class TestCriterion4OracleSuites:
             p1s = [rng.uniform(0.01, 0.99) for _ in range(m)]
             p1l = [rng.uniform(0.01, 0.99) for _ in range(m)]
             bits = [rng.randint(0, 1) for _ in range(m)]
-            from test_bayes import model_of
+            from test_bayes import log_odds, model_of
 
-            model = model_of(prior, p1s, p1l)
-            mine = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0]
-            reference = posterior_spam_direct(prior, 1.0 - prior, p1s, p1l, bits)
+            mine = log_odds(model_of(prior, p1s, p1l), np.array([bits], dtype=np.uint8))[0, 0]
+            args = (prior, 1.0 - prior, p1s, p1l, bits)
+            reference = math.log(posterior_spam_direct(*args) / posterior_legit_direct(*args))
             worst = max(worst, abs(mine - reference))
-        report(4, "posterior vs raw products", worst <= 1e-9, f"max|diff|={worst:.2e}")
+        report(4, "log odds vs raw products", worst <= 1e-9, f"max|diff|={worst:.2e}")
 
     def test_neighborhood_against_sort_based(self):
         from test_memory import direct_votes
@@ -277,30 +276,6 @@ class TestCriterion4OracleSuites:
 
 
 class TestCriterion5Properties:
-    def test_posterior_two_class_normalization(self):
-        rng = random.Random(109)
-        from test_bayes import model_of
-
-        worst = 0.0
-        for _ in range(300):
-            m = rng.randint(0, 30)
-            model = model_of(
-                rng.uniform(0.05, 0.95),
-                [rng.uniform(0.01, 0.99) for _ in range(m)],
-                [rng.uniform(0.01, 0.99) for _ in range(m)],
-            )
-            bits = [rng.randint(0, 1) for _ in range(m)]
-            legit = posterior_legit_direct(
-                model.prior_spam,
-                model.prior_legit,
-                list(model.p1_spam),
-                list(model.p1_legit),
-                bits,
-            )
-            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0] + legit
-            worst = max(worst, abs(total - 1.0))
-        report(5, "two-class normalization", worst <= 1e-12, f"max|sum-1|={worst:.2e}")
-
     def test_lambda_monotone_spam_sets_both_classifiers(self):
         corpus = generate_fixture_corpus(
             7, 170, 30, FixtureParams(overlap=0.85, shared_fraction=0.5)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from spamlab import (
     classify_nb_batch,
     lambda_to_threshold,
     neighborhood_votes,
-    posterior_spam_batch,
     train_naive_bayes,
 )
+from spamlab.bayes import _log_odds, m_range
 
 
 def model_of(prior_spam, p1_spam, p1_legit):
@@ -31,6 +33,16 @@ def model_of(prior_spam, p1_spam, p1_legit):
         p1_spam=np.array(p1_spam, dtype=float),
         p1_legit=np.array(p1_legit, dtype=float),
     )
+
+
+def log_odds(model, matrix, ms=None):
+    return _log_odds(model, np.asarray(matrix), m_range(ms, model.m, 0))
+
+
+def direct_log_odds(model, bits):
+    """log(P(spam | bits) / P(legit | bits)) from the two oracles."""
+    args = (model.prior_spam, model.prior_legit, list(model.p1_spam), list(model.p1_legit), bits)
+    return math.log(posterior_spam_direct(*args) / posterior_legit_direct(*args))
 
 
 def random_model(rng, m):
@@ -168,29 +180,26 @@ class TestThreshold:
 class TestPosterior:
     def test_empty_attribute_set_returns_prior(self):
         model = model_of(0.3, [], [])
-        posterior = posterior_spam_batch(model, np.zeros((1, 0), dtype=np.uint8))[0]
-        assert posterior.tolist() == pytest.approx([0.3])
+        odds = log_odds(model, np.zeros((1, 0), dtype=np.uint8))[0]
+        assert odds.tolist() == pytest.approx([math.log(0.3 / 0.7)], abs=1e-12)
 
     def test_single_attribute_present(self):
         model = model_of(0.5, [0.8], [0.2])
-        posterior = posterior_spam_batch(model, np.array([[1]]))[0]
-        assert posterior.tolist() == pytest.approx([0.8], abs=1e-12)
+        assert log_odds(model, [[1]])[0].tolist() == pytest.approx([math.log(4.0)], abs=1e-12)
 
     def test_single_attribute_absent(self):
         model = model_of(0.5, [0.8], [0.2])
-        posterior = posterior_spam_batch(model, np.array([[0]]))[0]
-        assert posterior.tolist() == pytest.approx([0.2], abs=1e-12)
+        assert log_odds(model, [[0]])[0].tolist() == pytest.approx([-math.log(4.0)], abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         model = model_of(0.5, [0.8], [0.2])
         with pytest.raises(ValueError):
-            posterior_spam_batch(model, np.array([[1, 0]]))
+            classify_nb_batch(model, np.array([[1, 0]]), 1.0)
 
     @pytest.mark.parametrize("query", [[2, 0], [-1, 0], [0.5, 0], [float("nan"), 0]])
     @pytest.mark.parametrize("kernel", [
-        posterior_spam_batch,
         lambda model, x: classify_nb_batch(model, x, 1.0),
-    ], ids=["posterior_spam_batch", "classify_nb_batch"])
+    ], ids=["classify_nb_batch"])
     def test_query_other_than_0_or_1_rejected(self, kernel, query):
         model = model_of(0.5, [0.8, 0.3], [0.2, 0.6])
         with pytest.raises(ValueError, match="query vectors must hold only 0 and 1"):
@@ -202,17 +211,11 @@ class TestPosterior:
             m = rng.randint(0, 10)
             model = random_model(rng, m)
             bits = [rng.randint(0, 1) for _ in range(m)]
-            expected = posterior_spam_direct(
-                model.prior_spam,
-                model.prior_legit,
-                list(model.p1_spam),
-                list(model.p1_legit),
-                bits,
-            )
-            actual = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0]
-            assert actual == pytest.approx(expected, abs=1e-9)
+            actual = log_odds(model, np.array([bits], dtype=np.uint8))[0, 0]
+            assert actual == pytest.approx(direct_log_odds(model, bits), abs=1e-9)
 
     def test_two_class_normalization(self):
+        # the posterior the log odds imply, plus the mirrored legitimate one
         rng = random.Random(31)
         for _ in range(200):
             m = rng.randint(0, 25)
@@ -225,24 +228,27 @@ class TestPosterior:
                 list(model.p1_legit),
                 bits,
             )
-            total = posterior_spam_batch(model, np.array([bits], dtype=np.uint8))[0, 0] + legit
-            assert total == pytest.approx(1.0, abs=1e-12)
+            odds = log_odds(model, np.array([bits], dtype=np.uint8))[0, 0]
+            assert 1.0 / (1.0 + math.exp(-odds)) + legit == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothed_model_never_saturates(self, hard_corpus):
         attrs = top_features(hard_corpus, 30)
         model = train_naive_bayes(attrs.x, attrs.y)
-        posteriors = posterior_spam_batch(model, attrs.x)
-        assert np.all(posteriors > 0.0) and np.all(posteriors < 1.0)
+        assert np.all(np.isfinite(log_odds(model, attrs.x)))
 
     def test_unsmoothed_zero_in_one_class(self):
         model = model_of(0.5, [1.0], [0.0])
-        assert posterior_spam_batch(model, np.array([[1], [0]]))[0].tolist() == [1.0, 0.0]
+        x = np.array([[1], [0]])
+        assert log_odds(model, x)[0].tolist() == [math.inf, -math.inf]
+        assert classify_nb_batch(model, x, 999.0)[0].tolist() == [Label.SPAM, Label.LEGITIMATE]
 
     def test_unsmoothed_impossible_under_both_falls_back_to_prior(self):
-        # bit 0 rules out spam, bit 1 rules out legit
-        model = model_of(0.25, [0.0, 0.5], [0.5, 0.0])
-        posterior = posterior_spam_batch(model, np.array([[1, 1]]))[0, 0]
-        assert posterior == pytest.approx(0.25)
+        # bit 0 rules out spam, bit 1 rules out legit: spam iff 0.75 > t
+        model = model_of(0.75, [0.0, 0.5], [0.5, 0.0])
+        x = np.array([[1, 1]])
+        assert math.isnan(log_odds(model, x)[0, 0])
+        assert classify_nb_batch(model, x, 1.0)[0].tolist() == [Label.SPAM]
+        assert classify_nb_batch(model, x, 9.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_batch_matches_scalar(self):
         # the scalar reference is the non-log brute force, row by row
@@ -252,16 +258,34 @@ class TestPosterior:
             [[rng.randint(0, 1) for _ in range(12)] for _ in range(50)],
             dtype=np.uint8,
         )
-        batch = posterior_spam_batch(model, matrix)[0]
+        batch = log_odds(model, matrix)[0]
         for row, actual in zip(matrix, batch):
-            expected = posterior_spam_direct(
-                model.prior_spam,
-                model.prior_legit,
-                list(model.p1_spam),
-                list(model.p1_legit),
-                row.tolist(),
-            )
-            assert actual == pytest.approx(expected, abs=1e-9)
+            assert actual == pytest.approx(direct_log_odds(model, row.tolist()), abs=1e-9)
+
+    @given(st.data(), st.one_of(st.sampled_from([1.0, 9.0, 999.0]), st.floats(1e-3, 1e6)))
+    def test_decisions_follow_the_exact_posterior(self, data, lam):
+        # hard zeros included; a row ruled out under both classes has no
+        # posterior and falls back to the prior
+        probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        m = data.draw(st.integers(0, 6))
+        model = model_of(
+            data.draw(probability),
+            data.draw(st.lists(probability, min_size=m, max_size=m)),
+            data.draw(st.lists(probability, min_size=m, max_size=m)),
+        )
+        rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                                  min_size=1, max_size=8))
+        decisions = classify_nb_batch(model, np.array(rows, dtype=np.uint8), lam)
+        t = Fraction(lam) / (1 + Fraction(lam))
+        exact = [Fraction(v) for v in (model.prior_spam, model.prior_legit)]
+        p1 = [[Fraction(v) for v in p.tolist()] for p in (model.p1_spam, model.p1_legit)]
+        for bits, decision in zip(rows, decisions[0].tolist()):
+            try:
+                posterior = posterior_spam_direct(*exact, *p1, bits)
+            except ZeroDivisionError:
+                posterior = exact[0]
+            if abs(posterior - t) > Fraction(1, 10**9):
+                assert decision == int(posterior > t)
 
 
 class TestSweep:
@@ -272,20 +296,13 @@ class TestSweep:
             [[rng.randint(0, 1) for _ in range(9)] for _ in range(30)], dtype=np.uint8
         )
         ms = [0, 1, 4, 5, 9]
-        swept = posterior_spam_batch(model, matrix, ms)
+        swept = log_odds(model, matrix, ms)
         assert swept.shape == (len(ms), len(matrix))
         for m, row in zip(ms, swept):
             prefix = model_of(model.prior_spam, model.p1_spam[:m], model.p1_legit[:m])
-            assert row.tolist() == posterior_spam_batch(prefix, matrix[:, :m])[0].tolist()
+            assert row.tolist() == log_odds(prefix, matrix[:, :m])[0].tolist()
             for bits, actual in zip(matrix, row):
-                expected = posterior_spam_direct(
-                    model.prior_spam,
-                    model.prior_legit,
-                    list(model.p1_spam[:m]),
-                    list(model.p1_legit[:m]),
-                    bits[:m].tolist(),
-                )
-                assert actual == pytest.approx(expected, abs=1e-9)
+                assert actual == pytest.approx(direct_log_odds(prefix, bits[:m].tolist()), abs=1e-9)
 
     def test_decisions_per_m(self):
         model = model_of(0.5, [0.95, 0.05], [0.05, 0.95])
@@ -297,7 +314,7 @@ class TestSweep:
     def test_m_range_off_the_model_rejected(self, ms):
         model = model_of(0.5, [0.8, 0.3], [0.2, 0.6])
         with pytest.raises(ValueError, match="m range"):
-            posterior_spam_batch(model, np.zeros((1, 2), dtype=np.uint8), ms)
+            classify_nb_batch(model, np.zeros((1, 2), dtype=np.uint8), 1.0, ms)
 
 
 SHAPE_X = np.random.default_rng(5).integers(0, 2, size=(12, 6), dtype=np.uint8)
@@ -306,7 +323,6 @@ SHAPE_NB = train_naive_bayes(SHAPE_X, SHAPE_Y)
 SHAPE_BASE = build_instance_base(SHAPE_X, SHAPE_Y)
 # each classifier kernel on SHAPE_X as ms -> its result arrays
 KERNELS = {
-    "posterior_spam_batch": lambda ms: [posterior_spam_batch(SHAPE_NB, SHAPE_X, ms)],
     "classify_nb_batch": lambda ms: [classify_nb_batch(SHAPE_NB, SHAPE_X, 1.0, ms)],
     "neighborhood_votes": lambda ms: list(neighborhood_votes(SHAPE_BASE, SHAPE_X, 2, ms)),
     "classify_mb_batch": lambda ms: [classify_mb_batch(SHAPE_BASE, SHAPE_X, 2, 1.0, ms)],
@@ -329,7 +345,6 @@ class TestClassify:
     def test_spam_above_threshold(self):
         model = model_of(0.5, [0.95], [0.05])
         vector = np.array([[1]])
-        assert posterior_spam_batch(model, vector)[0, 0] == pytest.approx(0.95)
         assert classify_nb_batch(model, vector, 9.0)[0].tolist() == [Label.SPAM]
 
     def test_legitimate_when_threshold_not_exceeded(self):
@@ -340,7 +355,6 @@ class TestClassify:
     def test_exact_tie_goes_legitimate(self):
         model = model_of(0.5, [], [])
         vector = np.zeros((1, 0), dtype=np.uint8)
-        assert posterior_spam_batch(model, vector)[0].tolist() == [0.5]
         assert classify_nb_batch(model, vector, 1.0)[0].tolist() == [Label.LEGITIMATE]
 
     def test_lambda_monotone_spam_sets(self):
