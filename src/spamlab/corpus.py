@@ -41,6 +41,8 @@ _LETTERS_ONLY = bytes(c if chr(c) in string.ascii_letters else 0x20 for c in ran
 _SUFFIXES = ("ing", "ed", "es", "ly", "s")
 _MIN_STEM = 3
 
+_BLOCK = 2**14  # token occurrences per block of the incidence build
+
 
 class Label(enum.IntEnum):
     """Message class; LEGITIMATE < SPAM gives the deterministic tie order."""
@@ -75,8 +77,11 @@ class Incidence:
     narrowest unsigned type that holds n - 1 (2 bytes per document-token
     pair for 257 to 65,536 documents); ``labels[r]`` is row r's Label.  Only
     presence is kept, never a dense document x vocabulary matrix.  The build
-    makes one dict lookup and a transient key of the narrowest unsigned type
-    holding len(vocabulary) * n and n per token occurrence.
+    makes one dict lookup per token occurrence and holds one occurrence-sized
+    array, of uint32 keys (uint64 when len(vocabulary) * n needs it): blocks
+    of whole documents, of at most _BLOCK occurrences unless one document is
+    longer, are keyed, deduplicated and packed to its front, which is then
+    sorted in place.
     """
 
     vocabulary: tuple[str, ...]
@@ -88,22 +93,34 @@ class Incidence:
     def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
         n = max(len(documents), 1)
         lengths = np.fromiter((len(d.tokens) for d in documents), np.int64, len(documents))
+        bounds = np.r_[0, np.cumsum(lengths)]
         first_seen = defaultdict(count().__next__)  # token -> id by first sight
         occurrences = chain.from_iterable(d.tokens for d in documents)
-        ids = np.fromiter(map(first_seen.__getitem__, occurrences), np.int32, int(lengths.sum()))
+        key = np.fromiter(map(first_seen.__getitem__, occurrences), np.uint32, bounds[-1])
         vocabulary = tuple(sorted(first_seen))
         order = np.fromiter(map(first_seen.__getitem__, vocabulary), np.int64, len(vocabulary))
+        del first_seen
+        if len(order) * n > np.iinfo(key.dtype).max:
+            key = key.astype(np.uint64)
+        scaled = np.empty(len(order), key.dtype)
+        scaled[order] = np.arange(0, len(order) * n, n, dtype=key.dtype)
         # one key token * n + row per occurrence, token the lexicographic id,
-        # in the narrowest type that holds len(vocabulary) * n and n: sorted,
-        # with adjacent duplicates dropped, it lists each token's rows in
-        # ascending order, token after token
-        scaled = np.empty(len(order), np.min_scalar_type(max(len(order), 1) * n))
-        scaled[order] = np.arange(0, len(order) * n, n, dtype=scaled.dtype)
-        key = scaled[ids]
-        del ids
-        key += np.repeat(np.arange(len(lengths), dtype=key.dtype), lengths)
+        # distinct within each block of whole documents and packed to the
+        # front: sorted, they list each token's rows in ascending order,
+        # token after token
+        kept = row = 0
+        while row < len(documents):  # the most whole documents in _BLOCK, one at least
+            stop = max(np.searchsorted(bounds, bounds[row] + _BLOCK, "right") - 1, row + 1)
+            block = scaled[key[bounds[row] : bounds[stop]]]
+            block += np.repeat(np.arange(row, stop, dtype=key.dtype), lengths[row:stop])
+            block.sort()
+            fresh = np.ones(len(block), bool)
+            np.not_equal(block[1:], block[:-1], out=fresh[1:])
+            block = block[fresh]
+            key[kept : kept + len(block)] = block
+            kept, row = kept + len(block), stop
+        key = key[:kept]
         key.sort()
-        key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
         indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=key.dtype) * n)
         key %= n
         labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))

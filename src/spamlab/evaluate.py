@@ -307,8 +307,9 @@ def sweep_attributes(
     A fold gathers the postings of its top tokens at the largest m; the
     smaller attribute sets are column prefixes of that matrix, which is
     exactly what per-m selection would produce (top-m lists are nested).
-    One copy of a fold is held at a time: its matrix until it is split
-    into training and test rows, then those until the next fold's gather.
+    The matrix is gathered with the training rows first, so the training
+    and test rows are two row slices of it, not copies; it is freed before
+    the next fold's gather.
     Each classifier gets the whole range of a fold in one call, so each
     distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, and every
@@ -339,8 +340,8 @@ def sweep_attributes(
     per_fold = []
     for fold, ids in enumerate(rankings):
         train = assignment != fold
-        x = presence_matrix(incidence, ids[:largest])
-        x_train, x_test = x[train], x[~train]
+        x = presence_matrix(incidence, ids[:largest], np.argsort(~train, kind="stable"))
+        x_train, x_test = np.split(x, [np.count_nonzero(train)])  # views, training rows first
         del x
         y_test = incidence.labels[~train]
         decisions = _predict(config, x_train, incidence.labels[train], x_test, y_test, lam, ms)

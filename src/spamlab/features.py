@@ -141,11 +141,15 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], scores[order]
 
 
-def presence_matrix(incidence: Incidence, ids: Sequence[int]) -> np.ndarray:
+def presence_matrix(
+    incidence: Incidence, ids: Sequence[int], rows: Sequence[int] | None = None
+) -> np.ndarray:
     """(documents, len(ids)) uint8: column j marks the documents containing
-    token id ids[j].  Only the postings of the listed ids are read;
-    ValueError unless the ids are integers in range(len(vocabulary))."""
-    ids, size = np.asarray(ids), len(incidence.vocabulary)
+    token id ids[j], and row i is document rows[i] (every document in corpus
+    order by default).  Only the postings of the listed ids are read;
+    ValueError unless the ids are integers in range(len(vocabulary)) and rows
+    is a permutation of the documents."""
+    ids, size, n = np.asarray(ids), len(incidence.vocabulary), len(incidence.labels)
     if ids.ndim != 1 or len(ids) and not (
         ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < size
     ):
@@ -158,6 +162,12 @@ def presence_matrix(incidence: Incidence, ids: Sequence[int]) -> np.ndarray:
     ends = np.cumsum(lengths)
     at = np.arange(ends[-1] if len(ends) else 0)
     at += np.repeat(starts - (ends - lengths), lengths)
-    matrix = np.zeros((len(incidence.labels), len(ids)), dtype=np.uint8)
-    matrix[incidence.indices[at], np.repeat(np.arange(len(ids)), lengths)] = 1
+    at = incidence.indices[at]  # each posting's document, then its row
+    if rows is not None:
+        position = np.argsort(rows)  # document r goes to row position[r]
+        if not np.array_equal(np.asarray(rows)[position], np.arange(n)):
+            raise ValueError(f"rows must be a permutation of range({n})")
+        at = position[at]
+    matrix = np.zeros((n, len(ids)), dtype=np.uint8)
+    matrix[at, np.repeat(np.arange(len(ids)), lengths)] = 1
     return matrix

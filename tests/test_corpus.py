@@ -7,6 +7,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,14 +408,17 @@ class TestFixtureCorpus:
 def assert_incidence_matches(inc, documents):
     """Set oracle: the sorted distinct tokens, and for each token's column,
     in ascending order, exactly the rows of the documents containing it."""
-    vocabulary = sorted({t for d in documents for t in d.tokens})
+    rows_of = {}  # token -> rows of the documents whose token set holds it
+    for r, d in enumerate(documents):
+        for token in set(d.tokens):
+            rows_of.setdefault(token, []).append(r)
+    vocabulary = sorted(rows_of)
     assert list(inc.vocabulary) == vocabulary
     assert inc.labels.tolist() == [int(d.label) for d in documents]
     assert len(inc.indptr) == len(vocabulary) + 1
     assert inc.indptr[-1] == len(inc.indices)
     for t, token in enumerate(vocabulary):
-        rows = inc.indices[inc.indptr[t] : inc.indptr[t + 1]].tolist()
-        assert rows == [r for r, d in enumerate(documents) if token in set(d.tokens)]
+        assert inc.indices[inc.indptr[t] : inc.indptr[t + 1]].tolist() == rows_of[token]
 
 
 INCIDENCE_WORDS = ("ant", "bee", "cat", "dog", "eel", "fly")
@@ -435,23 +439,49 @@ class TestDocumentHelpers:
             max_size=8,
         ),
         st.booleans(),
+        st.integers(1, 9) | st.just(corpus_module._BLOCK),  # occurrences a block
     )
-    @example([(["cat", "ant", "cat"], True)], False)  # a single document
-    @example([(["dog", "bee"], False), (["bee"], True)], True)  # one repeated
+    @example([(["cat", "ant", "cat"], True)], False, 9)  # a single document
+    @example([(["dog", "bee"], False), (["bee"], True)], True, 9)  # one repeated
     # equal tokens that are distinct str objects
-    @example([(["cat", "".join(["c", "at"])], False), (["".join(["ca", "t"])], True)], False)
+    @example([(["cat", "".join(["c", "at"])], False), (["".join(["ca", "t"])], True)], False, 9)
     # first seen in reverse lexicographic order
-    @example([(["fly", "eel"], False), (["dog", "cat", "bee", "ant"], True)], False)
+    @example([(["fly", "eel"], False), (["dog", "cat", "bee", "ant"], True)], False, 9)
     # documents without tokens between non-empty ones
-    @example([(["bee"], False), ([], True), ([], False), (["ant", "bee"], True)], False)
-    def test_incidence_matches_set_oracle(self, drawn, repeat_first):
+    @example([(["bee"], False), ([], True), ([], False), (["ant", "bee"], True)], False, 9)
+    # a document longer than a block, its repeats on both sides of a block edge
+    @example([(["cat", "ant", "cat", "ant", "cat"], True), (["ant"], False)], False, 2)
+    # the same tokens in every block: the blocks' keys interleave
+    @example([(["bee", "ant", "bee"], False)] * 4 + [([], True), (["ant", "ant"], True)], False, 3)
+    def test_incidence_matches_set_oracle(self, drawn, repeat_first, block):
         docs = [
             Document(tuple(tokens), Label(spam), f"m{i}")
             for i, (tokens, spam) in enumerate(drawn)
         ]
         if repeat_first:
             docs.insert(len(docs) // 2 + 1, docs[0])
-        assert_incidence_matches(Incidence.from_documents(docs), docs)
+        with mock.patch.object(corpus_module, "_BLOCK", block):
+            inc = Incidence.from_documents(docs)
+        assert_incidence_matches(inc, docs)
+
+    def test_incidence_over_many_blocks_matches_set_oracle(self):
+        # a 60-word vocabulary, so every document repeats tokens and every
+        # block shares its tokens with its neighbours
+        params = FixtureParams(vocab_size=60, doc_len_min=40, doc_len_max=100)
+        documents = generate_fixture_corpus(3, 600, 100, params).documents
+        assert sum(len(d.tokens) for d in documents) > 2 * corpus_module._BLOCK
+        assert_incidence_matches(Incidence.from_documents(documents), documents)
+
+    def test_incidence_keys_widen_past_four_bytes(self):
+        # 2**16 documents of one distinct token each: len(vocabulary) * n is
+        # 2**32, one past what a uint32 key holds
+        docs = [
+            Document((f"w{i:05x}",), Label(i % 2), f"m{i:05x}") for i in range(2**16)
+        ]
+        inc = Incidence.from_documents(docs)
+        assert len(inc.vocabulary) * len(docs) == 2**32
+        assert inc.indices.dtype == np.uint16
+        assert_incidence_matches(inc, docs)
 
     def test_incidence_built_once_and_not_by_loading(self, tmp_path):
         write_fixture_corpus(generate_fixture_corpus(5, 12, 4), tmp_path)
@@ -497,10 +527,11 @@ class TestDocumentHelpers:
         assert len(corpus) == 257 and len(indices) > 0
         assert indices.nbytes == 2 * len(indices)
 
-    def test_incidence_build_peaks_under_11_bytes_per_occurrence(self):
+    def test_incidence_build_peaks_under_8_bytes_per_occurrence(self):
         # 100 to 300 tokens a message over a 2000-word vocabulary, as in
-        # Ling-Spam: the first-seen ids (4 bytes) and the keys (4 bytes,
-        # uint32 here) fit; 8-byte keys would not
+        # Ling-Spam: the keys (4 bytes, uint32 here) and one block's
+        # transients fit; 8-byte keys, or a second occurrence-sized array
+        # beside the keys (even of 2-byte row numbers), would not
         params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
         documents = generate_fixture_corpus(7, 400, 100, params).documents
         occurrences = sum(len(d.tokens) for d in documents)
@@ -511,4 +542,4 @@ class TestDocumentHelpers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * occurrences
+        assert peak <= 8 * occurrences, peak / occurrences

@@ -33,6 +33,7 @@ from spamlab import (
     weighted_accuracy,
 )
 from spamlab.cli import main
+import spamlab.evaluate as evaluate_module
 from spamlab.corpus import Corpus, Incidence, write_fixture_corpus
 from spamlab.evaluate import _T_CRITICAL_05, _fold_rankings
 from spamlab.features import class_counts, presence_matrix, rank_tokens
@@ -806,8 +807,9 @@ class TestSweep:
 
 
 class TestMemoryBudget:
-    """A sweep holds one copy of each fold: its matrix until it is split,
-    then its training and test rows, which the instance base shares."""
+    """A sweep holds one copy of each fold: one gathered matrix, whose
+    training and test rows are row slices of it and which the instance
+    base shares."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -832,6 +834,31 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < budget * cells, peak / cells
+
+    @pytest.mark.parametrize("kind", ["nb", "mb"])
+    def test_training_and_test_rows_are_slices_of_one_gather(self, monkeypatch, kind):
+        corpus = generate_fixture_corpus(5, 60, 20)
+        plan = make_stratified_folds(corpus, k_folds=3, seed=0)
+        config = ClassifierConfig(kind, k=1 if kind == "mb" else None)
+        calls, predict = [], evaluate_module._predict
+
+        def capture(config, x_train, y_train, x_test, y_test, lam, ms):
+            calls.append((x_train, y_train, x_test, y_test))
+            return predict(config, x_train, y_train, x_test, y_test, lam, ms)
+
+        expected = sweep_attributes(corpus, config, 1.0, plan, 5, 20, 5)
+        monkeypatch.setattr(evaluate_module, "_predict", capture)
+        assert sweep_attributes(corpus, config, 1.0, plan, 5, 20, 5) == expected
+        assert len(calls) == plan.k_folds
+        for fold, (x_train, y_train, x_test, y_test) in enumerate(calls):
+            train = np.array(plan.assignment) != fold
+            assert x_train.base is not None and x_train.base is x_test.base
+            assert x_train.flags.c_contiguous and x_test.flags.c_contiguous
+            ids = _fold_rankings(corpus.incidence, plan)[fold][:20]
+            matrix = presence_matrix(corpus.incidence, ids)
+            assert (x_train == matrix[train]).all() and (x_test == matrix[~train]).all()
+            assert (y_train == corpus.incidence.labels[train]).all()
+            assert (y_test == corpus.incidence.labels[~train]).all()
 
 
 class TestPairedTTest:

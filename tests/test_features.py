@@ -304,6 +304,27 @@ class TestVectorize:
                 present = set(d.tokens)
                 assert row.tolist() == [int(t in present) for t in tokens]
 
+    def test_rows_put_document_rows_i_at_row_i(self, small_corpus):
+        incidence = small_corpus.incidence
+        index = {t: i for i, t in enumerate(incidence.vocabulary)}
+        tokens = top_features(small_corpus, 25).tokens
+        rows = np.random.default_rng(3).permutation(len(small_corpus))
+        assert (rows[rows] != np.arange(len(rows))).any()  # not its own inverse
+        matrix = presence_matrix(incidence, [index[t] for t in tokens], rows)
+        assert matrix.shape == (len(small_corpus), len(tokens))
+        for row, r in zip(matrix, rows.tolist()):
+            present = set(small_corpus.documents[r].tokens)
+            assert row.tolist() == [int(t in present) for t in tokens]
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 0, 3], [[0], [1], [2]]],
+        ids=["repeat", "short", "long", "outside", "2-d"],
+    )
+    def test_rows_other_than_a_permutation_rejected(self, rows):
+        incidence = Incidence.from_documents(self.DOCS)
+        with pytest.raises(ValueError, match=r"permutation of range\(3\)"):
+            presence_matrix(incidence, [0, 1], rows)
+
 
 # the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,
 # eee 8; at 7 postings a block, aaa + bbb and ccc fill a block exactly, ddd
