@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Label
+from .corpus import Incidence, Label
 from .errors import ConfigError, DataError
 
 def lambda_to_threshold(lam: float) -> float:
@@ -68,28 +68,34 @@ def m_range(ms: Sequence[int] | None, m_full: int, lowest: int) -> tuple[int, ..
 
 
 def training_set(
-    vectors: Sequence[np.ndarray] | np.ndarray,
+    vectors: Sequence[np.ndarray] | np.ndarray | Incidence,
     labels: Sequence[Label] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m) 0/1 vector matrix and (n,) uint8 labels (1 = spam) of a training set."""
-    try:
-        matrix = np.asarray(vectors)
-    except ValueError:
-        raise DataError("training vectors must all have the same length")
-    if matrix.dtype == object or matrix.ndim != 2:
-        raise DataError("training vectors must all have the same length")
-    if not is_zero_one(matrix):
-        raise DataError("training vectors must hold only 0 and 1")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, rows, y) of a 0/1 (n, m) matrix or an Incidence of n documents:
+    column j's ones at rows[indptr[j]:indptr[j + 1]], and (n,) uint8 labels."""
+    if isinstance(vectors, Incidence):
+        indptr, rows, n = vectors.indptr, vectors.indices, len(vectors.labels)
+    else:
+        try:
+            matrix = np.asarray(vectors)
+        except ValueError:
+            raise DataError("training vectors must all have the same length")
+        if matrix.dtype == object or matrix.ndim != 2:
+            raise DataError("training vectors must all have the same length")
+        if not is_zero_one(matrix):
+            raise DataError("training vectors must hold only 0 and 1")
+        columns, rows = np.nonzero(matrix.T)
+        indptr, n = np.searchsorted(columns, np.arange(matrix.shape[1] + 1)), len(matrix)
     y = np.asarray(labels)
-    if len(y) != len(matrix):
+    if len(y) != n:
         raise DataError("vector and label counts differ")
     if not is_zero_one(y):
         raise DataError("labels must be 0 (legitimate) or 1 (spam)")
-    return matrix, y.astype(np.uint8)
+    return indptr, rows, y.astype(np.uint8)
 
 
 def train_naive_bayes(
-    vectors: Sequence[np.ndarray] | np.ndarray,
+    vectors: Sequence[np.ndarray] | np.ndarray | Incidence,
     labels: Sequence[Label] | np.ndarray,
 ) -> NaiveBayesModel:
     """Estimate priors as frequency ratios and conditionals per attribute.
@@ -98,21 +104,18 @@ def train_naive_bayes(
     strictly inside (0, 1); raw ratios would produce hard zeros that
     annihilate a whole class.
     """
-    matrix, y = training_set(vectors, labels)
+    indptr, rows, y = training_set(vectors, labels)
     n_spam = int(y.sum())
     n_legit = len(y) - n_spam
     if n_spam == 0 or n_legit == 0:
         raise DataError("degenerate training set: need both classes")
-
-    ones_spam = matrix[y == 1].sum(axis=0, dtype=np.int64)
-    ones_legit = matrix.sum(axis=0, dtype=np.int64) - ones_spam  # no copy of the legit rows
-    p1_spam = (ones_spam + 1.0) / (n_spam + 2.0)
-    p1_legit = (ones_legit + 1.0) / (n_legit + 2.0)
+    spam = np.r_[0, np.cumsum(y[rows], dtype=np.min_scalar_type(len(rows)))]  # spam ones so far
+    ones_spam, ones = np.diff(spam[indptr]), np.diff(indptr)
     return NaiveBayesModel(
         prior_spam=n_spam / len(y),
         prior_legit=n_legit / len(y),
-        p1_spam=p1_spam,
-        p1_legit=p1_legit,
+        p1_spam=(ones_spam + 1.0) / (n_spam + 2.0),
+        p1_legit=(ones - ones_spam + 1.0) / (n_legit + 2.0),
     )
 
 
@@ -127,23 +130,25 @@ def _logs(values: Sequence[float]) -> tuple[list[float], list[float]]:
 
 def _log_odds(model: NaiveBayesModel, matrix: np.ndarray, ms: tuple[int, ...]) -> np.ndarray:
     """log P(spam | row) - log P(legit | row) over the first m columns of
-    each row of a 0/1 matrix, (len(ms), n): one cumulative sum of the prior
-    log odds (column 0) and the per-attribute log odds gives every m, as a
-    conditional depends only on its own column.  The terms are selected, not
-    multiplied by indicators, so a hand-built hard zero counts only where
-    its bit is set: +-inf if it rules out one class, nan if both.
+    each row of a 0/1 matrix, (len(ms), n): the cumulative sum of the prior
+    and per-attribute log odds, each m adding its new columns in order in an
+    (n, 1 + block) buffer that starts from the last m's sums.  The terms are
+    selected, not multiplied by indicators, so a hand-built hard zero counts
+    only where its bit is set: +-inf if it rules out one class, nan if both.
     """
-    x = matrix.astype(bool)
     (prior_spam, prior_legit), _ = _logs([model.prior_spam, model.prior_legit])
     on_spam, off_spam = _logs(model.p1_spam.tolist())
     on_legit, off_legit = _logs(model.p1_legit.tolist())
-    cum = np.empty((len(x), model.m + 1))
-    cum[:, 0] = prior_spam - prior_legit
+    odds = np.empty((len(ms) + 1, len(matrix)))
+    odds[0] = prior_spam - prior_legit
     with np.errstate(invalid="ignore"):  # inf - inf: ruled out under both classes
-        cum[:, 1:] = np.subtract(off_spam, off_legit)
-        np.copyto(cum[:, 1:], np.subtract(on_spam, on_legit), where=x)  # no (n, m) temporary
-        np.cumsum(cum, axis=1, out=cum)
-    return cum[:, list(ms)].T
+        on, off = np.subtract(on_spam, on_legit), np.subtract(off_spam, off_legit)
+        for i, (done, m) in enumerate(zip((0, *ms), ms)):
+            cum = np.empty((len(matrix), 1 + m - done))
+            cum[:, 0], cum[:, 1:] = odds[i], off[done:m]
+            np.copyto(cum[:, 1:], on[done:m], where=matrix[:, done:m].astype(bool))
+            odds[i + 1] = np.cumsum(cum, axis=1, out=cum)[:, -1]
+    return odds[1:]
 
 
 def classify_nb_batch(

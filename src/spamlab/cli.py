@@ -34,6 +34,7 @@ from .evaluate import (
     make_stratified_folds,
     paired_t_test,
     sweep_attributes,
+    sweep_range,
 )
 
 FORMAT_VERSION = "spamlab results v1"
@@ -195,34 +196,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cross_validate(
-    args: argparse.Namespace, m_spec: str, m_from: int, m_to: int, m_step: int
-) -> int:
-    """The evaluate and sweep commands: CV at m = m_from..m_to, then output."""
-    if m_from < 1 or m_to < m_from or m_step < 1:
-        raise ConfigError(f"invalid m {m_spec!r}: need m >= 1, FROM <= TO, STEP >= 1")
-    # Both validators raise ConfigError before the corpus is touched.
-    lambda_to_threshold(args.lam)
+def _cross_validate(args: argparse.Namespace, m_spec: str, ms: range) -> int:
+    """The evaluate and sweep commands: CV at each m of ms, then output."""
+    lambda_to_threshold(args.lam)  # ConfigError before the corpus is read, as for ms and k
     k = args.k if args.classifier == "mb" else None
     classifier = ClassifierConfig(args.classifier, k=k)
     if args.oracle:
         classifier = ClassifierConfig("oracle")
     corpus = load_corpus(args.corpus, layout=args.layout, stemming=args.stemming)
     plan = make_stratified_folds(corpus, k_folds=K_FOLDS, seed=args.seed)
-    results = sweep_attributes(
-        corpus, classifier, args.lam, plan, m_from=m_from, m_to=m_to, m_step=m_step
-    )
+    results = sweep_attributes(corpus, classifier, args.lam, plan, ms.start, ms[-1], ms.step)
     _emit(_echo(args, m_spec, k), results, args.out)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    return _cross_validate(args, str(args.m), args.m, args.m, 1)
+    return _cross_validate(args, str(args.m), sweep_range(args.m, args.m, 1))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    m_from, m_to, m_step = _parse_ints("--m-range", args.m_range, "FROM:TO:STEP")
-    return _cross_validate(args, args.m_range, m_from, m_to, m_step)
+    ms = sweep_range(*_parse_ints("--m-range", args.m_range, "FROM:TO:STEP"))
+    return _cross_validate(args, args.m_range, ms)
 
 
 def _read_result_file(path: str) -> tuple[dict, list[dict]]:
@@ -324,15 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         sys.stdout = None  # its unwritten bytes would fail again at exit
         return 2
-    except (CorpusError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (SpamlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (CorpusError, DataError)):
+            return 2
+        return 3 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -71,11 +71,11 @@ class Document:
 class Incidence:
     """Which documents contain which tokens: a CSC document x token-id matrix.
 
-    Token ids number ``vocabulary`` in lexicographic order, so id order is
-    the attribute-ranking tie-break.  Token id t occurs in exactly the
-    document rows ``indices[indptr[t]:indptr[t + 1]]``, ascending, in the
-    narrowest unsigned type that holds n - 1 (2 bytes per document-token
-    pair for 257 to 65,536 documents); ``labels[r]`` is row r's Label.  Only
+    Token id t occurs in exactly the document rows ``indices[indptr[t]:
+    indptr[t + 1]]``, and ``labels[r]`` is row r's Label.  Built from
+    documents, ids number ``vocabulary`` in lexicographic order, the ranking
+    tie-break, and rows ascend, in the narrowest unsigned type that holds
+    n - 1 (2 bytes per document-token pair for 257 to 65,536 documents).  Only
     presence is kept, never a dense document x vocabulary matrix.  The build
     makes one dict lookup per token occurrence and holds one occurrence-sized
     array, of uint32 keys (uint64 when len(vocabulary) * n needs it): blocks
@@ -311,16 +311,6 @@ def _fixture_word(index: int) -> str:
     return "".join(chr(ord("a") + index // 26**place % 26) for place in (2, 1, 0)) + "o"
 
 
-def _fixture_pools(params: FixtureParams) -> tuple[list[str], list[str], list[str]]:
-    words = [_fixture_word(i) for i in range(params.vocab_size)]
-    n_shared = round(params.vocab_size * params.shared_fraction)
-    n_class = (params.vocab_size - n_shared) // 2
-    legit_pool = words[:n_class]
-    shared_pool = words[n_class : n_class + n_shared]
-    spam_pool = words[n_class + n_shared : n_class + n_shared + n_class]
-    return legit_pool, shared_pool, spam_pool
-
-
 def _harmonic_cum_weights(n: int) -> list[float]:
     # Accumulated once per pool: rng.choices(pool, weights) would rebuild
     # this list on every draw, and with cum_weights it draws the same words.
@@ -339,7 +329,12 @@ def generate_fixture_corpus(
         raise CorpusError("fixture corpus needs at least one document")
     params = params or FixtureParams()
     rng = Random(seed)
-    legit_pool, shared_pool, spam_pool = _fixture_pools(params)
+    words = [_fixture_word(i) for i in range(params.vocab_size)]
+    n_shared = round(params.vocab_size * params.shared_fraction)
+    n_class = (params.vocab_size - n_shared) // 2
+    legit_pool = words[:n_class]
+    shared_pool = words[n_class : n_class + n_shared]
+    spam_pool = words[n_class + n_shared : n_class + n_shared + n_class]
 
     shared_cum = _harmonic_cum_weights(len(shared_pool))
     documents = []

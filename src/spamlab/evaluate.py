@@ -25,7 +25,7 @@ import numpy as np
 from .bayes import classify_nb_batch, is_zero_one, lambda_to_threshold, train_naive_bayes
 from .corpus import Corpus, Incidence, Label
 from .errors import ConfigError, DataError
-from .features import class_counts, presence_matrix, rank_tokens
+from .features import class_counts, presence_matrix, presence_postings, rank_tokens
 from .memory import build_instance_base, check_k, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -216,8 +216,7 @@ class AggregateResult:
 
 def _predict(
     config: ClassifierConfig,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
+    train: Incidence,
     x_test: np.ndarray,
     y_test: np.ndarray,
     lam: float,
@@ -225,9 +224,9 @@ def _predict(
 ) -> np.ndarray:
     """uint8 decisions, 1 = spam: one row per m of ms, over the first m columns."""
     if config.kind == "nb":
-        return classify_nb_batch(train_naive_bayes(x_train, y_train), x_test, lam, ms)
+        return classify_nb_batch(train_naive_bayes(train, train.labels), x_test, lam, ms)
     if config.kind == "mb":
-        base = build_instance_base(x_train, y_train)
+        base = build_instance_base(train, train.labels)
         return classify_mb_batch(base, x_test, config.k, lam, ms)
     if config.kind == "oracle":
         return np.tile(y_test, (len(ms), 1))
@@ -287,6 +286,13 @@ def _fold_rankings(incidence: Incidence, plan: FoldPlan) -> tuple[np.ndarray, ..
     )
 
 
+def sweep_range(start: int, stop: int, step: int) -> range:
+    """The m values start..stop by step; ConfigError unless 1 <= start <= stop, step > 0."""
+    if start < 1 or stop < start or step < 1:
+        raise ConfigError(f"invalid m range {start}:{stop}:{step}: need 1 <= FROM <= TO, STEP > 0")
+    return range(start, stop + 1, step)
+
+
 def sweep_attributes(
     corpus: Corpus,
     config: ClassifierConfig,
@@ -304,14 +310,12 @@ def sweep_attributes(
     bytes per candidate per fold), so only the first configuration on a plan
     counts and ranks.  One count pass gives every fold's counts, and each
     fold is ranked as its counts come, freeing the table before classifying.
-    A fold gathers the postings of its top tokens at the largest m; the
-    smaller attribute sets are column prefixes of that matrix, which is
-    exactly what per-m selection would produce (top-m lists are nested).
-    The matrix is gathered with the training rows first, so the training
-    and test rows are two row slices of it, not copies; it is freed before
-    the next fold's gather.
-    Each classifier gets the whole range of a fold in one call, so each
-    distance column and each class count is computed once.
+    A fold gathers the postings of its top tokens at the largest m, the
+    training rows as an Incidence and the test rows as a uint8 matrix, so no
+    fold holds an (n, m) array; the smaller attribute sets are column
+    prefixes, exactly what per-m selection would produce (top-m lists are
+    nested).  Each classifier gets the whole range of a fold in one call, so
+    each distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, and every
     fold's candidate count is checked before any fold is classified, so an
     m range beyond the vocabulary fails at once, not in memory.
@@ -324,9 +328,7 @@ def sweep_attributes(
             f"fold plan covers {len(plan.assignment)} documents "
             f"but the corpus has {len(corpus)}"
         )
-    if m_from < 1 or m_to < m_from or m_step < 1:
-        raise ValueError(f"invalid m range {m_from}:{m_to}:{m_step}")
-    ms = range(m_from, m_to + 1, m_step)
+    ms = sweep_range(m_from, m_to, m_step)
     largest = ms[-1]
     incidence = corpus.incidence
     rankings = _fold_rankings(incidence, plan)
@@ -339,13 +341,12 @@ def sweep_attributes(
     assignment = np.array(plan.assignment)
     per_fold = []
     for fold, ids in enumerate(rankings):
-        train = assignment != fold
-        x = presence_matrix(incidence, ids[:largest], np.argsort(~train, kind="stable"))
-        x_train, x_test = np.split(x, [np.count_nonzero(train)])  # views, training rows first
-        del x
-        y_test = incidence.labels[~train]
-        decisions = _predict(config, x_train, incidence.labels[train], x_test, y_test, lam, ms)
-        del x_train, x_test
+        test = assignment == fold
+        train = presence_postings(incidence, ids[:largest], np.flatnonzero(~test))
+        x_test = presence_matrix(incidence, ids[:largest], np.flatnonzero(test))
+        y_test = incidence.labels[test]
+        decisions = _predict(config, train, x_test, y_test, lam, ms)
+        del train, x_test  # freed before the next fold's gathers
         per_fold.append([confusion_counts(y_test, predicted) for predicted in decisions])
     return [
         _aggregate(config, lam, m, plan.seed, baseline, fold_counts)

@@ -7,8 +7,8 @@ by the mutual information between the presence indicator and the class,
 estimated from document-level frequency ratios with no smoothing and the
 0*log0 := 0 convention.  Scores are in bits (base-2 logs); the base only
 scales scores and never changes the ranking.  The attributes of a training
-set are the top m ids of its ranking, and their presence matrix is
-gathered from the postings of just those ids.
+set are the top m ids of its ranking; their presence, as an Incidence or a
+matrix, is gathered from the postings of just those ids.
 """
 
 from __future__ import annotations
@@ -141,33 +141,44 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], scores[order]
 
 
-def presence_matrix(
+def presence_postings(
     incidence: Incidence, ids: Sequence[int], rows: Sequence[int] | None = None
-) -> np.ndarray:
-    """(documents, len(ids)) uint8: column j marks the documents containing
-    token id ids[j], and row i is document rows[i] (every document in corpus
-    order by default).  Only the postings of the listed ids are read;
+) -> Incidence:
+    """The Incidence of token ids[j] as token j in document rows[i] as row i
+    (all documents by default), reading only the postings of the listed ids;
     ValueError unless the ids are integers in range(len(vocabulary)) and rows
-    is a permutation of the documents."""
+    are distinct documents.  Each token's rows ascend if rows does."""
     ids, size, n = np.asarray(ids), len(incidence.vocabulary), len(incidence.labels)
     if ids.ndim != 1 or len(ids) and not (
         ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < size
     ):
         raise ValueError(f"token ids must be integers in range({size})")
-    ids = ids.astype(np.int64)
-    starts = incidence.indptr[ids]
-    lengths = incidence.indptr[ids + 1] - starts
-    # column j's postings sit at starts[j] + 0 .. lengths[j] - 1, and are
-    # laid out back to back: shift a running count by each column's offset
-    ends = np.cumsum(lengths)
-    at = np.arange(ends[-1] if len(ends) else 0)
-    at += np.repeat(starts - (ends - lengths), lengths)
-    at = incidence.indices[at]  # each posting's document, then its row
-    if rows is not None:
-        position = np.argsort(rows)  # document r goes to row position[r]
-        if not np.array_equal(np.asarray(rows)[position], np.arange(n)):
-            raise ValueError(f"rows must be a permutation of range({n})")
-        at = position[at]
-    matrix = np.zeros((n, len(ids)), dtype=np.uint8)
-    matrix[at, np.repeat(np.arange(len(ids)), lengths)] = 1
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or len(rows) and not (
+        rows.dtype.kind in "iu" and rows.min() >= 0 and rows.max() < n
+    ) or np.bincount(rows.astype(np.int64), minlength=1).max() > 1:
+        raise ValueError(f"rows must be a permutation of range({n}) or part of one")
+    ids, rows = ids.astype(np.int64), rows.astype(np.int64)
+    starts, stops = incidence.indptr[ids].tolist(), incidence.indptr[1:][ids].tolist()
+    position = np.full(n, -1, np.min_scalar_type(-n - 1))  # document r is row position[r]
+    position[rows] = np.arange(len(rows))
+    postings = [incidence.indices[a:b] for a, b in zip(starts, stops)] or [incidence.indices[:0]]
+    at = position[np.concatenate(postings)]  # each posting's row, -1 if not listed
+    kept = np.r_[0, np.cumsum(at >= 0, dtype=np.min_scalar_type(len(at)))]  # before each posting
+    return Incidence(
+        tuple(incidence.vocabulary[i] for i in ids.tolist()),
+        kept[np.r_[0, np.cumsum(np.subtract(stops, starts), dtype=np.int64)]],
+        at[at >= 0].astype(incidence.indices.dtype),
+        incidence.labels[rows],
+    )
+
+
+def presence_matrix(
+    incidence: Incidence, ids: Sequence[int], rows: Sequence[int] | None = None
+) -> np.ndarray:
+    """presence_postings as a (len(rows), len(ids)) uint8 matrix: column j
+    marks the rows whose document contains token id ids[j]."""
+    sub = presence_postings(incidence, ids, rows)
+    matrix = np.zeros((len(sub.labels), len(sub.vocabulary)), dtype=np.uint8)
+    matrix[sub.indices, np.repeat(np.arange(len(sub.vocabulary)), np.diff(sub.indptr))] = 1
     return matrix

@@ -1,6 +1,6 @@
 """Memory-based classification over the k closest distance values.
 
-All training instances are stored verbatim.  The neighborhood of a query
+All training instances are stored, by attribute.  The neighborhood of a query
 is every stored instance whose overlap distance (count of differing
 attribute positions) falls among the k smallest distinct distance values,
 so it can contain far more than k members when distances tie.  Voting
@@ -20,16 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .bayes import is_zero_one, lambda_to_threshold, m_range, training_set
-from .corpus import Label
+from .corpus import Incidence, Label
 from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
 class InstanceBase:
-    """Immutable store of training vectors and labels, duplicates included."""
+    """Immutable store of training instances, duplicates included, by
+    attribute: column j's ones are in rows[indptr[j]:indptr[j + 1]]."""
 
-    vectors: np.ndarray  # (n, m) uint8
-    labels: np.ndarray  # (n,) uint8, 1 = spam
+    indptr: np.ndarray  # (m + 1,)
+    rows: np.ndarray  # stored row of each one, the spam rows numbered first
+    labels: np.ndarray  # (n,) uint8, 1 = spam, descending
 
     @property
     def size(self) -> int:
@@ -37,18 +39,20 @@ class InstanceBase:
 
     @property
     def m(self) -> int:
-        return self.vectors.shape[1]
+        return len(self.indptr) - 1
 
 
 def build_instance_base(
-    vectors: Sequence[np.ndarray] | np.ndarray,
+    vectors: Sequence[np.ndarray] | np.ndarray | Incidence,
     labels: Sequence[Label] | Sequence[int] | np.ndarray,
 ) -> InstanceBase:
-    """The base of a 0/1 training set; a uint8 matrix is shared, not copied."""
-    matrix, y = training_set(vectors, labels)
-    if matrix.size == 0:
+    """The base of a 0/1 training set, an (n, m) matrix or an Incidence."""
+    indptr, rows, y = training_set(vectors, labels)
+    if len(y) == 0 or len(indptr) < 2:
         raise DataError("instance base needs at least one instance")
-    return InstanceBase(vectors=matrix.astype(np.uint8, copy=False), labels=y)
+    order = np.argsort(y == 0, kind="stable")  # spam first; row order[i] is stored as i
+    position = np.argsort(order).astype(np.min_scalar_type(len(y)))
+    return InstanceBase(indptr, position[rows], y[order])
 
 
 def check_k(k: int) -> int:
@@ -71,11 +75,11 @@ def neighborhood_votes(
     narrowest signed integer type that holds widest + 1.  The query ones
     are listed once, each with its column block [done, m) and its layer:
     its rank among its row's ones in that block, so the rows of one layer
-    differ.  Each m gathers its block's stored columns as rows y, spam
-    first, in the distance type, adds |y| over the block to every query
-    row, turns y into 1 - 2y and, layer by layer, adds to each row the row
-    of y of its one, 64 rows at most per add: the cost follows the query
-    ones, not the block width.
+    differ.  Each m adds |y| over its block, counted from the postings, to
+    every query row, scatters 1 - 2y of the block's columns as rows in the
+    distance type and, layer by layer, adds to each row the row of its one,
+    64 rows at most per add: the cost follows the query ones, not the block
+    width.
     Every add is exact: a row stays between d + |y|_block - x.y_block >= 0
     and d + |x or y|_block <= min(m, |x| + |y|) <= widest, d its distance
     over [0, done).
@@ -103,26 +107,24 @@ def neighborhood_votes(
     at = np.arange(len(rows))
     first = (np.diff(rows, prepend=-1) != 0) | (np.diff(block, prepend=-1) != 0)
     layer = at - np.maximum.accumulate(np.where(first, at, 0))
-    y_widest = base.vectors[:, :last].sum(axis=1, dtype=np.min_scalar_type(last)).max()
+    y_widest = np.bincount(base.rows[: base.indptr[last]], minlength=1).max()
     widest = min(last, int(np.bincount(rows, minlength=1).max()) + int(y_widest))
     dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
     unsigned = np.dtype(f"u{dist.itemsize}")
     inside = np.empty(dist.shape, dtype=bool)
-    by_class = np.argsort(base.labels == 0, kind="stable")
     n_spam = np.count_nonzero(base.labels)
     votes = np.empty((2, len(sweep), len(queries)), dtype=np.intp)
-    done = 0
-    for i, m in enumerate(sweep):
-        y = base.vectors[by_class, done:m].T.astype(dist.dtype, order="C")
-        dist += y.sum(axis=0, dtype=dist.dtype)
-        np.subtract(1, 2 * y, out=y)
+    for i, (done, m) in enumerate(zip((0, *sweep), sweep)):
+        ones = slice(base.indptr[done], base.indptr[m])
+        dist += np.bincount(base.rows[ones], minlength=base.size).astype(dist.dtype)  # |y|
+        y = np.ones((m - done, base.size), dtype=dist.dtype)  # 1 - 2y, a row per column
+        y[np.repeat(np.arange(m - done), np.diff(base.indptr[done : m + 1])), base.rows[ones]] = -1
         in_block = block == i
         r, c, t = rows[in_block], cols[in_block] - done, layer[in_block]
         for each in range(t.max(initial=-1) + 1):  # one layer: distinct rows
             rr, cc = r[t == each], c[t == each]
             for s in range(0, len(rr), 64):  # two 64-row copies at a time
                 dist[rr[s : s + 64]] += y[cc[s : s + 64]]
-        done = m
         cut, top = dist.min(axis=1), dist.max(axis=1) if k > 1 else None
         for _ in range(1, k):
             open_rows = cut < top
@@ -142,7 +144,6 @@ def classify_mb_batch(
 ) -> np.ndarray:
     """uint8 decision per query row, 1 = spam: the lambda-scaled majority vote
     of neighborhood_votes, shaped as its counts; ties go to legitimate."""
-    lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda
     spam, legit = neighborhood_votes(base, queries, k, ms)
-    return (spam > lam * legit).astype(np.uint8)
+    return (spam > float(lam) * legit).astype(np.uint8)

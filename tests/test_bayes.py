@@ -304,6 +304,36 @@ class TestSweep:
             for bits, actual in zip(matrix, row):
                 assert actual == pytest.approx(direct_log_odds(prefix, bits[:m].tolist()), abs=1e-9)
 
+    @given(st.data())
+    def test_blockwise_sums_are_the_bytes_of_one_cumulative_sum(self, data):
+        # _log_odds adds each m's new columns in a buffer of their own; the
+        # reference takes every term at once and sums them in one cumsum.
+        # Hard zeros (log 0 = -inf; both classes ruled out gives nan) are
+        # drawn next to a block edge, on either side of it.
+        m = data.draw(st.integers(2, 9))
+        ms = sorted(data.draw(st.sets(st.integers(0, m), min_size=1)))
+        edge = data.draw(st.sampled_from([e for e in ms if 0 < e < m] or [m - 1]))
+        probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        p1 = [data.draw(st.lists(probability, min_size=m, max_size=m)) for _ in range(2)]
+        for table in p1:
+            table[edge - 1], table[edge] = data.draw(st.sampled_from([0.0, 1.0])), 0.0
+        model = model_of(data.draw(st.floats(0.01, 0.99)), *p1)
+        matrix = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                                             min_size=1, max_size=6)), dtype=np.uint8)
+
+        def logs(values):
+            return ([math.log(v) if v > 0 else -math.inf for v in values],
+                    [math.log1p(-v) if v < 1 else -math.inf for v in values])
+
+        (on_spam, off_spam), (on_legit, off_legit) = logs(p1[0]), logs(p1[1])
+        with np.errstate(invalid="ignore"):
+            terms = np.where(matrix == 1, np.subtract(on_spam, on_legit),
+                             np.subtract(off_spam, off_legit))
+            prior = math.log(model.prior_spam) - math.log(model.prior_legit)
+            whole = np.cumsum(np.column_stack([np.full(len(matrix), prior), terms]), axis=1)
+        expected = np.ascontiguousarray(whole[:, ms].T)
+        assert log_odds(model, matrix, ms).tobytes() == expected.tobytes()
+
     def test_decisions_per_m(self):
         model = model_of(0.5, [0.95, 0.05], [0.05, 0.95])
         decisions = classify_nb_batch(model, np.array([[1, 1], [1, 0]]), 1.0, [1, 2])

@@ -212,7 +212,7 @@ class TestEvaluate:
             "evaluate", "--corpus", str(fixture_dir), "--m", "0",
         ])
         assert code == 3
-        assert "invalid m '0'" in err
+        assert "invalid m range 0:0:1" in err
 
     def test_unknown_flag_exits_3(self, capsys, fixture_dir):
         code, _, _ = run(capsys, [

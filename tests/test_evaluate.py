@@ -807,9 +807,9 @@ class TestSweep:
 
 
 class TestMemoryBudget:
-    """A sweep holds one copy of each fold: one gathered matrix, whose
-    training and test rows are row slices of it and which the instance
-    base shares."""
+    """A sweep holds no (n, m) array for a fold: the training rows reach the
+    classifiers as an Incidence of their postings, and only the test rows
+    are gathered into a matrix."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -817,14 +817,17 @@ class TestMemoryBudget:
         return generate_fixture_corpus(7, 1000, 200, params)
 
     @pytest.mark.parametrize(
-        "config, budget", [(ClassifierConfig("mb", k=1), 5.5), (ClassifierConfig("nb"), 4.6)],
+        "config, budget", [(ClassifierConfig("mb", k=1), 3.8), (ClassifierConfig("nb"), 2.0)],
         ids=["mb", "nb"],
     )
     def test_sweep_peaks_under_budget_per_document_and_attribute(self, corpus, config, budget):
-        # With the rankings cached, the peak is a fold's presence matrix
-        # (1 byte per document and attribute at m = 300) and its classifier's
-        # transients; a copy of the matrix kept beside its two parts, or an
-        # instance base copied from the training rows, breaks the budget.
+        # With the rankings cached, the peak is a fold's test rows (1 byte
+        # per test document and attribute at m = 300), its training postings
+        # and its classifier's transients: mb's distances and mask (1 byte
+        # each per test and training document), nb's per-block sums.  A
+        # fold matrix of every document (1 byte per cell), an nb buffer of
+        # every column (8 bytes per test cell) or a dense instance base
+        # breaks the budget.
         plan, cells = make_stratified_folds(corpus, seed=0), len(corpus) * 300
         sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
         tracemalloc.start()
@@ -836,29 +839,71 @@ class TestMemoryBudget:
         assert peak < budget * cells, peak / cells
 
     @pytest.mark.parametrize("kind", ["nb", "mb"])
-    def test_training_and_test_rows_are_slices_of_one_gather(self, monkeypatch, kind):
+    def test_no_training_matrix_reaches_the_classifiers(self, monkeypatch, kind):
         corpus = generate_fixture_corpus(5, 60, 20)
         plan = make_stratified_folds(corpus, k_folds=3, seed=0)
         config = ClassifierConfig(kind, k=1 if kind == "mb" else None)
-        calls, predict = [], evaluate_module._predict
+        calls, arrays = [], []
 
-        def capture(config, x_train, y_train, x_test, y_test, lam, ms):
-            calls.append((x_train, y_train, x_test, y_test))
-            return predict(config, x_train, y_train, x_test, y_test, lam, ms)
+        def spy(name):
+            function = getattr(evaluate_module, name)
+
+            def called(*args, **kwargs):
+                calls.append((name, args))
+                for value in (*args, *kwargs.values()):
+                    fields = vars(value).values() if hasattr(value, "__dict__") else (value,)
+                    arrays.extend(v for v in fields if isinstance(v, np.ndarray))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate_module, name, called)
 
         expected = sweep_attributes(corpus, config, 1.0, plan, 5, 20, 5)
-        monkeypatch.setattr(evaluate_module, "_predict", capture)
+        for name in ("_predict", "train_naive_bayes", "build_instance_base",
+                     "classify_nb_batch", "classify_mb_batch"):
+            spy(name)
         assert sweep_attributes(corpus, config, 1.0, plan, 5, 20, 5) == expected
-        assert len(calls) == plan.k_folds
-        for fold, (x_train, y_train, x_test, y_test) in enumerate(calls):
-            train = np.array(plan.assignment) != fold
-            assert x_train.base is not None and x_train.base is x_test.base
-            assert x_train.flags.c_contiguous and x_test.flags.c_contiguous
+        n_test = {np.count_nonzero(np.array(plan.assignment) == f) for f in range(plan.k_folds)}
+        assert arrays and all(a.ndim < 2 or a.shape[0] in n_test for a in arrays)
+        folds = [args for name, args in calls if name == "_predict"]
+        assert len(folds) == plan.k_folds
+        for fold, (_, train, x_test, y_test, _, _) in enumerate(folds):
+            test = np.array(plan.assignment) == fold
             ids = _fold_rankings(corpus.incidence, plan)[fold][:20]
             matrix = presence_matrix(corpus.incidence, ids)
-            assert (x_train == matrix[train]).all() and (x_test == matrix[~train]).all()
-            assert (y_train == corpus.incidence.labels[train]).all()
-            assert (y_test == corpus.incidence.labels[~train]).all()
+            assert isinstance(train, Incidence) and x_test.shape == (np.count_nonzero(test), 20)
+            assert (presence_matrix(train, range(20)) == matrix[~test]).all()
+            assert (x_test == matrix[test]).all()
+            assert (train.labels == corpus.incidence.labels[~test]).all()
+            assert (y_test == corpus.incidence.labels[test]).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_spam=st.integers(3, 12), m=st.integers(1, 40))
+    def test_count_trained_model_is_the_dense_model(self, seed, n_spam, m):
+        # the engine trains nb from each fold's training postings; the same
+        # rows as a dense matrix give the same priors and conditional bytes
+        corpus = generate_fixture_corpus(seed, 30, n_spam)
+        plan = make_stratified_folds(corpus, k_folds=3, seed=seed)
+        assume(all(len(ids) >= m for ids in _fold_rankings(corpus.incidence, plan)))
+        models = []
+
+        def train(vectors, labels):
+            models.append(train_naive_bayes(vectors, labels))
+            return models[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluate_module, "train_naive_bayes", train)
+            sweep_attributes(corpus, ClassifierConfig("nb"), 1.0, plan, 1, m, 1)
+        assert len(models) == plan.k_folds
+        for fold, model in enumerate(models):
+            train_rows = np.array(plan.assignment) != fold
+            ids = _fold_rankings(corpus.incidence, plan)[fold][:m]
+            dense = train_naive_bayes(
+                presence_matrix(corpus.incidence, ids)[train_rows],
+                corpus.incidence.labels[train_rows],
+            )
+            assert (model.prior_spam, model.prior_legit) == (dense.prior_spam, dense.prior_legit)
+            assert model.p1_spam.tobytes() == dense.p1_spam.tobytes()
+            assert model.p1_legit.tobytes() == dense.p1_legit.tobytes()
 
 
 class TestPairedTTest:

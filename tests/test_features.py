@@ -21,7 +21,13 @@ from spamlab import (
 )
 from spamlab.corpus import Corpus, Incidence
 import spamlab.features as features_module
-from spamlab.features import TokenStats, class_counts, presence_matrix, rank_tokens
+from spamlab.features import (
+    TokenStats,
+    class_counts,
+    presence_matrix,
+    presence_postings,
+    rank_tokens,
+)
 
 
 def doc(tokens, label, source_id):
@@ -317,13 +323,41 @@ class TestVectorize:
             assert row.tolist() == [int(t in present) for t in tokens]
 
     @pytest.mark.parametrize(
-        "rows", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 0, 3], [[0], [1], [2]]],
-        ids=["repeat", "short", "long", "outside", "2-d"],
+        "rows", [[0, 0, 1], [0, 1, 2, 3], [2, 0, 3], [[0], [1], [2]], [-1, 0], [0.0, 1.0]],
+        ids=["repeat", "long", "outside", "2-d", "negative", "float"],
     )
     def test_rows_other_than_a_permutation_rejected(self, rows):
         incidence = Incidence.from_documents(self.DOCS)
-        with pytest.raises(ValueError, match=r"permutation of range\(3\)"):
+        with pytest.raises(ValueError, match=r"permutation of range\(3\) or part of one"):
             presence_matrix(incidence, [0, 1], rows)
+
+    @pytest.mark.parametrize("rows", [[2, 0], [1], []], ids=["two", "one", "none"])
+    def test_rows_may_list_part_of_the_documents(self, rows):
+        incidence = Incidence.from_documents(self.DOCS)
+        ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
+        every = presence_matrix(incidence, ids)
+        assert presence_matrix(incidence, ids, rows).tolist() == every[rows].tolist()
+        assert presence_matrix(incidence, ids, rows).shape == (len(rows), 2)
+
+    @given(st.data())
+    def test_postings_hold_the_presence_bits_of_the_listed_documents(self, data):
+        # presence_postings, which the fold loop trains from, against set
+        # membership: token j of the result is ids[j] (repeats allowed), row
+        # i is document rows[i], and each token's rows ascend when rows does
+        docs = data.draw(st.lists(st.sets(st.sampled_from("abcdef")), min_size=1, max_size=8))
+        documents = [doc(sorted(d), Label(i % 2), f"d{i}") for i, d in enumerate(docs)]
+        assume(any(docs))
+        incidence = Incidence.from_documents(documents)
+        size, n = len(incidence.vocabulary), len(documents)
+        ids = data.draw(st.lists(st.integers(0, size - 1), max_size=6))
+        rows = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        sub = presence_postings(incidence, ids, rows)
+        assert sub.vocabulary == tuple(incidence.vocabulary[i] for i in ids)
+        assert sub.labels.tolist() == [int(documents[r].label) for r in rows]
+        assert len(sub.indptr) == len(ids) + 1
+        for j, token in enumerate(sub.vocabulary):
+            held = sub.indices[sub.indptr[j] : sub.indptr[j + 1]].tolist()
+            assert held == [i for i, r in enumerate(rows) if token in documents[r].tokens]
 
 
 # the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,

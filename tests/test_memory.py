@@ -12,11 +12,14 @@ from oracles import neighborhood_direct
 from spamlab import (
     ConfigError,
     DataError,
+    Document,
     Label,
     build_instance_base,
     classify_mb_batch,
     neighborhood_votes,
 )
+from spamlab.corpus import Incidence
+from spamlab.features import presence_postings
 
 
 def base_of(rows, labels):
@@ -443,14 +446,57 @@ class TestDistanceType:
             assert votes(base, [query], k)[0] == direct_votes(rows, labels, [query], k)
 
 
+@st.composite
+def postings_cases(draw):
+    """A training set drawn from a few row patterns (so stored rows repeat),
+    one column with no training one, queries with an all-zero row, and the
+    same rows as documents: a last document holds every token, so each
+    column is a token of the incidence but only the first n rows train."""
+    width = draw(st.integers(1, 8))
+    pattern = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    pool = draw(st.lists(pattern, min_size=1, max_size=4))
+    train = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+    train[:, draw(st.integers(0, width - 1))] = 0
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
+    queries = [[0] * width] + draw(st.lists(st.sampled_from(pool), max_size=5))
+    ms = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
+    return train, labels, queries, ms, draw(st.sampled_from([1, 2, 10]))
+
+
+class TestPostingsBase:
+    """A base built from an Incidence's postings, as the fold loop builds
+    it, against one built from the same rows as a dense matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=postings_cases())
+    def test_postings_base_votes_as_the_dense_base(self, case):
+        train, labels, queries, ms, k = case
+        documents = [
+            Document(tuple(f"t{j}" for j in np.flatnonzero(row)), label, f"d{i}")
+            for i, (row, label) in enumerate(zip(train, labels))
+        ] + [Document(tuple(f"t{j}" for j in range(train.shape[1])), 0, "all")]
+        incidence = Incidence.from_documents(documents)
+        ids = [incidence.vocabulary.index(f"t{j}") for j in range(train.shape[1])]
+        sub = presence_postings(incidence, ids, range(len(train)))
+        from_postings = build_instance_base(sub, sub.labels)
+        from_dense = build_instance_base(train, labels)
+        assert from_postings.labels.tolist() == sorted(labels, reverse=True)
+        assert votes(from_postings, queries, k, ms) == votes(from_dense, queries, k, ms)
+
+
 class TestMemoryBudget:
-    def test_uint8_vectors_are_shared_and_bool_vectors_converted(self):
-        vectors = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        assert np.shares_memory(build_instance_base(vectors, [0, 1]).vectors, vectors)
-        flags = vectors.astype(bool)
-        base = build_instance_base(flags, [0, 1])
-        assert base.vectors.dtype == np.uint8 and not np.shares_memory(base.vectors, flags)
-        assert base.vectors.tolist() == [[0, 1], [1, 0]]
+    def test_base_stores_each_columns_ones_with_the_spam_rows_first(self):
+        vectors = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        base = build_instance_base(vectors, [0, 1, 0])
+        assert base.labels.tolist() == [1, 0, 0]  # row 1 is stored first
+        assert base.indptr.tolist() == [0, 2, 4]
+        assert sorted(base.rows[0:2].tolist()) == [0, 2]  # column 0: rows 1 and 2
+        assert sorted(base.rows[2:4].tolist()) == [1, 2]  # column 1: rows 0 and 2
+        for same in (vectors.astype(bool), vectors.tolist(), vectors.astype(float)):
+            other = build_instance_base(same, [0, 1, 0])
+            assert other.indptr.tolist() == base.indptr.tolist()
+            assert other.rows.tolist() == base.rows.tolist()
+            assert other.labels.tolist() == base.labels.tolist()
 
     def test_fold_sized_sweep_peaks_under_5_bytes_per_distance_cell(self):
         # About one benchmark fold: 300 queries against 2600 stored rows,
