@@ -42,7 +42,6 @@ from .features import (
     TokenStats,
     class_counts,
     mutual_information_batch,
-    presence_matrix,
     rank_tokens,
 )
 from .memory import (

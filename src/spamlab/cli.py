@@ -191,7 +191,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(
         f"legit={corpus.n_legit} spam={corpus.n_spam} "
         f"rate={corpus.n_spam / len(corpus) * 100:.1f}% "
-        f"vocab={len(set().union(*(d.tokens for d in corpus.documents)))}"
+        f"vocab={len(corpus.vocabulary)}"
     )
     return 0
 

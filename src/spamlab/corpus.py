@@ -19,13 +19,13 @@ from __future__ import annotations
 import enum
 import os
 import string
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, count
+from functools import cached_property, partial
+from itertools import accumulate
 from pathlib import Path
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,12 +72,12 @@ class Incidence:
     """Which documents contain which tokens: a CSC document x token-id matrix.
 
     Token id t occurs in exactly the document rows ``indices[indptr[t]:
-    indptr[t + 1]]``, and ``labels[r]`` is row r's Label.  Built from
-    documents, ids number ``vocabulary`` in lexicographic order, the ranking
+    indptr[t + 1]]``, and ``labels[r]`` is row r's Label.  Built from a
+    corpus, ids number ``vocabulary`` in lexicographic order, the ranking
     tie-break, and rows ascend, in the narrowest unsigned type that holds
     n - 1 (2 bytes per document-token pair for 257 to 65,536 documents).  Only
     presence is kept, never a dense document x vocabulary matrix.  The build
-    makes one dict lookup per token occurrence and holds one occurrence-sized
+    reads the corpus's token ids, with no dict, and holds one occurrence-sized
     array, of uint32 keys (uint64 when len(vocabulary) * n needs it): blocks
     of whole documents, of at most _BLOCK occurrences unless one document is
     longer, are keyed, deduplicated and packed to its front, which is then
@@ -90,28 +90,23 @@ class Incidence:
     labels: np.ndarray
 
     @classmethod
-    def from_documents(cls, documents: Sequence[Document]) -> "Incidence":
-        n = max(len(documents), 1)
-        lengths = np.fromiter((len(d.tokens) for d in documents), np.int64, len(documents))
-        bounds = np.r_[0, np.cumsum(lengths)]
-        first_seen = defaultdict(count().__next__)  # token -> id by first sight
-        occurrences = chain.from_iterable(d.tokens for d in documents)
-        key = np.fromiter(map(first_seen.__getitem__, occurrences), np.uint32, bounds[-1])
-        vocabulary = tuple(sorted(first_seen))
-        order = np.fromiter(map(first_seen.__getitem__, vocabulary), np.int64, len(vocabulary))
-        del first_seen
-        if len(order) * n > np.iinfo(key.dtype).max:
-            key = key.astype(np.uint64)
-        scaled = np.empty(len(order), key.dtype)
-        scaled[order] = np.arange(0, len(order) * n, n, dtype=key.dtype)
+    def from_corpus(cls, corpus: Corpus) -> "Incidence":
+        n = max(len(corpus), 1)
+        ids, bounds = np.asarray(corpus.token_ids), np.asarray(corpus.offsets)
+        lengths = np.diff(bounds)
+        order = sorted(range(len(corpus.vocabulary)), key=corpus.vocabulary.__getitem__)
+        vocabulary = tuple(map(corpus.vocabulary.__getitem__, order))
+        key = np.empty(len(ids), np.uint32 if len(order) * n <= 2**32 - 1 else np.uint64)
+        scaled = np.argsort(order).astype(key.dtype) * n  # first-seen id -> lexicographic id * n
+        del order
         # one key token * n + row per occurrence, token the lexicographic id,
         # distinct within each block of whole documents and packed to the
         # front: sorted, they list each token's rows in ascending order,
         # token after token
         kept = row = 0
-        while row < len(documents):  # the most whole documents in _BLOCK, one at least
+        while row < len(corpus):  # the most whole documents in _BLOCK, one at least
             stop = max(np.searchsorted(bounds, bounds[row] + _BLOCK, "right") - 1, row + 1)
-            block = scaled[key[bounds[row] : bounds[stop]]]
+            block = scaled[ids[bounds[row] : bounds[stop]]]
             block += np.repeat(np.arange(row, stop, dtype=key.dtype), lengths[row:stop])
             block.sort()
             fresh = np.ones(len(block), bool)
@@ -123,36 +118,54 @@ class Incidence:
         key.sort()
         indptr = np.searchsorted(key, np.arange(len(vocabulary) + 1, dtype=key.dtype) * n)
         key %= n
-        labels = np.fromiter((d.label for d in documents), np.uint8, len(documents))
+        labels = np.frombuffer(corpus.labels, np.uint8)
         return cls(vocabulary, indptr, key.astype(np.min_scalar_type(n - 1)), labels)
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Documents, in deterministic order (sorted by source_id) when built by
-    from_documents or load_corpus; the label tallies are counted from them."""
+    """Documents as token ids, sorted by source_id when built by from_documents
+    or load_corpus: document i is ``source_ids[i]``, labeled ``labels[i]``, with
+    the tokens ``vocabulary[t]`` for t in ``token_ids[offsets[i] : offsets[i + 1]]``."""
 
-    documents: tuple[Document, ...]
+    source_ids: tuple[str, ...]
+    labels: bytes
+    vocabulary: tuple[str, ...]
+    token_ids: array
+    offsets: array
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
-        return cls(tuple(sorted(documents, key=lambda d: d.source_id)))
+        documents = sorted(documents, key=lambda d: d.source_id)
+        encoder = _Encoder(str)  # the tokens as they are
+        for d in documents:
+            encoder.add(d.tokens)
+        labels = bytes(d.label for d in documents)
+        source_ids = tuple(d.source_id for d in documents)
+        return cls(source_ids, labels, tuple(encoder.tokens), encoder.ids, encoder.offsets)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.source_ids)
 
-    @cached_property
+    @property
     def n_spam(self) -> int:
-        return sum(d.label for d in self.documents)
+        return self.labels.count(Label.SPAM)
 
     @property
     def n_legit(self) -> int:
         return len(self) - self.n_spam
 
     @cached_property
+    def documents(self) -> tuple[Document, ...]:
+        """Decoded on first use, then kept; cross-validation never needs them."""
+        tokens = tuple(map(self.vocabulary.__getitem__, self.token_ids))
+        spans = zip(self.offsets, self.offsets[1:], self.labels, self.source_ids)
+        return tuple(Document(tokens[a:b], label, source) for a, b, label, source in spans)
+
+    @cached_property
     def incidence(self) -> Incidence:
         """Built on first use (cross-validation), then kept."""
-        return Incidence.from_documents(self.documents)
+        return Incidence.from_corpus(self)
 
 
 def tokenize(text: str | bytes) -> list[str]:
@@ -166,24 +179,19 @@ def tokenize(text: str | bytes) -> list[str]:
     return text.translate(_LETTERS_ONLY).decode("ascii").split()
 
 
-def _strip_suffixes(token: str) -> str:
-    while True:
-        for suffix in _SUFFIXES:
-            if token.endswith(suffix) and len(token) - len(suffix) >= _MIN_STEM:
-                token = token[: -len(suffix)]
-                break
-        else:
-            return token
-
-
 def normalize_token(token: str, stemming: str) -> str:
     """Lowercase one token, then strip suffixes under light stemming; tokens
     are never dropped.  ValueError for a mode outside STEMMING."""
     if stemming not in STEMMING:
         raise ValueError(f"unknown stemming mode: {stemming!r}")
     token = token.lower()
-    if stemming == "light":
-        token = _strip_suffixes(token)
+    while stemming == "light":
+        for suffix in _SUFFIXES:
+            if token.endswith(suffix) and len(token) - len(suffix) >= _MIN_STEM:
+                token = token[: -len(suffix)]
+                break
+        else:
+            break
     return token
 
 
@@ -191,17 +199,28 @@ LAYOUTS = ("lingspam", "fixture")
 STEMMING = ("none", "light")
 
 
-class _Normalized(dict):
-    """Raw word -> token for one load: each distinct word is normalized once,
-    on its first lookup, and every later occurrence shares that string."""
+class _Encoder(dict):
+    """Word -> token id for one corpus, its documents added in order: each
+    distinct word normalized once, on its first lookup, and each token numbered
+    on its first sight, into one flat id array, uint16 until an id needs more."""
 
-    def __init__(self, stemming: str) -> None:
+    def __init__(self, normalize: Callable[[str], str]) -> None:
         super().__init__()
-        self.stemming = stemming
+        self.normalize, self.tokens = normalize, {}  # tokens: token -> id
+        self.ids, self.offsets = array("H"), array("q", [0])
 
-    def __missing__(self, word: str) -> str:
-        token = self[word] = normalize_token(word, self.stemming)
-        return token
+    def __missing__(self, word: str) -> int:
+        token_id = self[word] = self.tokens.setdefault(self.normalize(word), len(self.tokens))
+        return token_id
+
+    def add(self, words: Sequence[str]) -> None:
+        try:
+            ids = np.fromiter(map(self.__getitem__, words), self.ids.typecode, len(words))
+        except OverflowError:  # a 65,537th token: widen, and look the words up again
+            self.ids = array("I", self.ids)
+            ids = np.fromiter(map(self.__getitem__, words), self.ids.typecode, len(words))
+        self.ids.frombytes(ids.view(np.uint8))
+        self.offsets.append(len(self.ids))
 
 
 def _message_files(root: Path) -> list[tuple[str, str]]:
@@ -258,8 +277,8 @@ def load_corpus(
         raise CorpusError(f"unknown corpus layout: {layout!r}")
     normalize_token("", stemming)  # validates the mode
     root = Path(directory)
-    documents = []
-    normalized = _Normalized(stemming)
+    source_ids = []
+    encoder = _Encoder(partial(normalize_token, stemming=stemming))
     for source_id, path in _message_files(root):
         try:
             with open(path, "rb") as handle:
@@ -268,13 +287,12 @@ def load_corpus(
             raise CorpusError(f"unreadable message file {source_id}: {exc}")
         if not raw:
             raise CorpusError(f"empty message: {source_id}")
-        words = tokenize(raw)[1 if raw.startswith(b"Subject:") else 0 :]
-        tokens = tuple(map(normalized.__getitem__, words))
-        spam = source_id.rpartition("/")[2].startswith("spmsg")
-        documents.append(Document(tokens, Label(spam), source_id))
-    if not documents:
+        encoder.add(tokenize(raw)[1 if raw.startswith(b"Subject:") else 0 :])
+        source_ids.append(source_id)
+    if not source_ids:
         raise CorpusError(f"empty corpus: {root}")
-    return Corpus(tuple(documents))
+    labels = bytes(s.rpartition("/")[2].startswith("spmsg") for s in source_ids)
+    return Corpus(tuple(source_ids), labels, tuple(encoder.tokens), encoder.ids, encoder.offsets)
 
 
 @dataclass(frozen=True)
@@ -305,12 +323,6 @@ class FixtureParams:
             raise ValueError("need 1 <= doc_len_min <= doc_len_max")
 
 
-def _fixture_word(index: int) -> str:
-    # Base-26 letters with a fixed final "o" so no stemming rule ever
-    # applies; fixture tokens survive write + reload byte-identically.
-    return "".join(chr(ord("a") + index // 26**place % 26) for place in (2, 1, 0)) + "o"
-
-
 def _harmonic_cum_weights(n: int) -> list[float]:
     # Accumulated once per pool: rng.choices(pool, weights) would rebuild
     # this list on every draw, and with cum_weights it draws the same words.
@@ -329,7 +341,12 @@ def generate_fixture_corpus(
         raise CorpusError("fixture corpus needs at least one document")
     params = params or FixtureParams()
     rng = Random(seed)
-    words = [_fixture_word(i) for i in range(params.vocab_size)]
+    # base-26 letters with a fixed final "o", so no stemming rule ever
+    # applies: fixture tokens survive write + reload byte-identically
+    words = [
+        "".join(chr(ord("a") + i // 26**place % 26) for place in (2, 1, 0)) + "o"
+        for i in range(params.vocab_size)
+    ]
     n_shared = round(params.vocab_size * params.shared_fraction)
     n_class = (params.vocab_size - n_shared) // 2
     legit_pool = words[:n_class]

@@ -25,7 +25,7 @@ import numpy as np
 from .bayes import classify_nb_batch, is_zero_one, lambda_to_threshold, train_naive_bayes
 from .corpus import Corpus, Incidence, Label
 from .errors import ConfigError, DataError
-from .features import class_counts, presence_matrix, presence_postings, rank_tokens
+from .features import class_counts, rank_tokens, split_presence
 from .memory import build_instance_base, check_k, classify_mb_batch
 
 CLASSIFIER_KINDS = ("nb", "mb", "oracle", "always-legit")
@@ -80,32 +80,27 @@ def confusion_counts(
     )
 
 
-def _weighted_error(wacc: float, errors: float, weighted_total: float, lam: float) -> float:
-    """1 - wacc, checked against errors / weighted_total computed directly.
-
-    When lambda makes the weighted errors tiny beside the weighted total,
-    1 - wacc cancels to rounding noise (a no-op filter scored TCR=inf), so
-    such a lambda is rejected; 1e-9 is far above a sound result's rounding.
-    """
-    werr = 1.0 - wacc
-    if abs(werr - errors / weighted_total) > 1e-9 * (errors / weighted_total):
-        raise ConfigError(
-            f"lambda {lam:g} is out of range for this corpus: "
-            "1 - WAcc loses the weighted errors to rounding"
-        )
-    return werr
-
-
 def weighted_accuracy(counts: ConfusionCounts, lam: float) -> tuple[float, float]:
-    """(WAcc, WErr) with each legitimate message weighted as lambda messages."""
+    """(WAcc, WErr) with each legitimate message weighted as lambda messages.
+
+    WErr is 1 - WAcc, checked against the weighted errors over the weighted
+    total computed directly: when lambda makes the errors tiny beside the
+    total, 1 - WAcc cancels to rounding noise (a no-op filter scored TCR=inf),
+    so such a lambda is rejected; 1e-9 is far above a sound result's rounding.
+    """
     lam = float(lam)
     lambda_to_threshold(lam)  # validates lambda
     if counts.total == 0:
         raise DataError("cannot score an empty split")
     total = lam * counts.n_legit + counts.n_spam
     wacc = (lam * counts.n_legit_legit + counts.n_spam_spam) / total
-    errors = lam * counts.n_legit_spam + counts.n_spam_legit
-    return wacc, _weighted_error(wacc, errors, total, lam)
+    errors = (lam * counts.n_legit_spam + counts.n_spam_legit) / total
+    if abs(1.0 - wacc - errors) > 1e-9 * errors:
+        raise ConfigError(
+            f"lambda {lam:g} is out of range for this corpus: "
+            "1 - WAcc loses the weighted errors to rounding"
+        )
+    return wacc, 1.0 - wacc
 
 
 def baseline_metrics(n_legit: int, n_spam: int, lam: float) -> tuple[float, float]:
@@ -152,22 +147,19 @@ def make_stratified_folds(corpus: Corpus, k_folds: int = 10, seed: int = 0) -> F
     """
     if k_folds < 2:
         raise ValueError(f"k_folds must be >= 2, got {k_folds}")
-    by_class: dict[Label, list[int]] = {Label.LEGITIMATE: [], Label.SPAM: []}
-    for i, doc in enumerate(corpus.documents):
-        by_class[doc.label].append(i)
+    labels = np.frombuffer(corpus.labels, np.uint8)
+    by_class = {label: np.flatnonzero(labels == label).tolist() for label in Label}
     for label, indices in by_class.items():
         if len(indices) < k_folds:
             raise DataError(
                 f"need at least {k_folds} {label} documents, found {len(indices)}"
             )
     rng = Random(seed)
-    assignment = [0] * len(corpus.documents)
-    for label in (Label.LEGITIMATE, Label.SPAM):
-        indices = by_class[label]
+    assignment = np.empty(len(corpus), np.int64)
+    for indices in by_class.values():  # LEGITIMATE, then SPAM
         rng.shuffle(indices)
-        for position, doc_index in enumerate(indices):
-            assignment[doc_index] = position % k_folds
-    return FoldPlan(k_folds=k_folds, assignment=tuple(assignment), seed=seed)
+        assignment[indices] = np.arange(len(indices)) % k_folds
+    return FoldPlan(k_folds=k_folds, assignment=tuple(assignment.tolist()), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -233,38 +225,6 @@ def _predict(
     return np.zeros((len(ms), len(y_test)), dtype=np.uint8)
 
 
-def _aggregate(
-    config: ClassifierConfig,
-    lam: float,
-    m: int,
-    seed: int,
-    baseline: tuple[float, float],
-    fold_counts: tuple[ConfusionCounts, ...],
-) -> AggregateResult:
-    fold_waccs = tuple(weighted_accuracy(c, lam)[0] for c in fold_counts)
-    mean_wacc = math.fsum(fold_waccs) / len(fold_waccs)
-    mean_werr = 1.0 - mean_wacc
-    baseline_wacc, baseline_werr = baseline
-    tcr = baseline_werr / mean_werr if mean_werr > 0 else math.inf
-    sr, sp = spam_recall_precision(sum(fold_counts, ConfusionCounts()))
-    return AggregateResult(
-        classifier=config.kind,
-        lam=lam,
-        m=m,
-        k=config.k,
-        seed=seed,
-        fold_counts=fold_counts,
-        fold_waccs=fold_waccs,
-        mean_wacc=mean_wacc,
-        mean_werr=mean_werr,
-        baseline_wacc=baseline_wacc,
-        baseline_werr=baseline_werr,
-        tcr=tcr,
-        spam_recall=sr,
-        spam_precision=sp,
-    )
-
-
 def cross_validate(
     corpus: Corpus,
     config: ClassifierConfig,
@@ -310,11 +270,11 @@ def sweep_attributes(
     bytes per candidate per fold), so only the first configuration on a plan
     counts and ranks.  One count pass gives every fold's counts, and each
     fold is ranked as its counts come, freeing the table before classifying.
-    A fold gathers the postings of its top tokens at the largest m, the
-    training rows as an Incidence and the test rows as a uint8 matrix, so no
-    fold holds an (n, m) array; the smaller attribute sets are column
-    prefixes, exactly what per-m selection would produce (top-m lists are
-    nested).  Each classifier gets the whole range of a fold in one call, so
+    A fold gathers the postings of its top tokens at the largest m once, and
+    splits them into the training rows as an Incidence and the test rows as
+    a uint8 matrix, so no fold holds an (n, m) array; the smaller attribute
+    sets are column prefixes, exactly what per-m selection would produce
+    (top-m lists are nested).  Each classifier gets the whole range of a fold in one call, so
     each distance column and each class count is computed once.
     ms stays a lazy range and per-m state grows fold by fold, and every
     fold's candidate count is checked before any fold is classified, so an
@@ -322,7 +282,7 @@ def sweep_attributes(
     """
     lam = float(lam)
     # validates lambda, its rounding on this corpus included, before any work
-    baseline = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
+    baseline_wacc, baseline_werr = baseline_metrics(corpus.n_legit, corpus.n_spam, lam)
     if len(plan.assignment) != len(corpus):
         raise ValueError(
             f"fold plan covers {len(plan.assignment)} documents "
@@ -342,16 +302,34 @@ def sweep_attributes(
     per_fold = []
     for fold, ids in enumerate(rankings):
         test = assignment == fold
-        train = presence_postings(incidence, ids[:largest], np.flatnonzero(~test))
-        x_test = presence_matrix(incidence, ids[:largest], np.flatnonzero(test))
+        train, x_test = split_presence(incidence, ids[:largest], test)
         y_test = incidence.labels[test]
         decisions = _predict(config, train, x_test, y_test, lam, ms)
         del train, x_test  # freed before the next fold's gathers
         per_fold.append([confusion_counts(y_test, predicted) for predicted in decisions])
-    return [
-        _aggregate(config, lam, m, plan.seed, baseline, fold_counts)
-        for m, fold_counts in zip(ms, zip(*per_fold))
-    ]
+    results = []
+    for m, fold_counts in zip(ms, zip(*per_fold)):
+        fold_waccs = tuple(weighted_accuracy(c, lam)[0] for c in fold_counts)
+        mean_wacc = math.fsum(fold_waccs) / len(fold_waccs)
+        mean_werr = 1.0 - mean_wacc
+        sr, sp = spam_recall_precision(sum(fold_counts, ConfusionCounts()))
+        results.append(AggregateResult(
+            classifier=config.kind,
+            lam=lam,
+            m=m,
+            k=config.k,
+            seed=plan.seed,
+            fold_counts=fold_counts,
+            fold_waccs=fold_waccs,
+            mean_wacc=mean_wacc,
+            mean_werr=mean_werr,
+            baseline_wacc=baseline_wacc,
+            baseline_werr=baseline_werr,
+            tcr=baseline_werr / mean_werr if mean_werr > 0 else math.inf,
+            spam_recall=sr,
+            spam_precision=sp,
+        ))
+    return results
 
 
 @dataclass(frozen=True)

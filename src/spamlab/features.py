@@ -173,12 +173,18 @@ def presence_postings(
     )
 
 
-def presence_matrix(
-    incidence: Incidence, ids: Sequence[int], rows: Sequence[int] | None = None
-) -> np.ndarray:
-    """presence_postings as a (len(rows), len(ids)) uint8 matrix: column j
-    marks the rows whose document contains token id ids[j]."""
-    sub = presence_postings(incidence, ids, rows)
-    matrix = np.zeros((len(sub.labels), len(sub.vocabulary)), dtype=np.uint8)
-    matrix[sub.indices, np.repeat(np.arange(len(sub.vocabulary)), np.diff(sub.indptr))] = 1
-    return matrix
+def split_presence(
+    incidence: Incidence, ids: Sequence[int], test: np.ndarray
+) -> tuple[Incidence, np.ndarray]:
+    """(presence_postings of the documents outside the boolean mask test, the
+    (documents, len(ids)) uint8 presence matrix of those inside it), split
+    from one gather of the postings of ids: rows ordered outside test first,
+    then inside, in document order within each part; column j is ids[j]."""
+    n_train = len(test) - np.count_nonzero(test)
+    every = presence_postings(incidence, ids, np.argsort(test, kind="stable"))
+    trained = every.indices < n_train
+    kept = np.r_[0, np.cumsum(trained, dtype=np.min_scalar_type(len(trained)))][every.indptr]
+    x_test = np.zeros((len(test) - n_train, len(ids)), dtype=np.uint8)
+    columns = np.repeat(np.arange(len(ids)), np.diff(every.indptr - kept))
+    x_test[every.indices[~trained].astype(np.intp) - n_train, columns] = 1
+    return Incidence(every.vocabulary, kept, every.indices[trained], every.labels[:n_train]), x_test

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from spamlab import FixtureParams, FoldPlan, TokenStats, generate_fixture_corpus
-from spamlab.corpus import Corpus
-from spamlab.features import class_counts, presence_matrix, rank_tokens
+from spamlab.corpus import Corpus, Incidence
+from spamlab.features import class_counts, presence_postings, rank_tokens
 
 # Heavy shared vocabulary so the classes are not trivially separable;
 # used wherever tests need real errors and mid-range posteriors.
@@ -25,6 +25,15 @@ class Features(NamedTuple):
     y: np.ndarray  # labels, 1 = spam
 
 
+def matrix_of(sub: Incidence) -> np.ndarray:
+    """An Incidence as a (documents, tokens) uint8 matrix: column j marks
+    the rows listed in token j's postings."""
+    matrix = np.zeros((len(sub.labels), len(sub.vocabulary)), dtype=np.uint8)
+    for j in range(len(sub.vocabulary)):
+        matrix[sub.indices[sub.indptr[j] : sub.indptr[j + 1]], j] = 1
+    return matrix
+
+
 def top_features(corpus: Corpus, m: int) -> Features:
     """The engine's feature path with every document as training data:
     class counts with all documents outside fold 0 (so fold 0 trains on
@@ -36,7 +45,7 @@ def top_features(corpus: Corpus, m: int) -> Features:
         stats,
         tuple(incidence.vocabulary[i] for i in ids[:m].tolist()),
         tuple(scores[:m].tolist()),
-        presence_matrix(incidence, ids[:m]),
+        matrix_of(presence_postings(incidence, ids[:m])),
         incidence.labels,
     )
 

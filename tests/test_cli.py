@@ -69,7 +69,7 @@ class TestStats:
     def test_leaves_the_incidence_unbuilt(self, capsys, monkeypatch, small_corpus):
         corpus = Corpus.from_documents(small_corpus.documents)  # nothing cached yet
         self._stats_of(capsys, monkeypatch, corpus)
-        assert "incidence" not in corpus.__dict__
+        assert "incidence" not in corpus.__dict__ and "documents" not in corpus.__dict__
 
     @pytest.mark.parametrize("stemming", ["none", "light"])
     def test_loads_with_the_layout_and_stemming_flags(self, capsys, monkeypatch, small_corpus,

@@ -6,6 +6,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -327,14 +328,21 @@ class TestLoadCorpus:
     def test_direct_corpus_tallies_its_unsorted_documents(self):
         # 20 spam then 60 legit, built without from_documents: no sorting,
         # and nothing to set the tallies but the labels
-        spam = generate_fixture_corpus(4, 0, 20).documents
-        legit = generate_fixture_corpus(5, 60, 0).documents
-        corpus = Corpus(documents=spam + legit)
-        assert [field.name for field in dataclasses.fields(Corpus)] == ["documents"]
+        names = [f"spmsg{i:02d}" for i in range(20)] + [f"msg{i:02d}" for i in range(60)]
+        labels = bytes([Label.SPAM] * 20 + [Label.LEGITIMATE] * 60)
+        token_ids = array("H", [i % 3 for i in range(120)])
+        offsets = array("q", [*range(41), *range(42, 121, 2)])  # 40 of one token, 40 of two
+        corpus = Corpus(tuple(names), labels, ("cash", "free", "word"), token_ids, offsets)
+        assert [field.name for field in dataclasses.fields(Corpus)] == [
+            "source_ids", "labels", "vocabulary", "token_ids", "offsets"
+        ]
         assert (corpus.n_legit, corpus.n_spam) == (60, 20)
         assert corpus.n_spam == sum(1 for d in corpus.documents if d.label is Label.SPAM)
+        assert [d.source_id for d in corpus.documents] == names
+        assert corpus.documents[0].tokens == ("cash",)
+        assert corpus.documents[79].tokens == ("free", "word")
         plan = make_stratified_folds(corpus, k_folds=10, seed=0)
-        result = cross_validate(corpus, ClassifierConfig("always-legit"), 9.0, 10, plan)
+        result = cross_validate(corpus, ClassifierConfig("always-legit"), 9.0, 3, plan)
         _, baseline_werr = baseline_metrics(60, 20, 9.0)
         assert result.baseline_werr == baseline_werr
         assert result.tcr == pytest.approx(1.0)
@@ -461,8 +469,8 @@ class TestDocumentHelpers:
         if repeat_first:
             docs.insert(len(docs) // 2 + 1, docs[0])
         with mock.patch.object(corpus_module, "_BLOCK", block):
-            inc = Incidence.from_documents(docs)
-        assert_incidence_matches(inc, docs)
+            inc = Corpus.from_documents(docs).incidence
+        assert_incidence_matches(inc, sorted(docs, key=lambda d: d.source_id))
 
     def test_incidence_over_many_blocks_matches_set_oracle(self):
         # a 60-word vocabulary, so every document repeats tokens and every
@@ -470,7 +478,7 @@ class TestDocumentHelpers:
         params = FixtureParams(vocab_size=60, doc_len_min=40, doc_len_max=100)
         documents = generate_fixture_corpus(3, 600, 100, params).documents
         assert sum(len(d.tokens) for d in documents) > 2 * corpus_module._BLOCK
-        assert_incidence_matches(Incidence.from_documents(documents), documents)
+        assert_incidence_matches(Corpus.from_documents(documents).incidence, documents)
 
     def test_incidence_keys_widen_past_four_bytes(self):
         # 2**16 documents of one distinct token each: len(vocabulary) * n is
@@ -478,7 +486,7 @@ class TestDocumentHelpers:
         docs = [
             Document((f"w{i:05x}",), Label(i % 2), f"m{i:05x}") for i in range(2**16)
         ]
-        inc = Incidence.from_documents(docs)
+        inc = Corpus.from_documents(docs).incidence
         assert len(inc.vocabulary) * len(docs) == 2**32
         assert inc.indices.dtype == np.uint16
         assert_incidence_matches(inc, docs)
@@ -515,7 +523,7 @@ class TestDocumentHelpers:
             )
             for i in range(n_docs)
         ]
-        inc = Incidence.from_documents(docs)
+        inc = Corpus.from_documents(docs).incidence
         assert inc.indptr.dtype == np.intp
         assert inc.indices.dtype == np.min_scalar_type(max(n_docs - 1, 0))
         assert inc.labels.dtype == np.uint8
@@ -529,17 +537,74 @@ class TestDocumentHelpers:
 
     def test_incidence_build_peaks_under_8_bytes_per_occurrence(self):
         # 100 to 300 tokens a message over a 2000-word vocabulary, as in
-        # Ling-Spam: the keys (4 bytes, uint32 here) and one block's
-        # transients fit; 8-byte keys, or a second occurrence-sized array
-        # beside the keys (even of 2-byte row numbers), would not
+        # Ling-Spam: built from the corpus's ids, the keys (4 bytes, uint32
+        # here) and one block's transients fit; 8-byte keys, or a second
+        # occurrence-sized array beside the keys (even of 2-byte row
+        # numbers), would not
         params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
-        documents = generate_fixture_corpus(7, 400, 100, params).documents
-        occurrences = sum(len(d.tokens) for d in documents)
-        assert occurrences >= 100_000
+        corpus = generate_fixture_corpus(7, 400, 100, params)
+        occurrences = len(corpus.token_ids)
+        assert occurrences >= 100_000 and "documents" not in corpus.__dict__
         tracemalloc.start()
         try:
-            Incidence.from_documents(documents)
+            Incidence.from_corpus(corpus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * occurrences, peak / occurrences
+
+
+class TestTokenIds:
+    """A Corpus keeps every occurrence as a token id: encoded once, by
+    from_documents and load_corpus alike, and decoded back on demand."""
+
+    @given(st.lists(st.tuples(st.lists(INCIDENCE_TOKENS, max_size=8), st.booleans()), max_size=8))
+    # first seen in reverse lexicographic order
+    @example([(["fly", "eel"], False), (["dog", "cat", "bee", "ant"], True)])
+    # documents without tokens between non-empty ones
+    @example([(["bee"], False), ([], True), ([], False), (["ant", "bee"], True)])
+    # equal tokens that are distinct str objects
+    @example([(["cat", "".join(["c", "at"])], False), (["".join(["ca", "t"])], True)])
+    def test_documents_round_trip_through_the_ids(self, drawn):
+        docs = [
+            Document(tuple(tokens), Label(spam), f"{'spmsg' if spam else 'msg'}{i}")
+            for i, (tokens, spam) in enumerate(drawn)
+        ]
+        corpus = Corpus.from_documents(docs)
+        ordered = sorted(docs, key=lambda d: d.source_id)
+        assert corpus.documents == tuple(ordered)
+        assert corpus.vocabulary == tuple(dict.fromkeys(t for d in ordered for t in d.tokens))
+        assert Corpus.from_documents(corpus.documents) == corpus
+        assert_incidence_matches(corpus.incidence, ordered)
+        if docs:
+            with tempfile.TemporaryDirectory() as root:
+                write_fixture_corpus(corpus, root)
+                assert load_corpus(root, layout="fixture", stemming=PLAIN) == corpus
+
+    def test_ids_widen_past_65536_tokens(self):
+        # 65,536 tokens fit 2-byte ids; the 65,537th, met in a later
+        # document, widens the ids already stored to 4 bytes, values unchanged
+        words = tuple(f"w{i:05x}" for i in range(2**16 + 1))
+        fits = Corpus.from_documents([Document(words[:-1], Label.SPAM, "a")])
+        wide = Corpus.from_documents([*fits.documents, Document(words[-2:], 0, "b")])
+        assert (fits.token_ids.itemsize, wide.token_ids.itemsize) == (2, 4)
+        assert wide.token_ids[: 2**16] == fits.token_ids
+        assert wide.token_ids[2**16 :].tolist() == [2**16 - 1, 2**16]
+        assert wide.documents[1].tokens == words[-2:] and wide.vocabulary == words
+        assert_incidence_matches(wide.incidence, wide.documents)
+
+    def test_loaded_corpus_keeps_under_5_bytes_per_occurrence(self, tmp_path):
+        # 100 to 300 tokens a message over a 2000-word vocabulary: the ids
+        # take 2 bytes an occurrence; a tuple of str per document would
+        # take 8 for its pointers alone
+        params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
+        write_fixture_corpus(generate_fixture_corpus(7, 400, 100, params), tmp_path)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(tmp_path, layout="fixture")
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        occurrences = len(corpus.token_ids)
+        assert occurrences >= 100_000 and corpus.token_ids.itemsize == 2
+        assert kept <= 5 * occurrences, kept / occurrences

@@ -5,11 +5,14 @@ under one setting and compares the result files with the goldens.  The
 child also writes the nb log odds of a seeded fixture fold, which must
 equal this process's bytes: the logs come from ``math``, not from numpy's
 SIMD-dispatched ufuncs, so the hash seed and the CPU's dispatch level
-change no bit of them.
+change no bit of them.  It prints a digest of the loaded corpus's
+vocabulary and token ids too, which must equal this process's: tokens are
+numbered by first sight, never in a hash order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -47,12 +50,22 @@ def fold_log_odds(parent: Path) -> bytes:
     return _log_odds(model, attrs.x[test], tuple(range(10, 111, 20))).tobytes()
 
 
+def corpus_digest(parent: Path) -> str:
+    """sha256 of the hard fixture's vocabulary and token id bytes, as loaded."""
+    corpus = load_corpus(parent / "hard", layout="fixture")
+    digest = hashlib.sha256("\n".join(corpus.vocabulary).encode())
+    digest.update(corpus.token_ids.tobytes())
+    return digest.hexdigest()
+
+
 def child(parent: str, out: str) -> None:
-    """The child process: the hard golden runs and the fold's log odds."""
+    """The child process: the hard golden runs, the fold's log odds and the
+    corpus digest."""
     for run in RUNS:
         render(Path(parent), "hard", run, Path(out) / f"hard-{run}.csv")
     (Path(out) / "log-odds.bin").write_bytes(fold_log_odds(Path(parent)))
-    print(json.dumps({level: __cpu_features__.get(level) for level in ("X86_V3", "X86_V4")}))
+    report = {level: __cpu_features__.get(level) for level in ("X86_V3", "X86_V4")}
+    print(json.dumps({**report, "corpus": corpus_digest(Path(parent))}))
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +95,4 @@ def test_goldens_and_log_odds_hold_across_settings(corpus_parent, tmp_path, sett
         result = f"hard-{name}.csv"
         assert (tmp_path / result).read_bytes() == (GOLDEN_DIR / result).read_bytes(), result
     assert (tmp_path / "log-odds.bin").read_bytes() == fold_log_odds(corpus_parent)
+    assert dispatch["corpus"] == corpus_digest(corpus_parent)

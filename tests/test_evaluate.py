@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import fold_members, top_features
+from conftest import fold_members, matrix_of, top_features
 from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
@@ -33,10 +33,11 @@ from spamlab import (
     weighted_accuracy,
 )
 from spamlab.cli import main
+import spamlab.cli as cli_module
 import spamlab.evaluate as evaluate_module
-from spamlab.corpus import Corpus, Incidence, write_fixture_corpus
+from spamlab.corpus import Corpus, Incidence, load_corpus, write_fixture_corpus
 from spamlab.evaluate import _T_CRITICAL_05, _fold_rankings
-from spamlab.features import class_counts, presence_matrix, rank_tokens
+from spamlab.features import class_counts, presence_postings, rank_tokens
 from spamlab.bayes import NaiveBayesModel, classify_nb_batch, train_naive_bayes
 
 
@@ -439,7 +440,7 @@ class TestCrossValidate:
 class TestFoldFeatures:
     """Per-fold features as the engine computes them: class_counts over the
     corpus incidence, rank_tokens (a fold's attributes are the top-m prefix
-    of its ranking), then presence_matrix; and the engine's per-plan
+    of its ranking), then presence_postings; and the engine's per-plan
     ranking cache."""
 
     @staticmethod
@@ -454,7 +455,7 @@ class TestFoldFeatures:
     def _assert_presence(corpus, ids):
         # set membership per document
         vocabulary = corpus.incidence.vocabulary
-        matrix = presence_matrix(corpus.incidence, ids)
+        matrix = matrix_of(presence_postings(corpus.incidence, ids))
         assert matrix.shape == (len(corpus), len(ids))
         tokens = [vocabulary[i] for i in ids]
         for row, d in zip(matrix, corpus.documents):
@@ -534,13 +535,13 @@ class TestFoldFeatures:
 
     def test_second_run_reuses_the_incidence(self, hard_corpus, monkeypatch):
         built = []
-        build = Incidence.from_documents
+        build = Incidence.from_corpus
 
-        def counting(documents):
-            built.append(len(documents))
-            return build(documents)
+        def counting(corpus):
+            built.append(len(corpus))
+            return build(corpus)
 
-        monkeypatch.setattr(Incidence, "from_documents", staticmethod(counting))
+        monkeypatch.setattr(Incidence, "from_corpus", staticmethod(counting))
         corpus = Corpus.from_documents(hard_corpus.documents)  # nothing cached
         plan = make_stratified_folds(corpus, seed=2)
         config = ClassifierConfig(kind="mb", k=2)
@@ -643,12 +644,25 @@ class TestFoldFeatures:
         assert cross_validate(a, config, 9.0, 20, plan) == first
         assert calls == [plan.k_folds] * 3
 
-    def test_corpus_keeps_only_documents_and_incidence(self, hard_corpus):
-        corpus = Corpus.from_documents(hard_corpus.documents)
+    def test_cross_validation_never_decodes_the_documents(self, tmp_path, monkeypatch):
+        # folds, sweeps and the sweep command read the labels and the
+        # incidence only: no Document is built
+        write_fixture_corpus(generate_fixture_corpus(7, 60, 20), tmp_path)
+        corpus = load_corpus(tmp_path, layout="fixture")
         plan = make_stratified_folds(corpus, seed=2)
-        sweep_attributes(corpus, ClassifierConfig(kind="nb"), 9.0, plan, 10, 30, 10)
-        assert set(corpus.__dict__) <= {"documents", "incidence", "n_spam"}
-        assert "incidence" in corpus.__dict__
+        for config in (ClassifierConfig("nb"), ClassifierConfig("mb", k=2)):
+            sweep_attributes(corpus, config, 9.0, plan, 10, 30, 10)
+        assert "documents" not in corpus.__dict__ and "incidence" in corpus.__dict__
+        loaded = []
+
+        def loading(*args, **kwargs):
+            loaded.append(load_corpus(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli_module, "load_corpus", loading)
+        argv = ["sweep", "--corpus", str(tmp_path), "--layout", "fixture", "--m-range", "10:30:10"]
+        assert main(argv) == 0 and len(loaded) == 1
+        assert "documents" not in loaded[0].__dict__ and "incidence" in loaded[0].__dict__
 
 
 ORACLE_WORDS = ("ab", "cd", "ef", "gh", "ij", "kl", "mn", "op")
@@ -782,13 +796,13 @@ class TestSweep:
 
     def test_lambda_lost_to_rounding_rejected_before_the_incidence(self, monkeypatch):
         built = []
-        build = Incidence.from_documents
+        build = Incidence.from_corpus
 
-        def counting(documents):
-            built.append(len(documents))
-            return build(documents)
+        def counting(corpus):
+            built.append(len(corpus))
+            return build(corpus)
 
-        monkeypatch.setattr(Incidence, "from_documents", staticmethod(counting))
+        monkeypatch.setattr(Incidence, "from_corpus", staticmethod(counting))
         corpus = generate_fixture_corpus(7, 40, 20)
         plan = make_stratified_folds(corpus, seed=0)
         with pytest.raises(ConfigError, match="out of range for this corpus"):
@@ -869,9 +883,13 @@ class TestMemoryBudget:
         for fold, (_, train, x_test, y_test, _, _) in enumerate(folds):
             test = np.array(plan.assignment) == fold
             ids = _fold_rankings(corpus.incidence, plan)[fold][:20]
-            matrix = presence_matrix(corpus.incidence, ids)
+            matrix = matrix_of(presence_postings(corpus.incidence, ids))
             assert isinstance(train, Incidence) and x_test.shape == (np.count_nonzero(test), 20)
-            assert (presence_matrix(train, range(20)) == matrix[~test]).all()
+            assert (matrix_of(train) == matrix[~test]).all()
+            gathered = presence_postings(corpus.incidence, ids, np.flatnonzero(~test))
+            for name in ("indptr", "indices"):  # as a gather of the training rows alone
+                got, expected = getattr(train, name), getattr(gathered, name)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
             assert (x_test == matrix[test]).all()
             assert (train.labels == corpus.incidence.labels[~test]).all()
             assert (y_test == corpus.incidence.labels[test]).all()
@@ -898,7 +916,7 @@ class TestMemoryBudget:
             train_rows = np.array(plan.assignment) != fold
             ids = _fold_rankings(corpus.incidence, plan)[fold][:m]
             dense = train_naive_bayes(
-                presence_matrix(corpus.incidence, ids)[train_rows],
+                matrix_of(presence_postings(corpus.incidence, ids))[train_rows],
                 corpus.incidence.labels[train_rows],
             )
             assert (model.prior_spam, model.prior_legit) == (dense.prior_spam, dense.prior_legit)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import top_features
+from conftest import matrix_of, top_features
 from oracles import mi_direct, mi_exact
 from spamlab import (
     ClassifierConfig,
@@ -24,9 +24,9 @@ import spamlab.features as features_module
 from spamlab.features import (
     TokenStats,
     class_counts,
-    presence_matrix,
     presence_postings,
     rank_tokens,
+    split_presence,
 )
 
 
@@ -265,18 +265,19 @@ class TestSelectAttributes:
 
 
 class TestVectorize:
-    """presence_matrix: column j marks the documents containing ids[j]."""
+    """presence_postings as a matrix: column j marks the documents
+    containing ids[j]."""
 
-    DOCS = (
-        doc(["free", "cash"], Label.SPAM, "s1"),
-        doc([], Label.LEGITIMATE, "m1"),
-        doc(["earn", "free"], Label.SPAM, "s2"),
+    DOCS = (  # named in document order
+        doc(["free", "cash"], Label.SPAM, "d0"),
+        doc([], Label.LEGITIMATE, "d1"),
+        doc(["earn", "free"], Label.SPAM, "d2"),
     )
 
     def _rows(self):
-        incidence = Incidence.from_documents(self.DOCS)
+        incidence = corpus_of(*self.DOCS).incidence
         ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
-        return presence_matrix(incidence, ids).tolist()
+        return matrix_of(presence_postings(incidence, ids)).tolist()
 
     def test_presence_bits(self):
         assert self._rows()[0] == [1, 0]
@@ -292,10 +293,10 @@ class TestVectorize:
 
     @pytest.mark.parametrize("ids", [[-2], [2.7], [-1], [3]], ids=["-2", "2.7", "-1", "len"])
     def test_ids_outside_the_vocabulary_rejected(self, ids):
-        incidence = Incidence.from_documents(self.DOCS)
+        incidence = corpus_of(*self.DOCS).incidence
         assert len(incidence.vocabulary) == 3
         with pytest.raises(ValueError, match=r"integers in range\(3\)"):
-            presence_matrix(incidence, ids)
+            presence_postings(incidence, ids)
 
     def test_batch_matches_scalar(self, small_corpus):
         # the scalar reference is plain set membership, document by document
@@ -304,7 +305,7 @@ class TestVectorize:
         top = top_features(small_corpus, 25).tokens
         last = incidence.vocabulary[-1]  # the largest id
         for tokens in (top, (), (last, top[0], last), top[::-1]):
-            matrix = presence_matrix(incidence, [index[t] for t in tokens])
+            matrix = matrix_of(presence_postings(incidence, [index[t] for t in tokens]))
             assert matrix.shape == (len(small_corpus), len(tokens))
             for row, d in zip(matrix, small_corpus.documents):
                 present = set(d.tokens)
@@ -316,7 +317,7 @@ class TestVectorize:
         tokens = top_features(small_corpus, 25).tokens
         rows = np.random.default_rng(3).permutation(len(small_corpus))
         assert (rows[rows] != np.arange(len(rows))).any()  # not its own inverse
-        matrix = presence_matrix(incidence, [index[t] for t in tokens], rows)
+        matrix = matrix_of(presence_postings(incidence, [index[t] for t in tokens], rows))
         assert matrix.shape == (len(small_corpus), len(tokens))
         for row, r in zip(matrix, rows.tolist()):
             present = set(small_corpus.documents[r].tokens)
@@ -327,17 +328,18 @@ class TestVectorize:
         ids=["repeat", "long", "outside", "2-d", "negative", "float"],
     )
     def test_rows_other_than_a_permutation_rejected(self, rows):
-        incidence = Incidence.from_documents(self.DOCS)
+        incidence = corpus_of(*self.DOCS).incidence
         with pytest.raises(ValueError, match=r"permutation of range\(3\) or part of one"):
-            presence_matrix(incidence, [0, 1], rows)
+            presence_postings(incidence, [0, 1], rows)
 
     @pytest.mark.parametrize("rows", [[2, 0], [1], []], ids=["two", "one", "none"])
     def test_rows_may_list_part_of_the_documents(self, rows):
-        incidence = Incidence.from_documents(self.DOCS)
+        incidence = corpus_of(*self.DOCS).incidence
         ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
-        every = presence_matrix(incidence, ids)
-        assert presence_matrix(incidence, ids, rows).tolist() == every[rows].tolist()
-        assert presence_matrix(incidence, ids, rows).shape == (len(rows), 2)
+        every = matrix_of(presence_postings(incidence, ids))
+        part = matrix_of(presence_postings(incidence, ids, rows))
+        assert part.tolist() == every[rows].tolist()
+        assert part.shape == (len(rows), 2)
 
     @given(st.data())
     def test_postings_hold_the_presence_bits_of_the_listed_documents(self, data):
@@ -347,7 +349,7 @@ class TestVectorize:
         docs = data.draw(st.lists(st.sets(st.sampled_from("abcdef")), min_size=1, max_size=8))
         documents = [doc(sorted(d), Label(i % 2), f"d{i}") for i, d in enumerate(docs)]
         assume(any(docs))
-        incidence = Incidence.from_documents(documents)
+        incidence = corpus_of(*documents).incidence  # d0..d7: sorted as listed
         size, n = len(incidence.vocabulary), len(documents)
         ids = data.draw(st.lists(st.integers(0, size - 1), max_size=6))
         rows = sorted(data.draw(st.sets(st.integers(0, n - 1))))
@@ -358,6 +360,40 @@ class TestVectorize:
         for j, token in enumerate(sub.vocabulary):
             held = sub.indices[sub.indptr[j] : sub.indptr[j + 1]].tolist()
             assert held == [i for i, r in enumerate(rows) if token in documents[r].tokens]
+
+    @given(st.data())
+    def test_split_is_the_two_gathers_it_replaces(self, data):
+        # one gather split by the test mask: the training rows exactly as
+        # presence_postings gathers them, and the test rows as their matrix
+        docs = data.draw(st.lists(st.sets(st.sampled_from("abcdef")), min_size=1, max_size=12))
+        documents = [doc(sorted(d), Label(i % 2), f"d{i:02d}") for i, d in enumerate(docs)]
+        assume(any(docs))
+        incidence = corpus_of(*documents).incidence
+        ids = data.draw(st.lists(st.integers(0, len(incidence.vocabulary) - 1), max_size=6))
+        test = np.array(data.draw(st.lists(st.booleans(), min_size=len(docs), max_size=len(docs))))
+        self._assert_split(incidence, ids, test)
+
+    @pytest.mark.parametrize("tested", [[], [255], range(256)], ids=["none", "last", "all"])
+    def test_split_at_the_one_byte_row_edge(self, tested):
+        # 256 documents: rows are uint8, and a part may hold all of them
+        documents = [doc(["a", "b"][: i % 3], Label(i % 2), f"d{i:03d}") for i in range(256)]
+        incidence = corpus_of(*documents).incidence
+        assert incidence.indices.dtype == np.uint8
+        test = np.zeros(256, bool)
+        test[list(tested)] = True
+        self._assert_split(incidence, [1, 0], test)
+
+    @staticmethod
+    def _assert_split(incidence, ids, test):
+        train, x_test = split_presence(incidence, ids, test)
+        gathered = presence_postings(incidence, ids, np.flatnonzero(~test))
+        assert train.vocabulary == gathered.vocabulary
+        for name in ("indptr", "indices", "labels"):
+            got, expected = getattr(train, name), getattr(gathered, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        expected = matrix_of(presence_postings(incidence, ids, np.flatnonzero(test)))
+        assert x_test.dtype == np.uint8 and x_test.shape == expected.shape
+        assert (x_test == expected).all()
 
 
 # the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,
@@ -407,7 +443,7 @@ class TestCountBlocks:
     @pytest.mark.parametrize("block", [1, 7])
     def test_incidence_of_no_documents(self, monkeypatch, block):
         monkeypatch.setattr(features_module, "_BLOCK", block)
-        incidence = Incidence.from_documents(())
+        incidence = corpus_of().incidence
         stats = list(class_counts(incidence, np.array([], np.int64), 2))
         assert [(len(s.n1_spam), len(s.n1_legit), s.n_spam, s.n_legit) for s in stats] == [
             (0, 0, 0, 0), (0, 0, 0, 0)

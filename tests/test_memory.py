@@ -18,7 +18,7 @@ from spamlab import (
     classify_mb_batch,
     neighborhood_votes,
 )
-from spamlab.corpus import Incidence
+from spamlab.corpus import Corpus
 from spamlab.features import presence_postings
 
 
@@ -471,11 +471,11 @@ class TestPostingsBase:
     @given(case=postings_cases())
     def test_postings_base_votes_as_the_dense_base(self, case):
         train, labels, queries, ms, k = case
-        documents = [
-            Document(tuple(f"t{j}" for j in np.flatnonzero(row)), label, f"d{i}")
+        documents = [  # named in document order
+            Document(tuple(f"t{j}" for j in np.flatnonzero(row)), label, f"d{i:04d}")
             for i, (row, label) in enumerate(zip(train, labels))
-        ] + [Document(tuple(f"t{j}" for j in range(train.shape[1])), 0, "all")]
-        incidence = Incidence.from_documents(documents)
+        ] + [Document(tuple(f"t{j}" for j in range(train.shape[1])), 0, "every")]
+        incidence = Corpus.from_documents(documents).incidence
         ids = [incidence.vocabulary.index(f"t{j}") for j in range(train.shape[1])]
         sub = presence_postings(incidence, ids, range(len(train)))
         from_postings = build_instance_base(sub, sub.labels)
