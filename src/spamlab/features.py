@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Incidence
 
-_BLOCK = 2**16  # postings per count block of class_counts
+_BLOCK = 2**14  # key slots per count block of class_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,34 +42,34 @@ def class_counts(
     """Token class counts of each training set of a k-fold split, by fold.
 
     ``folds[r]`` is document row r's fold in range(k_folds); the f-th
-    TokenStats counts the documents outside fold f.  Every fold's own
-    counts go into one zeroed 2 x k_folds x V int32 table, block by block:
-    a block is the most whole tokens whose postings fit in _BLOCK (one
+    TokenStats counts the documents outside fold f, in int64.  Every fold's
+    own counts go into one 2 x k_folds x V table of the narrowest type that
+    holds len(folds), block by block: a block is the most whole tokens whose
+    postings plus 2 * k_folds counters per token fit in _BLOCK key slots (one
     token at least), counted by one bincount keyed by (class, fold, token).
-    A training set's counts are the totals minus its fold's.  The table
-    (8 * k_folds * V bytes) is built on the first fold and freed with the
-    iterator; a block's key and token numbers take 16 bytes per posting,
-    its counts 16 * k_folds bytes per token.  Ranking each fold before
-    taking the next keeps one TokenStats alive at a time.
+    A training set's counts are the totals minus its fold's.  The table is
+    built on the first fold and freed with the iterator; a block's key, token
+    numbers and counts take at most 24 bytes per key slot.  Ranking each
+    fold before taking the next keeps one TokenStats alive at a time.
     """
     size, indptr = len(incidence.vocabulary), incidence.indptr
     group = incidence.labels.astype(np.intp) * k_folds + folds  # intp: bincount casts no key
-    table = np.zeros((2, k_folds, size), dtype=np.int32)
+    table = np.empty((2, k_folds, size), dtype=np.min_scalar_type(len(folds)))
+    reach = indptr + 2 * k_folds * np.arange(size + 1)  # key slots before each token
     start = 0
     while start < size:
-        stop = max(np.searchsorted(indptr, indptr[start] + _BLOCK, "right") - 1, start + 1)
+        stop = max(np.searchsorted(reach, reach[start] + _BLOCK, "right") - 1, start + 1)
         key = group[incidence.indices[indptr[start] : indptr[stop]]] * (stop - start)
         key += np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
         counts = np.bincount(key, minlength=2 * k_folds * (stop - start))
-        table[..., start:stop] += counts.reshape(2, k_folds, stop - start)
+        table[..., start:stop] = counts.reshape(2, k_folds, stop - start)  # each token in one block
         del key, counts  # one block alive at a time, and none once the folds are ranked
         start = stop
-    totals = table.sum(axis=1)
-    docs = np.bincount(group, minlength=2 * k_folds).reshape(2, k_folds)
-    train_docs = docs.sum(axis=1, keepdims=True) - docs
+    totals = table.sum(axis=1, dtype=table.dtype)
+    del group, reach  # the folds need only the table and the labels
     for fold in range(k_folds):  # rows by Label: LEGITIMATE = 0, SPAM = 1
-        n1_legit, n1_spam = totals - table[:, fold]
-        n_legit, n_spam = train_docs[:, fold].tolist()
+        n1_legit, n1_spam = np.subtract(totals, table[:, fold], dtype=np.int64)
+        n_legit, n_spam = np.bincount(incidence.labels[folds != fold], minlength=2).tolist()
         yield TokenStats(n1_spam, n1_legit, n_spam, n_legit)
 
 

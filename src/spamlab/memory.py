@@ -89,8 +89,8 @@ def neighborhood_votes(
     read as unsigned, where the distances up to the cut wrap to large
     values.  A row whose cut is its largest distance is done, and the
     passes stop once every row is.  A vote counts the distances up to the
-    cut over one class's columns, summed in the narrowest unsigned type
-    that holds base.size.
+    cut over one class's columns, 64 query rows at a time, in the narrowest
+    unsigned type that holds base.size.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != base.m:
@@ -111,9 +111,8 @@ def neighborhood_votes(
     widest = min(last, int(np.bincount(rows, minlength=1).max()) + int(y_widest))
     dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
     unsigned = np.dtype(f"u{dist.itemsize}")
-    inside = np.empty(dist.shape, dtype=bool)
     n_spam = np.count_nonzero(base.labels)
-    votes = np.empty((2, len(sweep), len(queries)), dtype=np.intp)
+    votes = np.empty((2, len(sweep), len(queries)), dtype=np.min_scalar_type(base.size))
     for i, (done, m) in enumerate(zip((0, *sweep), sweep)):
         ones = slice(base.indptr[done], base.indptr[m])
         dist += np.bincount(base.rows[ones], minlength=base.size).astype(dist.dtype)  # |y|
@@ -132,9 +131,10 @@ def neighborhood_votes(
                 break
             gap = (dist - (cut + 1)[:, np.newaxis]).view(unsigned).min(axis=1)
             cut[open_rows] += gap[open_rows] + 1
-        np.less_equal(dist, cut[:, np.newaxis], out=inside)
-        inside[:, :n_spam].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[0, i])
-        inside[:, n_spam:].sum(axis=1, dtype=np.min_scalar_type(base.size), out=votes[1, i])
+        for s in range(0, len(queries), 64):  # the d <= cut mask of 64 rows at a time
+            inside = dist[s : s + 64] <= cut[s : s + 64, np.newaxis]
+            votes[0, i, s : s + 64] = inside[:, :n_spam].sum(axis=1, dtype=votes.dtype)
+            votes[1, i, s : s + 64] = inside[:, n_spam:].sum(axis=1, dtype=votes.dtype)
     return tuple(votes)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import matrix_of, top_features
-from oracles import mi_direct, mi_exact
+from oracles import mi_direct, mi_exact, ranking_direct
 from spamlab import (
     ClassifierConfig,
     DataError,
@@ -397,9 +397,11 @@ class TestVectorize:
 
 
 # the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,
-# eee 8; at 7 postings a block, aaa + bbb and ccc fill a block exactly, ddd
-# stops short of eee, and eee alone holds more than a block.  Listed out of
-# lexicographic order, so first-seen ids differ from token ids.
+# eee 8, so at k_folds = 3 (6 counters a token) key slots 9, 10, 13, 7 and
+# 14: at 19 slots a block, aaa + bbb fill a block exactly and ccc stops
+# short of ddd; at 20, ccc + ddd fill one; at 7 or fewer, each block
+# holds one token.  Listed out of lexicographic order, so first-seen ids
+# differ from token ids.
 BLOCK_EDGE_ROWS = {
     "eee": range(2, 10), "ccc": range(7), "aaa": range(3), "bbb": range(2, 6), "ddd": (9,)
 }
@@ -430,13 +432,13 @@ class TestCountBlocks:
                 assert n == len(sets), fold
                 assert n1.tolist() == [sum(t in s for s in sets) for t in vocabulary], fold
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("block", [1, 2, 7, 19, 20])
     def test_blocks_of_any_size_count_as_a_direct_count(self, monkeypatch, block, hard_corpus):
         monkeypatch.setattr(features_module, "_BLOCK", block)
         corpus = corpus_of(*self.DOCS)
         indptr = corpus.incidence.indptr.tolist()
         assert corpus.incidence.vocabulary == ("aaa", "bbb", "ccc", "ddd", "eee")
-        assert indptr == [0, 3, 7, 14, 15, 23]  # bbb's and ccc's postings end on a block edge
+        assert indptr == [0, 3, 7, 14, 15, 23]
         self._assert_direct(corpus, FoldPlan(3, tuple(i % 3 for i in range(11)), 0))
         self._assert_direct(hard_corpus, make_stratified_folds(hard_corpus, k_folds=3, seed=0))
 
@@ -449,29 +451,103 @@ class TestCountBlocks:
             (0, 0, 0, 0), (0, 0, 0, 0)
         ]
 
-    def test_first_count_pass_peaks_under_the_table_plus_one_block(self):
-        # 2000 documents x 3000 tokens at 5% density: about 300,000
-        # postings, 4 blocks and more.  One block's key, its token numbers
-        # and the gather the key is made from take under 24 bytes a posting
-        # and its counts 16 * k_folds bytes a token (about 650 tokens a block);
-        # an int64 key over all postings would take 2.4 MB alone.
-        rng = np.random.default_rng(7)
-        n, size, k_folds = 2000, 3000, 10
-        present = rng.random((size, n)) < 0.05
-        indptr = np.r_[0, np.cumsum(present.sum(axis=1))]
+    @staticmethod
+    def _assert_first_fold_peak(indptr, rows, n, rng):
+        # The table holds 2 * k_folds * V counts in the narrowest type that
+        # holds the document count (uint16 here), a block of 2^14 key slots
+        # takes under 24 bytes a slot, and the first fold's int64 counts,
+        # which the caller keeps, 16 bytes a token.
+        k_folds, size = 10, len(indptr) - 1
         incidence = Incidence(
-            tuple(f"t{i:04d}" for i in range(size)), indptr,
-            np.nonzero(present)[1].astype(np.int32), rng.integers(0, 2, n).astype(np.uint8),
+            tuple(f"t{i:05d}" for i in range(size)), indptr,
+            rows.astype(np.uint16), rng.integers(0, 2, n).astype(np.uint8),
         )
-        del present
-        block = 2**16  # postings, at most, in a block of more than one token
-        assert indptr[-1] >= 4 * block
         folds = rng.integers(0, k_folds, n)
-        table = 2 * k_folds * size * 4
+        table = 2 * k_folds * size * np.min_scalar_type(n).itemsize
         tracemalloc.start()
         try:
             next(class_counts(incidence, folds, k_folds))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table + 24 * block, (peak, table)
+        assert peak < table + 24 * 2**14 + 16 * size, (peak, table)
+
+    def test_first_count_pass_peaks_under_the_table_plus_one_block(self):
+        # 2000 documents x 3000 tokens at 5% density: about 300,000
+        # postings, in many blocks
+        rng = np.random.default_rng(7)
+        present = rng.random((3000, 2000)) < 0.05
+        indptr, rows = np.r_[0, np.cumsum(present.sum(axis=1))], np.nonzero(present)[1]
+        del present
+        assert indptr[-1] >= 16 * 2**14
+        self._assert_first_fold_peak(indptr, rows, 2000, rng)
+
+    def test_blocks_of_rare_tokens_are_cut_by_their_counters(self):
+        # 20,000 tokens of one posting each: cut by postings alone, one
+        # block would hold every token, and its counts alone would take 8
+        # bytes a counter, 2 * k_folds counters a token: 3.2 MB
+        rng = np.random.default_rng(7)
+        self._assert_first_fold_peak(np.arange(20_001), rng.integers(0, 2000, 20_000), 2000, rng)
+
+
+@pytest.fixture(scope="module")
+def balanced_corpus():
+    """300 spam and 300 legitimate messages: a training set's pair codes
+    n1_spam * (n_legit + 1) + n1_legit run past 65,535.  Each token has
+    the (spam, legit) document counts below, among them class swaps and
+    complements (equal MI), a class-independent token and perfect markers."""
+    pairs = [(300, 0), (0, 300), (250, 10), (10, 250), (50, 290), (150, 150),
+             (299, 1), (1, 299), (200, 180), (100, 120), (30, 3), (270, 297)]
+    rng = np.random.default_rng(31)
+    tokens = [[] for _ in range(600)]  # spam messages first
+    for t, (a, b) in enumerate(pairs):
+        for i in np.r_[rng.permutation(300)[:a], 300 + rng.permutation(300)[:b]].tolist():
+            tokens[i].append(f"w{t:02d}")
+    return corpus_of(*(
+        doc(words, Label.SPAM if i < 300 else Label.LEGITIMATE, f"m{i:03d}")
+        for i, words in enumerate(tokens)
+    ))
+
+
+class TestCountTableType:
+    """The count table takes the narrowest type that holds the document
+    count; the counts it yields, and the ranking's arithmetic, stay int64."""
+
+    @pytest.mark.parametrize("n", [65_535, 65_536])  # uint16's last count, uint32's first
+    @pytest.mark.parametrize("spam_share", [1.0, 0.5])
+    def test_counts_at_the_edge_of_the_table_type(self, n, spam_share):
+        # token 0 is in every document: with every document spam, its spam
+        # total is n, which a uint16 total would wrap at n = 65,536
+        rng = np.random.default_rng(n)
+        present = np.ones((5, n), bool)
+        present[1:] = rng.random((4, n)) < np.array([[0.5], [0.9], [0.001], [0.0]])
+        labels = (rng.random(n) < spam_share).astype(np.uint8)
+        incidence = Incidence(
+            tuple(f"t{i}" for i in range(5)), np.r_[0, np.cumsum(present.sum(axis=1))],
+            np.nonzero(present)[1].astype(np.min_scalar_type(n - 1)), labels,
+        )
+        folds = rng.integers(0, 3, n)
+        for fold, stats in enumerate(class_counts(incidence, folds, 3)):
+            train = folds != fold
+            for label, n1, n_class in (
+                (1, stats.n1_spam, stats.n_spam), (0, stats.n1_legit, stats.n_legit)
+            ):
+                members = train & (labels == label)
+                assert n_class == np.count_nonzero(members), fold
+                assert n1.dtype == np.int64, fold
+                assert n1.tolist() == present[:, members].sum(axis=1).tolist(), fold
+
+    def test_balanced_ranking_matches_the_oracle(self, balanced_corpus):
+        # each training set holds 270 spam and 270 legitimate messages, so
+        # the pair codes of rank_tokens reach 270 * 271 + 270 = 73,440
+        plan = make_stratified_folds(balanced_corpus, seed=0)
+        vocabulary = balanced_corpus.incidence.vocabulary
+        stats = class_counts(balanced_corpus.incidence, np.array(plan.assignment), plan.k_folds)
+        for fold, fold_stats in enumerate(stats):
+            assert fold_stats.n_spam * (fold_stats.n_legit + 1) > 65_535, fold
+            train = [d for d, f in zip(balanced_corpus.documents, plan.assignment) if f != fold]
+            ranked = ranking_direct([(d.tokens, d.label is Label.SPAM) for d in train])
+            ids, scores = rank_tokens(fold_stats)
+            assert [vocabulary[i] for i in ids] == [token for token, _ in ranked], fold
+            assert scores.tolist() == pytest.approx([mi for _, mi in ranked], abs=1e-12), fold
+        assert fold == 9

@@ -446,6 +446,22 @@ class TestDistanceType:
             assert votes(base, [query], k)[0] == direct_votes(rows, labels, [query], k)
 
 
+class TestVoteRuns:
+    """The d <= cut mask and its class sums are formed 64 query rows at a
+    time; these query counts sit on either side of a run's edge."""
+
+    @pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_run_votes_as_the_direct_neighborhood(self, n_queries, k):
+        rng = random.Random(1000 * k + n_queries)
+        rows, labels = random_base(rng, 40, 10)
+        queries = [[rng.randint(0, 1) for _ in range(10)] for _ in range(n_queries)]
+        ms = [3, 10]
+        for m, (spam, legit) in zip(ms, votes(base_of(rows, labels), queries, k, ms)):
+            expected = direct_votes([r[:m] for r in rows], labels, [q[:m] for q in queries], k)
+            assert (spam, legit) == expected
+
+
 @st.composite
 def postings_cases(draw):
     """A training set drawn from a few row patterns (so stored rows repeat),
@@ -501,9 +517,9 @@ class TestMemoryBudget:
     def test_fold_sized_sweep_peaks_under_5_bytes_per_distance_cell(self):
         # About one benchmark fold: 300 queries against 2600 stored rows,
         # word-presence rows with 2.3 ones in the first 50 columns and 0.35
-        # in each later block of 50.  The distances (1 byte a cell here), the
-        # d <= cut mask (1 byte) and one layer's gathered rows fit 5 bytes
-        # per cell; a float32 product buffer (4 bytes a cell) would not.
+        # in each later block of 50.  The distances (1 byte a cell here),
+        # 64-row runs of the d <= cut mask and one layer's gathered rows fit
+        # 5 bytes per cell; a float32 product buffer (4 bytes a cell) would not.
         rng = np.random.default_rng(7)
         n_queries, n_stored, m = 300, 2600, 700
         density = np.where(np.arange(m) < 50, 0.046, 0.007)
@@ -524,10 +540,9 @@ class TestMemoryBudget:
 
     def test_a_300_row_layer_is_added_64_rows_at_a_time(self):
         # Every query holds a one in the one block, so the block's first
-        # layer has 300 rows.  Beside the int8 distances and the d <= cut
-        # mask (one byte a cell each), an add copies at most 64 rows of the
-        # distances and 64 rows of y; adding the whole layer at once would
-        # copy 300 of each.
+        # layer has 300 rows.  Beside the int8 distances (one byte a cell),
+        # an add copies at most 64 rows of the distances and 64 rows of y;
+        # adding the whole layer at once would copy 300 of each.
         rng = np.random.default_rng(7)
         n_queries, n_stored, m = 300, 2600, 4
         base = build_instance_base(
@@ -542,7 +557,27 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (2 * n_queries * n_stored + 2 * 64 * n_stored)
+        assert peak <= 1.1 * (n_queries * n_stored + 2 * 64 * n_stored)
+
+    def test_the_vote_masks_64_query_rows_at_a_time(self):
+        # 300 queries against 2000 stored rows.  Beside the int8 distances
+        # (one byte a cell), a vote holds at most two 64-row runs of the
+        # d <= cut mask while a run's mask replaces the last, as many rows
+        # as a layer add copies; a mask of every query row would add 300.
+        rng = np.random.default_rng(7)
+        n_queries, n_stored, m = 300, 2000, 8
+        base = build_instance_base(
+            (rng.random((n_stored, m)) < 0.1).astype(np.uint8), rng.integers(0, 2, n_stored)
+        )
+        queries = (rng.random((n_queries, m)) < 0.3).astype(np.uint8)
+        neighborhood_votes(base, queries, 1)
+        tracemalloc.start()
+        try:
+            neighborhood_votes(base, queries, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (n_queries + 2 * 64) * n_stored, peak
 
 
 class TestLargeKDegeneracy:
