@@ -72,16 +72,16 @@ class Incidence:
     """Which documents contain which tokens: a CSC document x token-id matrix.
 
     Token id t occurs in exactly the document rows ``indices[indptr[t]:
-    indptr[t + 1]]``, and ``labels[r]`` is row r's Label.  Built from a
-    corpus, ids number ``vocabulary`` in lexicographic order, the ranking
-    tie-break, and rows ascend, in the narrowest unsigned type that holds
-    n - 1 (2 bytes per document-token pair for 257 to 65,536 documents).  Only
-    presence is kept, never a dense document x vocabulary matrix.  The build
-    reads the corpus's token ids, with no dict, and holds one occurrence-sized
-    array, of uint32 keys (uint64 when len(vocabulary) * n needs it): blocks
-    of whole documents, of at most _BLOCK occurrences unless one document is
-    longer, are keyed, deduplicated and packed to its front, which is then
-    sorted in place.
+    indptr[t + 1]]``, ascending, and ``labels[r]`` is row r's Label.  Built from
+    a corpus, ids number ``vocabulary`` in lexicographic order, the ranking
+    tie-break (in split_presence's training part, a fold's top m by rank), and
+    rows take the narrowest unsigned type that holds n - 1 (2 bytes per
+    document-token pair for 257 to 65,536 documents).  Only presence is kept,
+    never a dense document x vocabulary matrix.  The build reads the corpus's
+    token ids, with no dict, and holds one occurrence-sized array, of uint32
+    keys (uint64 when len(vocabulary) * n needs it): blocks of whole documents,
+    of at most _BLOCK occurrences unless one document is longer, are keyed,
+    deduplicated and packed to its front, which is then sorted in place.
     """
 
     vocabulary: tuple[str, ...]

@@ -6,9 +6,9 @@ iff attribute token i occurs in the document.  Candidate tokens are ranked
 by the mutual information between the presence indicator and the class,
 estimated from document-level frequency ratios with no smoothing and the
 0*log0 := 0 convention.  Scores are in bits (base-2 logs); the base only
-scales scores and never changes the ranking.  The attributes of a training
-set are the top m ids of its ranking; their presence, as an Incidence or a
-matrix, is gathered from the postings of just those ids.
+scales scores and never changes the ranking.  A fold's attributes are the
+top m ids of its training set's ranking; their presence is gathered once,
+from the postings of just those ids, and split by the fold's test mask.
 """
 
 from __future__ import annotations
@@ -141,50 +141,32 @@ def rank_tokens(stats: TokenStats) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], scores[order]
 
 
-def presence_postings(
-    incidence: Incidence, ids: Sequence[int], rows: Sequence[int] | None = None
-) -> Incidence:
-    """The Incidence of token ids[j] as token j in document rows[i] as row i
-    (all documents by default), reading only the postings of the listed ids;
-    ValueError unless the ids are integers in range(len(vocabulary)) and rows
-    are distinct documents.  Each token's rows ascend if rows does."""
-    ids, size, n = np.asarray(ids), len(incidence.vocabulary), len(incidence.labels)
+def split_presence(
+    incidence: Incidence, ids: Sequence[int], test: np.ndarray
+) -> tuple[Incidence, np.ndarray]:
+    """(the Incidence of token ids[j] as token j in the documents outside the
+    boolean mask test, the (documents, len(ids)) uint8 presence matrix of
+    those inside it, column j ids[j]), both in document order and split from
+    one lookup of the postings of ids; ValueError unless the ids are integers
+    in range(len(vocabulary))."""
+    ids, size, n = np.asarray(ids), len(incidence.vocabulary), len(test)
     if ids.ndim != 1 or len(ids) and not (
         ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < size
     ):
         raise ValueError(f"token ids must be integers in range({size})")
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or len(rows) and not (
-        rows.dtype.kind in "iu" and rows.min() >= 0 and rows.max() < n
-    ) or np.bincount(rows.astype(np.int64), minlength=1).max() > 1:
-        raise ValueError(f"rows must be a permutation of range({n}) or part of one")
-    ids, rows = ids.astype(np.int64), rows.astype(np.int64)
-    starts, stops = incidence.indptr[ids].tolist(), incidence.indptr[1:][ids].tolist()
-    position = np.full(n, -1, np.min_scalar_type(-n - 1))  # document r is row position[r]
-    position[rows] = np.arange(len(rows))
-    postings = [incidence.indices[a:b] for a, b in zip(starts, stops)] or [incidence.indices[:0]]
-    at = position[np.concatenate(postings)]  # each posting's row, -1 if not listed
-    kept = np.r_[0, np.cumsum(at >= 0, dtype=np.min_scalar_type(len(at)))]  # before each posting
-    return Incidence(
-        tuple(incidence.vocabulary[i] for i in ids.tolist()),
-        kept[np.r_[0, np.cumsum(np.subtract(stops, starts), dtype=np.int64)]],
-        at[at >= 0].astype(incidence.indices.dtype),
-        incidence.labels[rows],
-    )
-
-
-def split_presence(
-    incidence: Incidence, ids: Sequence[int], test: np.ndarray
-) -> tuple[Incidence, np.ndarray]:
-    """(presence_postings of the documents outside the boolean mask test, the
-    (documents, len(ids)) uint8 presence matrix of those inside it), split
-    from one gather of the postings of ids: rows ordered outside test first,
-    then inside, in document order within each part; column j is ids[j]."""
-    n_train = len(test) - np.count_nonzero(test)
-    every = presence_postings(incidence, ids, np.argsort(test, kind="stable"))
-    trained = every.indices < n_train
-    kept = np.r_[0, np.cumsum(trained, dtype=np.min_scalar_type(len(trained)))][every.indptr]
-    x_test = np.zeros((len(test) - n_train, len(ids)), dtype=np.uint8)
-    columns = np.repeat(np.arange(len(ids)), np.diff(every.indptr - kept))
-    x_test[every.indices[~trained].astype(np.intp) - n_train, columns] = 1
-    return Incidence(every.vocabulary, kept, every.indices[trained], every.labels[:n_train]), x_test
+    ids, n_train = ids.astype(np.int64), n - np.count_nonzero(test)
+    vocabulary = tuple(incidence.vocabulary[i] for i in ids.tolist())
+    position = np.empty(n, np.min_scalar_type(n))  # document r is row position[r]
+    position[np.argsort(test, kind="stable")] = np.arange(n)  # training rows first
+    starts, stops = incidence.indptr[ids], incidence.indptr[ids + 1]
+    at = position[np.concatenate(  # each posting's row; no slice outlives the call
+        [incidence.indices[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+        or [incidence.indices[:0]]
+    )]
+    trained = at < n_train
+    ends = np.r_[0, np.cumsum(stops - starts, dtype=np.int64)]  # token j's run in at
+    kept = np.r_[0, np.cumsum(trained, dtype=np.min_scalar_type(len(trained)))][ends]
+    x_test = np.zeros((n - n_train, len(ids)), dtype=np.uint8)
+    x_test[at[~trained] - n_train, np.repeat(np.arange(len(ids)), np.diff(ends - kept))] = 1
+    rows = at[trained].astype(incidence.indices.dtype, copy=False)  # the incidence's row type
+    return Incidence(vocabulary, kept, rows, incidence.labels[~test]), x_test

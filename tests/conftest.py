@@ -10,7 +10,7 @@ import pytest
 
 from spamlab import FixtureParams, FoldPlan, TokenStats, generate_fixture_corpus
 from spamlab.corpus import Corpus, Incidence
-from spamlab.features import class_counts, presence_postings, rank_tokens
+from spamlab.features import class_counts, rank_tokens, split_presence
 
 # Heavy shared vocabulary so the classes are not trivially separable;
 # used wherever tests need real errors and mid-range posteriors.
@@ -34,6 +34,12 @@ def matrix_of(sub: Incidence) -> np.ndarray:
     return matrix
 
 
+def presence_matrix(incidence: Incidence, ids) -> np.ndarray:
+    """The presence of token ids[j] in every document, as column j: the
+    training postings of split_presence with no document tested."""
+    return matrix_of(split_presence(incidence, ids, np.zeros(len(incidence.labels), bool))[0])
+
+
 def top_features(corpus: Corpus, m: int) -> Features:
     """The engine's feature path with every document as training data:
     class counts with all documents outside fold 0 (so fold 0 trains on
@@ -45,7 +51,7 @@ def top_features(corpus: Corpus, m: int) -> Features:
         stats,
         tuple(incidence.vocabulary[i] for i in ids[:m].tolist()),
         tuple(scores[:m].tolist()),
-        matrix_of(presence_postings(incidence, ids[:m])),
+        presence_matrix(incidence, ids[:m]),
         incidence.labels,
     )
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import fold_members, matrix_of, top_features
+from conftest import fold_members, matrix_of, presence_matrix, top_features
 from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
@@ -37,7 +37,7 @@ import spamlab.cli as cli_module
 import spamlab.evaluate as evaluate_module
 from spamlab.corpus import Corpus, Incidence, load_corpus, write_fixture_corpus
 from spamlab.evaluate import _T_CRITICAL_05, _fold_rankings
-from spamlab.features import class_counts, presence_postings, rank_tokens
+from spamlab.features import class_counts, rank_tokens
 from spamlab.bayes import NaiveBayesModel, classify_nb_batch, train_naive_bayes
 
 
@@ -440,7 +440,7 @@ class TestCrossValidate:
 class TestFoldFeatures:
     """Per-fold features as the engine computes them: class_counts over the
     corpus incidence, rank_tokens (a fold's attributes are the top-m prefix
-    of its ranking), then presence_postings; and the engine's per-plan
+    of its ranking), then split_presence; and the engine's per-plan
     ranking cache."""
 
     @staticmethod
@@ -455,7 +455,7 @@ class TestFoldFeatures:
     def _assert_presence(corpus, ids):
         # set membership per document
         vocabulary = corpus.incidence.vocabulary
-        matrix = matrix_of(presence_postings(corpus.incidence, ids))
+        matrix = presence_matrix(corpus.incidence, ids)
         assert matrix.shape == (len(corpus), len(ids))
         tokens = [vocabulary[i] for i in ids]
         for row, d in zip(matrix, corpus.documents):
@@ -831,7 +831,7 @@ class TestMemoryBudget:
         return generate_fixture_corpus(7, 1000, 200, params)
 
     @pytest.mark.parametrize(
-        "config, budget", [(ClassifierConfig("mb", k=1), 3.8), (ClassifierConfig("nb"), 2.0)],
+        "config, budget", [(ClassifierConfig("mb", k=1), 3.8), (ClassifierConfig("nb"), 1.5)],
         ids=["mb", "nb"],
     )
     def test_sweep_peaks_under_budget_per_document_and_attribute(self, corpus, config, budget):
@@ -840,7 +840,8 @@ class TestMemoryBudget:
         # and its classifier's transients: mb's distances and mask (1 byte
         # each per test and training document), nb's per-block sums.  A
         # fold matrix of every document (1 byte per cell), an nb buffer of
-        # every column (8 bytes per test cell) or a dense instance base
+        # every column (8 bytes per test cell), a dense instance base or a
+        # gather whose row map is int64 (8 bytes per posting looked up)
         # breaks the budget.
         plan, cells = make_stratified_folds(corpus, seed=0), len(corpus) * 300
         sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
@@ -883,13 +884,13 @@ class TestMemoryBudget:
         for fold, (_, train, x_test, y_test, _, _) in enumerate(folds):
             test = np.array(plan.assignment) == fold
             ids = _fold_rankings(corpus.incidence, plan)[fold][:20]
-            matrix = matrix_of(presence_postings(corpus.incidence, ids))
+            matrix = presence_matrix(corpus.incidence, ids)
             assert isinstance(train, Incidence) and x_test.shape == (np.count_nonzero(test), 20)
             assert (matrix_of(train) == matrix[~test]).all()
-            gathered = presence_postings(corpus.incidence, ids, np.flatnonzero(~test))
-            for name in ("indptr", "indices"):  # as a gather of the training rows alone
-                got, expected = getattr(train, name), getattr(gathered, name)
-                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert train.indices.dtype == corpus.incidence.indices.dtype
+            for j in range(20):  # each token's training rows, ascending
+                held = train.indices[train.indptr[j] : train.indptr[j + 1]]
+                assert held.tolist() == np.flatnonzero(matrix[~test][:, j]).tolist()
             assert (x_test == matrix[test]).all()
             assert (train.labels == corpus.incidence.labels[~test]).all()
             assert (y_test == corpus.incidence.labels[test]).all()
@@ -916,7 +917,7 @@ class TestMemoryBudget:
             train_rows = np.array(plan.assignment) != fold
             ids = _fold_rankings(corpus.incidence, plan)[fold][:m]
             dense = train_naive_bayes(
-                matrix_of(presence_postings(corpus.incidence, ids))[train_rows],
+                presence_matrix(corpus.incidence, ids)[train_rows],
                 corpus.incidence.labels[train_rows],
             )
             assert (model.prior_spam, model.prior_legit) == (dense.prior_spam, dense.prior_legit)

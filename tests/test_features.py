@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import matrix_of, top_features
+from conftest import presence_matrix, top_features
 from oracles import mi_direct, mi_exact, ranking_direct
 from spamlab import (
     ClassifierConfig,
@@ -24,7 +24,6 @@ import spamlab.features as features_module
 from spamlab.features import (
     TokenStats,
     class_counts,
-    presence_postings,
     rank_tokens,
     split_presence,
 )
@@ -265,7 +264,7 @@ class TestSelectAttributes:
 
 
 class TestVectorize:
-    """presence_postings as a matrix: column j marks the documents
+    """split_presence: column j of either part marks the documents
     containing ids[j]."""
 
     DOCS = (  # named in document order
@@ -277,7 +276,7 @@ class TestVectorize:
     def _rows(self):
         incidence = corpus_of(*self.DOCS).incidence
         ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
-        return matrix_of(presence_postings(incidence, ids)).tolist()
+        return presence_matrix(incidence, ids).tolist()
 
     def test_presence_bits(self):
         assert self._rows()[0] == [1, 0]
@@ -296,7 +295,7 @@ class TestVectorize:
         incidence = corpus_of(*self.DOCS).incidence
         assert len(incidence.vocabulary) == 3
         with pytest.raises(ValueError, match=r"integers in range\(3\)"):
-            presence_postings(incidence, ids)
+            split_presence(incidence, ids, np.zeros(3, bool))
 
     def test_batch_matches_scalar(self, small_corpus):
         # the scalar reference is plain set membership, document by document
@@ -305,95 +304,81 @@ class TestVectorize:
         top = top_features(small_corpus, 25).tokens
         last = incidence.vocabulary[-1]  # the largest id
         for tokens in (top, (), (last, top[0], last), top[::-1]):
-            matrix = matrix_of(presence_postings(incidence, [index[t] for t in tokens]))
+            matrix = presence_matrix(incidence, [index[t] for t in tokens])
             assert matrix.shape == (len(small_corpus), len(tokens))
             for row, d in zip(matrix, small_corpus.documents):
                 present = set(d.tokens)
                 assert row.tolist() == [int(t in present) for t in tokens]
 
-    def test_rows_put_document_rows_i_at_row_i(self, small_corpus):
-        incidence = small_corpus.incidence
-        index = {t: i for i, t in enumerate(incidence.vocabulary)}
-        tokens = top_features(small_corpus, 25).tokens
-        rows = np.random.default_rng(3).permutation(len(small_corpus))
-        assert (rows[rows] != np.arange(len(rows))).any()  # not its own inverse
-        matrix = matrix_of(presence_postings(incidence, [index[t] for t in tokens], rows))
-        assert matrix.shape == (len(small_corpus), len(tokens))
-        for row, r in zip(matrix, rows.tolist()):
-            present = set(small_corpus.documents[r].tokens)
-            assert row.tolist() == [int(t in present) for t in tokens]
-
-    @pytest.mark.parametrize(
-        "rows", [[0, 0, 1], [0, 1, 2, 3], [2, 0, 3], [[0], [1], [2]], [-1, 0], [0.0, 1.0]],
-        ids=["repeat", "long", "outside", "2-d", "negative", "float"],
-    )
-    def test_rows_other_than_a_permutation_rejected(self, rows):
-        incidence = corpus_of(*self.DOCS).incidence
-        with pytest.raises(ValueError, match=r"permutation of range\(3\) or part of one"):
-            presence_postings(incidence, [0, 1], rows)
-
-    @pytest.mark.parametrize("rows", [[2, 0], [1], []], ids=["two", "one", "none"])
+    @pytest.mark.parametrize("rows", [[0, 2], [1], []], ids=["two", "one", "none"])
     def test_rows_may_list_part_of_the_documents(self, rows):
-        incidence = corpus_of(*self.DOCS).incidence
-        ids = [incidence.vocabulary.index(t) for t in ("free", "earn")]
-        every = matrix_of(presence_postings(incidence, ids))
-        part = matrix_of(presence_postings(incidence, ids, rows))
-        assert part.tolist() == every[rows].tolist()
-        assert part.shape == (len(rows), 2)
+        # the training rows are the documents outside the test mask, any
+        # part of them, in document order
+        test = np.ones(len(self.DOCS), bool)
+        test[rows] = False
+        self._assert_split(self.DOCS, [2, 1], test)
 
     @given(st.data())
     def test_postings_hold_the_presence_bits_of_the_listed_documents(self, data):
-        # presence_postings, which the fold loop trains from, against set
-        # membership: token j of the result is ids[j] (repeats allowed), row
-        # i is document rows[i], and each token's rows ascend when rows does
+        # the training postings, which the fold loop trains from, against set
+        # membership: token j is ids[j] (repeats allowed), row i is the i-th
+        # document outside the test mask, and each token's rows ascend
         docs = data.draw(st.lists(st.sets(st.sampled_from("abcdef")), min_size=1, max_size=8))
         documents = [doc(sorted(d), Label(i % 2), f"d{i}") for i, d in enumerate(docs)]
         assume(any(docs))
         incidence = corpus_of(*documents).incidence  # d0..d7: sorted as listed
         size, n = len(incidence.vocabulary), len(documents)
         ids = data.draw(st.lists(st.integers(0, size - 1), max_size=6))
-        rows = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-        sub = presence_postings(incidence, ids, rows)
+        test = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sub = split_presence(incidence, ids, test)[0]
+        rows = np.flatnonzero(~test).tolist()
         assert sub.vocabulary == tuple(incidence.vocabulary[i] for i in ids)
         assert sub.labels.tolist() == [int(documents[r].label) for r in rows]
         assert len(sub.indptr) == len(ids) + 1
+        assert sub.indices.dtype == incidence.indices.dtype
         for j, token in enumerate(sub.vocabulary):
             held = sub.indices[sub.indptr[j] : sub.indptr[j + 1]].tolist()
             assert held == [i for i, r in enumerate(rows) if token in documents[r].tokens]
 
     @given(st.data())
     def test_split_is_the_two_gathers_it_replaces(self, data):
-        # one gather split by the test mask: the training rows exactly as
-        # presence_postings gathers them, and the test rows as their matrix
+        # one lookup split by the test mask: the training rows as postings
+        # and the test rows as a matrix, each as set membership has them
         docs = data.draw(st.lists(st.sets(st.sampled_from("abcdef")), min_size=1, max_size=12))
         documents = [doc(sorted(d), Label(i % 2), f"d{i:02d}") for i, d in enumerate(docs)]
         assume(any(docs))
-        incidence = corpus_of(*documents).incidence
-        ids = data.draw(st.lists(st.integers(0, len(incidence.vocabulary) - 1), max_size=6))
+        size = len(corpus_of(*documents).incidence.vocabulary)
+        ids = data.draw(st.lists(st.integers(0, size - 1), max_size=6))
         test = np.array(data.draw(st.lists(st.booleans(), min_size=len(docs), max_size=len(docs))))
-        self._assert_split(incidence, ids, test)
+        self._assert_split(documents, ids, test)
 
     @pytest.mark.parametrize("tested", [[], [255], range(256)], ids=["none", "last", "all"])
     def test_split_at_the_one_byte_row_edge(self, tested):
         # 256 documents: rows are uint8, and a part may hold all of them
         documents = [doc(["a", "b"][: i % 3], Label(i % 2), f"d{i:03d}") for i in range(256)]
-        incidence = corpus_of(*documents).incidence
-        assert incidence.indices.dtype == np.uint8
+        assert corpus_of(*documents).incidence.indices.dtype == np.uint8
         test = np.zeros(256, bool)
         test[list(tested)] = True
-        self._assert_split(incidence, [1, 0], test)
+        self._assert_split(documents, [1, 0], test)
 
     @staticmethod
-    def _assert_split(incidence, ids, test):
+    def _assert_split(documents, ids, test):
+        """split_presence against set membership, documents named in order:
+        the training part's rows number the documents outside test in
+        order, in the incidence's row type; x_test is uint8."""
+        incidence = corpus_of(*documents).incidence
         train, x_test = split_presence(incidence, ids, test)
-        gathered = presence_postings(incidence, ids, np.flatnonzero(~test))
-        assert train.vocabulary == gathered.vocabulary
-        for name in ("indptr", "indices", "labels"):
-            got, expected = getattr(train, name), getattr(gathered, name)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        expected = matrix_of(presence_postings(incidence, ids, np.flatnonzero(test)))
-        assert x_test.dtype == np.uint8 and x_test.shape == expected.shape
-        assert (x_test == expected).all()
+        tokens = [incidence.vocabulary[i] for i in ids]
+        outside = [d for d, t in zip(documents, test) if not t]
+        inside = [d for d, t in zip(documents, test) if t]
+        postings = [[i for i, d in enumerate(outside) if t in d.tokens] for t in tokens]
+        assert train.vocabulary == tuple(tokens)
+        assert train.indptr.tolist() == [0, *np.cumsum([len(p) for p in postings], dtype=int)]
+        assert train.indices.dtype == incidence.indices.dtype
+        assert train.indices.tolist() == [i for p in postings for i in p]
+        assert train.labels.tolist() == [int(d.label) for d in outside]
+        assert x_test.dtype == np.uint8 and x_test.shape == (len(inside), len(tokens))
+        assert x_test.tolist() == [[int(t in d.tokens) for t in tokens] for d in inside]
 
 
 # the documents holding each token: postings aaa 3, bbb 4, ccc 7, ddd 1,

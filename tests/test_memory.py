@@ -19,7 +19,7 @@ from spamlab import (
     neighborhood_votes,
 )
 from spamlab.corpus import Corpus
-from spamlab.features import presence_postings
+from spamlab.features import split_presence
 
 
 def base_of(rows, labels):
@@ -493,7 +493,7 @@ class TestPostingsBase:
         ] + [Document(tuple(f"t{j}" for j in range(train.shape[1])), 0, "every")]
         incidence = Corpus.from_documents(documents).incidence
         ids = [incidence.vocabulary.index(f"t{j}") for j in range(train.shape[1])]
-        sub = presence_postings(incidence, ids, range(len(train)))
+        sub = split_presence(incidence, ids, np.arange(len(documents)) == len(train))[0]
         from_postings = build_instance_base(sub, sub.labels)
         from_dense = build_instance_base(train, labels)
         assert from_postings.labels.tolist() == sorted(labels, reverse=True)
