@@ -11,8 +11,6 @@ failed write to standard output), 3 configuration/compatibility error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -38,10 +36,27 @@ from .evaluate import (
 )
 
 FORMAT_VERSION = "spamlab results v1"
-CSV_COLUMNS = (
-    "classifier,lambda,m,k,seed,sr,sp,wacc_mean,werr_mean,baseline_werr,tcr,fold_waccs"
-)
 K_FOLDS = 10
+_RATE = "{:.6f}".format  # inf renders as "inf"
+
+# One entry per result-file column, in file order: its name, the
+# AggregateResult field it holds, how a value renders and how text parses.
+_ROW = (
+    ("classifier", "classifier", str, str),
+    ("lambda", "lam", "{:g}".format, float),
+    ("m", "m", str, int),
+    ("k", "k", lambda k: "" if k is None else str(k), lambda text: int(text) if text else None),
+    ("seed", "seed", str, int),
+    ("sr", "spam_recall", _RATE, float),
+    ("sp", "spam_precision", _RATE, float),
+    ("wacc_mean", "mean_wacc", _RATE, float),
+    ("werr_mean", "mean_werr", _RATE, float),
+    ("baseline_werr", "baseline_werr", _RATE, float),
+    ("tcr", "tcr", _RATE, float),
+    ("fold_waccs", "fold_waccs", lambda waccs: ";".join(map(_RATE, waccs)),
+     lambda text: tuple(map(float, text.split(";")))),
+)
+CSV_COLUMNS = ",".join(name for name, *_ in _ROW)
 
 # Echo keys that must match between two result files for a fair comparison.
 _COMPAT_KEYS = ("corpus", "stemming", "seed", "lambda")
@@ -116,25 +131,9 @@ def _parse_ints(flag: str, text: str, fields: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} must be integers {fields}, got {text!r}")
 
 
-def _result_row(result: AggregateResult) -> str:
-    k = "" if result.k is None else str(result.k)
-    fold_waccs = ";".join(f"{w:.6f}" for w in result.fold_waccs)
-    return ",".join(
-        (
-            result.classifier,
-            f"{result.lam:g}",
-            str(result.m),
-            k,
-            str(result.seed),
-            f"{result.spam_recall:.6f}",
-            f"{result.spam_precision:.6f}",
-            f"{result.mean_wacc:.6f}",
-            f"{result.mean_werr:.6f}",
-            f"{result.baseline_werr:.6f}",
-            f"{result.tcr:.6f}",
-            fold_waccs,
-        )
-    )
+def _result_row(values: dict) -> str:
+    """The row of values keyed by AggregateResult field, rendered through _ROW."""
+    return ",".join(render(values[field]) for _, field, render, _ in _ROW)
 
 
 def _echo(args: argparse.Namespace, m_spec: str, k: int | None) -> dict:
@@ -160,7 +159,7 @@ def _echo(args: argparse.Namespace, m_spec: str, k: int | None) -> dict:
 def _render_csv(echo: dict, results: list[AggregateResult]) -> str:
     echo_json = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     lines = [f"# {FORMAT_VERSION}", f"# config {echo_json}", CSV_COLUMNS]
-    lines.extend(_result_row(r) for r in results)
+    lines.extend(_result_row(vars(r)) for r in results)
     return "\n".join(lines) + "\n"
 
 
@@ -220,7 +219,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_result_file(path: str) -> tuple[dict, list[dict]]:
-    """Config echo and data rows, each row's fold_waccs parsed to floats."""
+    """Config echo and data rows, each row parsed through _ROW to a dict keyed
+    by AggregateResult field; ConfigError unless every field checks out."""
     malformed = ConfigError(f"not a {FORMAT_VERSION} file: {path}")
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -232,23 +232,32 @@ def _read_result_file(path: str) -> tuple[dict, list[dict]]:
         raise malformed
     try:
         echo = json.loads(lines[1].removeprefix("# config "))
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer beyond int's digit limit
         raise malformed
-    if not isinstance(echo, dict):
+    if not isinstance(echo, dict) or echo.get("k_folds") != K_FOLDS:
         raise malformed
-    try:
-        rows = list(csv.DictReader(io.StringIO("\n".join(lines[2:]))))
-    except csv.Error:  # a field above the csv module's size limit
-        raise malformed
-    for row in rows:
-        try:  # a short row leaves fold_waccs None
-            waccs = [float(w) for w in (row["fold_waccs"] or "").split(";")]
-        except ValueError:
+    oracle = echo.get("oracle") is True  # an oracle row has no k
+    echoed = {"classifier": "oracle" if oracle else echo.get("classifier"),
+              "lam": echo.get("lambda"), "k": None if oracle else echo.get("k"),
+              "seed": echo.get("seed")}
+    rows = []
+    for line in lines[3:]:
+        try:  # each field renders back to its text, and so do the echo's settings
+            texts = zip(_ROW, line.split(","), strict=True)
+            row = {field: parse(text) for (_, field, _, parse), text in texts}
+            same = _result_row(row) == line == _result_row(row | echoed)
+        except (ValueError, TypeError, OverflowError):
             raise malformed
-        in_range = all(0.0 <= w <= 1.0 for w in waccs)
-        if not (in_range and len(waccs) == echo.get("k_folds") == K_FOLDS):
+        sp, waccs, mean = row["spam_precision"], row["fold_waccs"], row["mean_wacc"]
+        unit = (row["spam_recall"], mean, row["mean_werr"], row["baseline_werr"], *waccs)
+        # last, in range: two 6-decimal roundings part the mean from the folds'
+        # by 1e-6 at most, a gap that is a multiple of 1e-7 up to float error
+        if not (same and all(0 <= r <= 1 for r in unit) and len(waccs) == K_FOLDS
+                and (0 <= sp <= 1 or sp == math.inf) and row["tcr"] >= 0
+                and row["m"] >= 1 and (row["k"] is None or row["k"] >= 1)
+                and round(abs(mean - math.fsum(waccs) / K_FOLDS), 9) <= 1e-6):
             raise malformed
-        row["fold_waccs"] = waccs
+        rows.append(row)
     return echo, rows
 
 
@@ -260,15 +269,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError(f"fold plans differ: mismatched {', '.join(mismatched)}")
     if len(rows_a) != 1 or len(rows_b) != 1:
         raise ConfigError("compare expects single-configuration result files")
-    row_a, row_b = rows_a[0], rows_b[0]
-    outcome = paired_t_test(row_a["fold_waccs"], row_b["fold_waccs"])
-
-    def _ident(row: dict) -> str:
-        k_part = f" k={row['k']}" if row["k"] else ""
-        return f"{row['classifier']} lambda={row['lambda']} m={row['m']}{k_part}"
-
-    print(f"A: {_ident(row_a)} wacc_mean={row_a['wacc_mean']}")
-    print(f"B: {_ident(row_b)} wacc_mean={row_b['wacc_mean']}")
+    outcome = paired_t_test(rows_a[0]["fold_waccs"], rows_b[0]["fold_waccs"])
+    for side, row in (("A", rows_a[0]), ("B", rows_b[0])):
+        text = {name: render(row[field]) for name, field, render, _ in _ROW}
+        k_part = f" k={text['k']}" if text["k"] else ""
+        ident = f"{text['classifier']} lambda={text['lambda']} m={text['m']}{k_part}"
+        print(f"{side}: {ident} wacc_mean={text['wacc_mean']}")
     verdict = "significant" if outcome.significant_at_05 else "not significant"
     print(
         f"t={outcome.t_statistic:.3f} df={outcome.degrees_of_freedom} "

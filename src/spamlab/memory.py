@@ -84,13 +84,13 @@ def neighborhood_votes(
     and d + |x or y|_block <= min(m, |x| + |y|) <= widest, d its distance
     over [0, done).
 
-    A row's cut starts at its smallest distance.  Each of up to k - 1 passes
-    moves it to the next distinct distance: the minimum of d - (cut + 1)
-    read as unsigned, where the distances up to the cut wrap to large
-    values.  A row whose cut is its largest distance is done, and the
-    passes stop once every row is.  A vote counts the distances up to the
-    cut over one class's columns, 64 query rows at a time, in the narrowest
-    unsigned type that holds base.size.
+    The cut and the vote take 64 query rows at a time.  A row's cut starts
+    at its smallest distance.  Each of up to k - 1 passes moves it to the
+    next distinct distance: the minimum of d - (cut + 1) read as unsigned,
+    where the distances up to the cut wrap to large values.  A row whose
+    cut is its largest distance is done, and a run's passes stop once each
+    of its rows is.  A vote counts the distances up to the cut over one
+    class's columns, in the narrowest unsigned type that holds base.size.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != base.m:
@@ -124,15 +124,16 @@ def neighborhood_votes(
             rr, cc = r[t == each], c[t == each]
             for s in range(0, len(rr), 64):  # two 64-row copies at a time
                 dist[rr[s : s + 64]] += y[cc[s : s + 64]]
-        cut, top = dist.min(axis=1), dist.max(axis=1) if k > 1 else None
-        for _ in range(1, k):
-            open_rows = cut < top
-            if not open_rows.any():
-                break
-            gap = (dist - (cut + 1)[:, np.newaxis]).view(unsigned).min(axis=1)
-            cut[open_rows] += gap[open_rows] + 1
-        for s in range(0, len(queries), 64):  # the d <= cut mask of 64 rows at a time
-            inside = dist[s : s + 64] <= cut[s : s + 64, np.newaxis]
+        for s in range(0, len(queries), 64):  # cut and vote on 64 rows at a time
+            run = dist[s : s + 64]
+            cut, top = run.min(axis=1), run.max(axis=1) if k > 1 else None
+            for _ in range(1, k):
+                open_rows = cut < top
+                if not open_rows.any():
+                    break
+                gap = (run - (cut + 1)[:, np.newaxis]).view(unsigned).min(axis=1)
+                cut[open_rows] += gap[open_rows] + 1
+            inside = run <= cut[:, np.newaxis]
             votes[0, i, s : s + 64] = inside[:, :n_spam].sum(axis=1, dtype=votes.dtype)
             votes[1, i, s : s + 64] = inside[:, n_spam:].sum(axis=1, dtype=votes.dtype)
     return tuple(votes)

@@ -301,6 +301,14 @@ class TestCompare:
         ] + extra
         assert main(argv) == 0
 
+    @staticmethod
+    def _edit_row(good, bad, fields: dict) -> None:
+        """Copy good to bad with the named fields of its one row replaced."""
+        lines = good.read_text().splitlines()
+        row = dict(zip(CSV_COLUMNS.split(","), lines[3].split(",")))
+        lines[3] = ",".join({**row, **fields}.values())
+        bad.write_text("\n".join(lines) + "\n")
+
     def test_file_against_itself(self, capsys, fixture_dir, tmp_path):
         out_file = tmp_path / "self.csv"
         self._evaluate(fixture_dir, out_file, [])
@@ -318,13 +326,11 @@ class TestCompare:
     ):
         base = tmp_path / "base.csv"
         self._evaluate(fixture_dir, base, [])
-        lines = base.read_text().splitlines()
         paths = []
         for name, wacc in (("a.csv", wacc_a), ("b.csv", wacc_b)):
-            fields = lines[3].split(",")
-            fields[-1] = ";".join([wacc] * 10)
             paths.append(tmp_path / name)
-            paths[-1].write_text("\n".join(lines[:3] + [",".join(fields)]) + "\n")
+            fields = {"fold_waccs": ";".join([wacc] * 10), "wacc_mean": wacc}
+            self._edit_row(base, paths[-1], fields)
         code, out, _ = run(capsys, ["compare", str(paths[0]), str(paths[1])])
         assert code == 0
         assert expected in out
@@ -383,6 +389,8 @@ class TestCompare:
         pytest.param(2, CSV_COLUMNS.removesuffix(",fold_waccs"), id="no-fold-waccs"),
         pytest.param(1, '# config {"seed":0', id="config-not-json"),
         pytest.param(1, "# config [0]", id="config-not-object"),
+        pytest.param(1, '# config {"k_folds":10,"seed":%s}' % ("1" * 5000), id="config-huge-int"),
+        pytest.param(1, '# config {"k_folds":10,"lambda":%s}' % ("1" * 400), id="huge-lambda"),
         pytest.param(3, "PREFIX,abc" + ";0.5" * 9, id="non-numeric-wacc"),
         pytest.param(3, "PREFIX,nan" + ";0.5" * 9, id="nan-wacc"),
         pytest.param(3, "PREFIX,1.5" + ";0.5" * 9, id="wacc-above-one"),
@@ -419,6 +427,57 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", str(bad), str(bad)])
         assert code == 3
         assert "not a spamlab results v1 file" in err
+
+    @pytest.mark.parametrize("column,text", [
+        ("wacc_mean", 'hello"world'),
+        ("m", "twenty"),
+        ("lambda", "1e400"),  # under an echo of 9.0
+        ("classifier", "svm"),
+        ("k", "-3"),
+        ("seed", "x"),
+        ("tcr", "nan"),
+        ("m", "0"),
+        ("sr", "0.5"),  # parses, but the writer renders 0.500000
+        ("sp", "-inf"),
+        ("werr_mean", "1.000001"),
+    ])
+    def test_bad_field_exits_3(self, capsys, fixture_dir, tmp_path, column, text):
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, ["--lambda", "9"])
+        bad = tmp_path / "bad.csv"
+        self._edit_row(good, bad, {column: text})
+        capsys.readouterr()
+        for pair in ([bad, good], [good, bad]):
+            code, out, err = run(capsys, ["compare", str(pair[0]), str(pair[1])])
+            assert (code, out) == (3, "")
+            assert err == f"error: not a spamlab results v1 file: {bad}\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--oracle", "--classifier", "mb", "--k", "2"],  # row oracle, no k; echo mb, k 2
+        ["--lambda", "1.23456789"],  # row lambda 1.23457
+    ], ids=["oracle-mb-k2", "lambda-beyond-6-digits"])
+    def test_row_that_differs_from_its_echo_as_written_compares(
+        self, capsys, fixture_dir, tmp_path, extra
+    ):
+        a = tmp_path / "a.csv"
+        self._evaluate(fixture_dir, a, extra)
+        code, out, err = run(capsys, ["compare", str(a), str(a)])
+        assert (code, err) == (0, "")
+        assert "t=0.000 df=9 not significant" in out
+
+    @pytest.mark.parametrize("mean,code", [
+        ("0.100001", 0), ("0.099999", 0), ("0.100002", 3), ("0.099998", 3),
+    ])
+    def test_wacc_mean_may_miss_the_fold_mean_by_two_roundings(
+        self, capsys, fixture_dir, tmp_path, mean, code
+    ):
+        # each 6-decimal rounding moves a value by half a millionth at most
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, [])
+        edited = tmp_path / "edited.csv"
+        fields = {"fold_waccs": ";".join(["0.100000"] * 10), "wacc_mean": mean}
+        self._edit_row(good, edited, fields)
+        assert run(capsys, ["compare", str(edited), str(edited)])[0] == code
 
     def test_undecodable_result_file_exits_3(self, capsys, fixture_dir, tmp_path):
         good = tmp_path / "good.csv"
@@ -546,6 +605,12 @@ class TestFailedStdout:
         assert child.returncode == 2, child.stderr
         assert child.stderr.startswith("error: cannot write output: ")
         assert child.stderr.count("\n") == 1, child.stderr
+
+
+def test_readme_result_header_is_csv_columns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Result file format\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines()[2] == CSV_COLUMNS
 
 
 def test_readme_cli_example_reproduces(capsys, monkeypatch, tmp_path):

@@ -10,12 +10,13 @@ import argparse
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from spamlab import AggregateResult, FixtureParams, generate_fixture_corpus
-from spamlab.cli import _echo, _read_result_file, _render_csv, main
+from spamlab.cli import CSV_COLUMNS, _echo, _read_result_file, _render_csv, main
 from spamlab.corpus import write_fixture_corpus
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -33,14 +34,18 @@ def paths(tmp_path_factory):
     (root / "empty").mkdir()
     (root / "afile").write_text("not a directory")
     good = root / "good.csv"
+    mb = root / "mb.csv"
     sweep = root / "sweep.csv"
     common = ["--corpus", str(corpus), "--layout", "fixture"]
     assert _run(["evaluate", *common, "--m", "10", "--out", str(good)])[0] == 0
+    mb_flags = ["--classifier", "mb", "--k", "2", "--lambda", "9"]
+    assert _run(["evaluate", *common, "--m", "10", *mb_flags, "--out", str(mb)])[0] == 0
     assert _run(["sweep", *common, "--m-range", "5:15:5", "--out", str(sweep)])[0] == 0
     return {
         "root": root,
         "corpus": str(corpus),
         "good": str(good),
+        "mb": str(mb),
         "sweep": str(sweep),
         "missing": str(root / "missing"),
         "empty": str(root / "empty"),
@@ -176,39 +181,33 @@ def _result(**fields) -> AggregateResult:
     return AggregateResult(fold_counts=(), baseline_wacc=wacc, **fields)
 
 
-def _from_row(row: dict) -> AggregateResult:
-    return _result(
-        classifier=row["classifier"],
-        lam=float(row["lambda"]),
-        m=int(row["m"]),
-        k=int(row["k"]) if row["k"] else None,
-        seed=int(row["seed"]),
-        spam_recall=float(row["sr"]),
-        spam_precision=float(row["sp"]),
-        mean_wacc=float(row["wacc_mean"]),
-        mean_werr=float(row["werr_mean"]),
-        baseline_werr=float(row["baseline_werr"]),
-        tcr=float(row["tcr"]),
-        fold_waccs=tuple(row["fold_waccs"]),
-    )
+def _with_fold_mean(fold_waccs: tuple, **fields) -> AggregateResult:
+    return _result(fold_waccs=fold_waccs, mean_wacc=math.fsum(fold_waccs) / 10, **fields)
 
 
 UNIT = st.floats(0.0, 1.0)
-RESULTS = st.builds(
-    _result,
-    classifier=st.sampled_from(["nb", "mb", "oracle", "always-legit"]),
-    lam=st.floats(1e-300, 9.0e15),
-    m=st.integers(1, 10**6),
-    k=st.none() | st.integers(1, 10**4),
-    seed=st.integers(-(10**20), 10**20),
-    spam_recall=UNIT,
-    spam_precision=UNIT | st.just(math.inf),
-    mean_wacc=UNIT,
-    mean_werr=UNIT,
-    baseline_werr=UNIT,
-    tcr=st.floats(0.0, 1e6) | st.just(math.inf),
-    fold_waccs=st.lists(UNIT, min_size=10, max_size=10).map(tuple),
-)
+
+
+def _results(args: argparse.Namespace, k: int | None):
+    """Results that agree with the echo of args, as every CLI run writes them:
+    its classifier (oracle, with no k, for an oracle run), k, lambda and
+    seed, and a mean WAcc that is the mean of the fold WAccs."""
+    return st.builds(
+        _with_fold_mean,
+        st.lists(UNIT, min_size=10, max_size=10).map(tuple),
+        classifier=st.just("oracle" if args.oracle else args.classifier),
+        lam=st.just(args.lam),
+        m=st.integers(1, 10**6),
+        k=st.just(None if args.oracle else k),
+        seed=st.just(args.seed),
+        spam_recall=UNIT,
+        spam_precision=UNIT | st.just(math.inf),
+        mean_werr=UNIT,
+        baseline_werr=UNIT,
+        tcr=st.floats(0.0, 1e6) | st.just(math.inf),
+    )
+
+
 ARGS = st.builds(
     argparse.Namespace,
     corpus=st.text(alphabet=' a/"\\\n\té€\u2028,:;{}', max_size=12),
@@ -223,11 +222,36 @@ ARGS = st.builds(
 
 
 @FUZZ
-@given(args=ARGS, m_spec=NUMERIC, results=st.lists(RESULTS, min_size=1, max_size=3))
-def test_render_read_render_is_byte_identical(paths, args, m_spec, results):
+@given(args=ARGS, m_spec=NUMERIC, data=st.data())
+def test_render_read_render_is_byte_identical(paths, args, m_spec, data):
     k = args.k if args.classifier == "mb" else None
+    results = data.draw(st.lists(_results(args, k), min_size=1, max_size=3))
     first = _render_csv(_echo(args, m_spec, k), results)
     path = paths["root"] / "round_trip.csv"
     path.write_text(first, encoding="utf-8")
     echo, rows = _read_result_file(str(path))
-    assert _render_csv(echo, [_from_row(r) for r in rows]) == first
+    assert _render_csv(echo, [_result(**row) for row in rows]) == first
+
+
+# Text of the characters valid fields hold, and characters none holds.
+FIELD_TEXT = st.text(alphabet="0123456789.-+e;infnan", max_size=6)
+JUNK = st.builds(
+    lambda before, char, after: before + char + after,
+    FIELD_TEXT,
+    st.sampled_from(list(' "#$%&()*/<=>?@[]^_`{|}~xyzé\t,\n\r\u2028')),
+    FIELD_TEXT,
+)
+
+
+@FUZZ
+@given(name=st.sampled_from(["good", "mb"]), column=st.sampled_from(CSV_COLUMNS.split(",")),
+       junk=JUNK)
+def test_a_junk_field_exits_3(paths, name, column, junk):
+    lines = Path(paths[name]).read_text(encoding="utf-8").splitlines()
+    row = dict(zip(CSV_COLUMNS.split(","), lines[3].split(",")))
+    lines[3] = ",".join({**row, column: junk}.values())
+    bad = paths["root"] / "junk.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = _run(["compare", str(bad), paths[name]])
+    assert code == 3
+    _assert_clean(code, err)

@@ -559,21 +559,23 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak <= 1.1 * (n_queries * n_stored + 2 * 64 * n_stored)
 
-    def test_the_vote_masks_64_query_rows_at_a_time(self):
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_the_vote_masks_64_query_rows_at_a_time(self, k):
         # 300 queries against 2000 stored rows.  Beside the int8 distances
         # (one byte a cell), a vote holds at most two 64-row runs of the
         # d <= cut mask while a run's mask replaces the last, as many rows
         # as a layer add copies; a mask of every query row would add 300.
+        # At k >= 2 each cut pass shifts one 64-row run, not every row.
         rng = np.random.default_rng(7)
         n_queries, n_stored, m = 300, 2000, 8
         base = build_instance_base(
             (rng.random((n_stored, m)) < 0.1).astype(np.uint8), rng.integers(0, 2, n_stored)
         )
         queries = (rng.random((n_queries, m)) < 0.3).astype(np.uint8)
-        neighborhood_votes(base, queries, 1)
+        neighborhood_votes(base, queries, k)
         tracemalloc.start()
         try:
-            neighborhood_votes(base, queries, 1)
+            neighborhood_votes(base, queries, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
