@@ -58,13 +58,20 @@ def is_zero_one(matrix: np.ndarray) -> bool:
     return matrix.dtype.kind != "f" or bool((matrix == matrix.astype(bool)).all())
 
 
-def m_range(ms: Sequence[int] | None, m_full: int, lowest: int) -> tuple[int, ...]:
-    """The m values of a sweep over column prefixes, (m_full,) by default;
-    ValueError unless they strictly ascend within lowest..m_full."""
+def query_sweep(
+    matrix: np.ndarray, ms: Sequence[int] | None, m_full: int, lowest: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Queries as an (n, m_full) 0/1 array and the m values of their sweep over
+    column prefixes, (m_full,) by default, ascending within lowest..m_full; else ValueError."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[1] != m_full:
+        raise ValueError(f"query shape {matrix.shape} does not match m={m_full}")
+    if not is_zero_one(matrix):
+        raise ValueError("query vectors must hold only 0 and 1")
     ms = (m_full,) if ms is None else tuple(ms)
     if not ms or ms[0] < lowest or ms[-1] > m_full or any(a >= b for a, b in zip(ms, ms[1:])):
         raise ValueError(f"m range must ascend within {lowest}..{m_full}, got {ms}")
-    return ms
+    return matrix, ms
 
 
 def training_set(
@@ -160,12 +167,7 @@ def classify_nb_batch(
     ascending ms, (model.m,) by default, so (len(ms), n).
     """
     threshold = lambda_to_threshold(lam)
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[1] != model.m:
-        raise ValueError(f"matrix shape {matrix.shape} does not match model m={model.m}")
-    if not is_zero_one(matrix):
-        raise ValueError("query vectors must hold only 0 and 1")
-    odds = _log_odds(model, matrix, m_range(ms, model.m, 0))
+    odds = _log_odds(model, *query_sweep(matrix, ms, model.m, 0))
     spam = odds > math.log(float(lam))
     spam[np.isnan(odds)] = model.prior_spam > threshold
     return spam.astype(np.uint8)

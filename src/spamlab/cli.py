@@ -249,13 +249,17 @@ def _read_result_file(path: str) -> tuple[dict, list[dict]]:
         except (ValueError, TypeError, OverflowError):
             raise malformed
         sp, waccs, mean = row["spam_precision"], row["fold_waccs"], row["mean_wacc"]
-        unit = (row["spam_recall"], mean, row["mean_werr"], row["baseline_werr"], *waccs)
+        werr, tcr, baseline = row["mean_werr"], row["tcr"], row["baseline_werr"]
+        unit = (row["spam_recall"], mean, werr, baseline, *waccs)
         # last, in range: two 6-decimal roundings part the mean from the folds'
         # by 1e-6 at most, a gap that is a multiple of 1e-7 up to float error
         if not (same and all(0 <= r <= 1 for r in unit) and len(waccs) == K_FOLDS
-                and (0 <= sp <= 1 or sp == math.inf) and row["tcr"] >= 0
+                and (0 <= sp <= 1 or sp == math.inf) and tcr >= 0
                 and row["m"] >= 1 and (row["k"] is None or row["k"] >= 1)
-                and round(abs(mean - math.fsum(waccs) / K_FOLDS), 9) <= 1e-6):
+                and round(abs(mean - math.fsum(waccs) / K_FOLDS), 9) <= 1e-6
+                and round(abs(mean + werr - 1), 9) <= 1e-6  # werr = 1 - wacc, as rounded
+                and (werr == 0 if tcr == math.inf else  # tcr = baseline / werr, each off 5e-7
+                     abs(tcr * werr - baseline) <= 5e-7 * (tcr + werr + 1) + 1e-9)):
             raise malformed
         rows.append(row)
     return echo, rows

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import is_zero_one, lambda_to_threshold, m_range, training_set
+from .bayes import lambda_to_threshold, query_sweep, training_set
 from .corpus import Incidence, Label
 from .errors import ConfigError, DataError
 
@@ -72,14 +72,14 @@ def neighborhood_votes(
 
     For 0/1 vectors d(x, y) = |y| + the sum over the ones of x of 1 - 2y,
     at most widest = min(m, max|x| + max|y|) at the last m, kept in the
-    narrowest signed integer type that holds widest + 1.  The query ones
-    are listed once, each with its column block [done, m) and its layer:
-    its rank among its row's ones in that block, so the rows of one layer
-    differ.  Each m adds |y| over its block, counted from the postings, to
-    every query row, scatters 1 - 2y of the block's columns as rows in the
-    distance type and, layer by layer, adds to each row the row of its one,
-    64 rows at most per add: the cost follows the query ones, not the block
-    width.
+    narrowest signed integer type that holds widest + 1.  Each m adds |y|
+    over its block [done, m), counted from the postings, to every query
+    row, and scatters 1 - 2y of the block's columns as rows in the distance
+    type.  It lists the block's query ones, sorted once by layer (a one's
+    rank among its row's ones there, so the rows of one layer differ), and
+    layer by layer adds to each row the row of its one, 64 rows at most per
+    add: the work follows the query ones, not the block width, in a Python
+    step per 64 rows of a layer.
     Every add is exact: a row stays between d + |y|_block - x.y_block >= 0
     and d + |x or y|_block <= min(m, |x| + |y|) <= widest, d its distance
     over [0, done).
@@ -92,23 +92,12 @@ def neighborhood_votes(
     of its rows is.  A vote counts the distances up to the cut over one
     class's columns, in the narrowest unsigned type that holds base.size.
     """
-    queries = np.asarray(queries)
-    if queries.ndim != 2 or queries.shape[1] != base.m:
-        raise ValueError(f"query shape {queries.shape} does not match base m={base.m}")
-    if not is_zero_one(queries):
-        raise ValueError("query vectors must hold only 0 and 1")
     k = check_k(k)
-    sweep = m_range(ms, base.m, 1)
+    queries, sweep = query_sweep(queries, ms, base.m, 1)
     last = sweep[-1]
-    # the query ones row by row, so a row's ones in one block are adjacent;
-    # a one's layer is its rank among them
-    rows, cols = np.nonzero(queries[:, :last])
-    block = np.searchsorted(sweep, cols, side="right")
-    at = np.arange(len(rows))
-    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(block, prepend=-1) != 0)
-    layer = at - np.maximum.accumulate(np.where(first, at, 0))
+    x_widest = queries[:, :last].sum(axis=1, dtype=np.intp).max(initial=0)
     y_widest = np.bincount(base.rows[: base.indptr[last]], minlength=1).max()
-    widest = min(last, int(np.bincount(rows, minlength=1).max()) + int(y_widest))
+    widest = min(last, int(x_widest) + int(y_widest))
     dist = np.zeros((len(queries), base.size), dtype=np.min_scalar_type(-widest - 2))
     unsigned = np.dtype(f"u{dist.itemsize}")
     n_spam = np.count_nonzero(base.labels)
@@ -118,12 +107,13 @@ def neighborhood_votes(
         dist += np.bincount(base.rows[ones], minlength=base.size).astype(dist.dtype)  # |y|
         y = np.ones((m - done, base.size), dtype=dist.dtype)  # 1 - 2y, a row per column
         y[np.repeat(np.arange(m - done), np.diff(base.indptr[done : m + 1])), base.rows[ones]] = -1
-        in_block = block == i
-        r, c, t = rows[in_block], cols[in_block] - done, layer[in_block]
-        for each in range(t.max(initial=-1) + 1):  # one layer: distinct rows
-            rr, cc = r[t == each], c[t == each]
-            for s in range(0, len(rr), 64):  # two 64-row copies at a time
-                dist[rr[s : s + 64]] += y[cc[s : s + 64]]
+        r, c = np.nonzero(queries[:, done:m])  # the block's query ones row by row
+        layer = np.arange(len(r)) - np.searchsorted(r, r)  # a one's rank in its row
+        by_layer = np.argsort(layer, kind="stable")  # the rows of one layer differ
+        r, c, ends = r[by_layer], c[by_layer], np.cumsum(np.bincount(layer)).tolist()
+        for a, b in zip([0, *ends], ends):  # one layer, two 64-row copies at a time
+            for s in range(a, b, 64):
+                dist[r[s : min(s + 64, b)]] += y[c[s : min(s + 64, b)]]
         for s in range(0, len(queries), 64):  # cut and vote on 64 rows at a time
             run = dist[s : s + 64]
             cut, top = run.min(axis=1), run.max(axis=1) if k > 1 else None

@@ -23,7 +23,7 @@ from spamlab import (
     neighborhood_votes,
     train_naive_bayes,
 )
-from spamlab.bayes import _log_odds, m_range
+from spamlab.bayes import _log_odds, query_sweep
 
 
 def model_of(prior_spam, p1_spam, p1_legit):
@@ -36,7 +36,7 @@ def model_of(prior_spam, p1_spam, p1_legit):
 
 
 def log_odds(model, matrix, ms=None):
-    return _log_odds(model, np.asarray(matrix), m_range(ms, model.m, 0))
+    return _log_odds(model, *query_sweep(matrix, ms, model.m, 0))
 
 
 def direct_log_odds(model, bits):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import io
+import math
 import os
 import subprocess
 import sys
@@ -309,6 +310,15 @@ class TestCompare:
         lines[3] = ",".join({**row, **fields}.values())
         bad.write_text("\n".join(lines) + "\n")
 
+    @staticmethod
+    def _mean_fields(good, mean: str) -> dict:
+        """wacc_mean with the werr_mean and tcr that the writer derives from it
+        and from good's baseline_werr."""
+        row = dict(zip(CSV_COLUMNS.split(","), good.read_text().splitlines()[3].split(",")))
+        werr = 1.0 - float(mean)
+        tcr = float(row["baseline_werr"]) / werr if werr > 0 else math.inf
+        return {"wacc_mean": mean, "werr_mean": f"{werr:.6f}", "tcr": f"{tcr:.6f}"}
+
     def test_file_against_itself(self, capsys, fixture_dir, tmp_path):
         out_file = tmp_path / "self.csv"
         self._evaluate(fixture_dir, out_file, [])
@@ -329,7 +339,7 @@ class TestCompare:
         paths = []
         for name, wacc in (("a.csv", wacc_a), ("b.csv", wacc_b)):
             paths.append(tmp_path / name)
-            fields = {"fold_waccs": ";".join([wacc] * 10), "wacc_mean": wacc}
+            fields = {"fold_waccs": ";".join([wacc] * 10), **self._mean_fields(base, wacc)}
             self._edit_row(base, paths[-1], fields)
         code, out, _ = run(capsys, ["compare", str(paths[0]), str(paths[1])])
         assert code == 0
@@ -440,10 +450,13 @@ class TestCompare:
         ("sr", "0.5"),  # parses, but the writer renders 0.500000
         ("sp", "-inf"),
         ("werr_mean", "1.000001"),
+        ("werr_mean", "0.900000"),  # in range, but not 1 - wacc_mean
+        ("tcr", "0.000000"),  # in range, but not baseline_werr / werr_mean
+        ("baseline_werr", "0.500000"),  # nor tcr * werr_mean
     ])
     def test_bad_field_exits_3(self, capsys, fixture_dir, tmp_path, column, text):
-        good = tmp_path / "good.csv"
-        self._evaluate(fixture_dir, good, ["--lambda", "9"])
+        good = tmp_path / "good.csv"  # m = 1 errs: werr 0.012195 = baseline, tcr 1
+        self._evaluate(fixture_dir, good, ["--lambda", "9", "--m", "1"])
         bad = tmp_path / "bad.csv"
         self._edit_row(good, bad, {column: text})
         capsys.readouterr()
@@ -475,7 +488,7 @@ class TestCompare:
         good = tmp_path / "good.csv"
         self._evaluate(fixture_dir, good, [])
         edited = tmp_path / "edited.csv"
-        fields = {"fold_waccs": ";".join(["0.100000"] * 10), "wacc_mean": mean}
+        fields = {"fold_waccs": ";".join(["0.100000"] * 10), **self._mean_fields(good, mean)}
         self._edit_row(good, edited, fields)
         assert run(capsys, ["compare", str(edited), str(edited)])[0] == code
 

@@ -462,6 +462,25 @@ class TestVoteRuns:
             assert (spam, legit) == expected
 
 
+class TestLayerAdds:
+    """Each block adds its query ones layer by layer, a layer's rows 64 at a
+    time; these queries give one block layers of 97, 65, 33 and 1 rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_uneven_layers_in_one_block_vote_as_the_direct_neighborhood(self, k):
+        rng = random.Random(k)
+        width, done = 135, 5  # every query one is in the block [5, 135)
+        rows, labels = random_base(rng, 20, width)
+        queries = []
+        for ones in [0, 1, 2, 65] * 32 + [0, 130]:  # 130 rows, one of 130 ones
+            at = set(rng.sample(range(done, width), ones))
+            queries.append([int(j in at) for j in range(width)])
+        ms = [done, width]
+        for m, (spam, legit) in zip(ms, votes(base_of(rows, labels), queries, k, ms)):
+            expected = direct_votes([r[:m] for r in rows], labels, [q[:m] for q in queries], k)
+            assert (spam, legit) == expected
+
+
 @st.composite
 def postings_cases(draw):
     """A training set drawn from a few row patterns (so stored rows repeat),
