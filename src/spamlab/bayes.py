@@ -34,12 +34,17 @@ def lambda_to_threshold(lam: float) -> float:
 
 @dataclass(frozen=True)
 class NaiveBayesModel:
-    """Unsmoothed class priors plus P(X_i = 1 | class) tables."""
+    """Class priors and P(X_i = 1 | class) tables of one length, all in (0, 1)."""
 
     prior_spam: float
     prior_legit: float
     p1_spam: np.ndarray
     p1_legit: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.r_[self.prior_spam, self.prior_legit, self.p1_spam, self.p1_legit]
+        if len(self.p1_spam) != len(self.p1_legit) or not ((values > 0) & (values < 1)).all():
+            raise ValueError("a model needs equal-length tables, all values inside (0, 1)")
 
     @property
     def m(self) -> int:
@@ -127,34 +132,28 @@ def train_naive_bayes(
 
 
 def _logs(values: Sequence[float]) -> tuple[list[float], list[float]]:
-    """log v and log(1 - v) of each value by math's logs, -inf at v = 0 and
-    v = 1 respectively: numpy's SIMD logs differ in the last bit by CPU."""
-    return (
-        [math.log(v) if v > 0 else -math.inf for v in values],
-        [math.log1p(-v) if v < 1 else -math.inf for v in values],
-    )
+    """log v and log(1 - v) of each value by math's logs: numpy's SIMD logs
+    differ in the last bit by CPU."""
+    return [math.log(v) for v in values], [math.log1p(-v) for v in values]
 
 
 def _log_odds(model: NaiveBayesModel, matrix: np.ndarray, ms: tuple[int, ...]) -> np.ndarray:
     """log P(spam | row) - log P(legit | row) over the first m columns of
     each row of a 0/1 matrix, (len(ms), n): the cumulative sum of the prior
     and per-attribute log odds, each m adding its new columns in order in an
-    (n, 1 + block) buffer that starts from the last m's sums.  The terms are
-    selected, not multiplied by indicators, so a hand-built hard zero counts
-    only where its bit is set: +-inf if it rules out one class, nan if both.
+    (n, 1 + block) buffer that starts from the last m's sums.
     """
     (prior_spam, prior_legit), _ = _logs([model.prior_spam, model.prior_legit])
     on_spam, off_spam = _logs(model.p1_spam.tolist())
     on_legit, off_legit = _logs(model.p1_legit.tolist())
     odds = np.empty((len(ms) + 1, len(matrix)))
     odds[0] = prior_spam - prior_legit
-    with np.errstate(invalid="ignore"):  # inf - inf: ruled out under both classes
-        on, off = np.subtract(on_spam, on_legit), np.subtract(off_spam, off_legit)
-        for i, (done, m) in enumerate(zip((0, *ms), ms)):
-            cum = np.empty((len(matrix), 1 + m - done))
-            cum[:, 0], cum[:, 1:] = odds[i], off[done:m]
-            np.copyto(cum[:, 1:], on[done:m], where=matrix[:, done:m].astype(bool))
-            odds[i + 1] = np.cumsum(cum, axis=1, out=cum)[:, -1]
+    on, off = np.subtract(on_spam, on_legit), np.subtract(off_spam, off_legit)
+    for i, (done, m) in enumerate(zip((0, *ms), ms)):
+        cum = np.empty((len(matrix), 1 + m - done))
+        cum[:, 0], cum[:, 1:] = odds[i], off[done:m]
+        np.copyto(cum[:, 1:], on[done:m], where=matrix[:, done:m].astype(bool))
+        odds[i + 1] = np.cumsum(cum, axis=1, out=cum)[:, -1]
     return odds[1:]
 
 
@@ -162,12 +161,9 @@ def classify_nb_batch(
     model: NaiveBayesModel, matrix: np.ndarray, lam: float, ms: Sequence[int] | None = None
 ) -> np.ndarray:
     """uint8 decision per row of an (n, model.m) 0/1 matrix (ValueError for
-    any other entry), 1 = spam: its log odds exceed log lambda, or, if it is
-    ruled out under both classes, prior_spam exceeds t.  One row per m of an
-    ascending ms, (model.m,) by default, so (len(ms), n).
+    any other entry), 1 = spam: its log odds exceed log lambda.  One row per
+    m of an ascending ms, (model.m,) by default, so (len(ms), n).
     """
-    threshold = lambda_to_threshold(lam)
+    lambda_to_threshold(lam)  # validates lambda
     odds = _log_odds(model, *query_sweep(matrix, ms, model.m, 0))
-    spam = odds > math.log(float(lam))
-    spam[np.isnan(odds)] = model.prior_spam > threshold
-    return spam.astype(np.uint8)
+    return (odds > math.log(float(lam))).astype(np.uint8)

@@ -84,8 +84,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="cost of a blocked legitimate message, in passed-spam units")
     parser.add_argument("--k", type=int, default=1, help="neighborhood size (mb only)")
     parser.add_argument("--seed", type=int, default=0, help="fold-plan seed")
-    parser.add_argument("--oracle", action="store_true",
-                        help="test hook: classify with the gold labels")
     parser.add_argument("--out", default="-", help="result CSV path, - for stdout")
 
 
@@ -137,8 +135,8 @@ def _result_row(values: dict) -> str:
 
 
 def _echo(args: argparse.Namespace, m_spec: str, k: int | None) -> dict:
-    """The run's # config line.  lowercase, min_token_length, k_folds and
-    fold_strategy are format constants, kept so the bytes stay the same."""
+    """The run's # config line.  lowercase, min_token_length, oracle, k_folds
+    and fold_strategy are format constants, kept so the bytes stay the same."""
     return {
         "corpus": args.corpus,
         "layout": args.layout,
@@ -150,7 +148,7 @@ def _echo(args: argparse.Namespace, m_spec: str, k: int | None) -> dict:
         "m": m_spec,
         "k": k,
         "seed": args.seed,
-        "oracle": args.oracle,
+        "oracle": False,
         "k_folds": K_FOLDS,
         "fold_strategy": "stratified",
     }
@@ -200,8 +198,6 @@ def _cross_validate(args: argparse.Namespace, m_spec: str, ms: range) -> int:
     lambda_to_threshold(args.lam)  # ConfigError before the corpus is read, as for ms and k
     k = args.k if args.classifier == "mb" else None
     classifier = ClassifierConfig(args.classifier, k=k)
-    if args.oracle:
-        classifier = ClassifierConfig("oracle")
     corpus = load_corpus(args.corpus, layout=args.layout, stemming=args.stemming)
     plan = make_stratified_folds(corpus, k_folds=K_FOLDS, seed=args.seed)
     results = sweep_attributes(corpus, classifier, args.lam, plan, ms.start, ms[-1], ms.step)
@@ -234,12 +230,10 @@ def _read_result_file(path: str) -> tuple[dict, list[dict]]:
         echo = json.loads(lines[1].removeprefix("# config "))
     except ValueError:  # not JSON, or an integer beyond int's digit limit
         raise malformed
-    if not isinstance(echo, dict) or echo.get("k_folds") != K_FOLDS:
+    if type(echo) is not dict or echo.get("k_folds") != K_FOLDS or echo.get("oracle") is not False:
         raise malformed
-    oracle = echo.get("oracle") is True  # an oracle row has no k
-    echoed = {"classifier": "oracle" if oracle else echo.get("classifier"),
-              "lam": echo.get("lambda"), "k": None if oracle else echo.get("k"),
-              "seed": echo.get("seed")}
+    echoed = {"classifier": echo.get("classifier"), "lam": echo.get("lambda"),
+              "k": echo.get("k"), "seed": echo.get("seed")}
     rows = []
     for line in lines[3:]:
         try:  # each field renders back to its text, and so do the echo's settings
@@ -333,7 +327,3 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, (CorpusError, DataError)):
             return 2
         return 3 if isinstance(exc, ConfigError) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,6 +26,10 @@ from spamlab import (
 from spamlab.bayes import _log_odds, query_sweep
 
 
+# a prior or conditional that no model may hold
+OUTSIDE = (0.0, 1.0, math.nan, -0.5, 1.5)
+
+
 def model_of(prior_spam, p1_spam, p1_legit):
     return NaiveBayesModel(
         prior_spam=prior_spam,
@@ -236,19 +240,16 @@ class TestPosterior:
         model = train_naive_bayes(attrs.x, attrs.y)
         assert np.all(np.isfinite(log_odds(model, attrs.x)))
 
-    def test_unsmoothed_zero_in_one_class(self):
-        model = model_of(0.5, [1.0], [0.0])
-        x = np.array([[1], [0]])
-        assert log_odds(model, x)[0].tolist() == [math.inf, -math.inf]
-        assert classify_nb_batch(model, x, 999.0)[0].tolist() == [Label.SPAM, Label.LEGITIMATE]
-
-    def test_unsmoothed_impossible_under_both_falls_back_to_prior(self):
-        # bit 0 rules out spam, bit 1 rules out legit: spam iff 0.75 > t
-        model = model_of(0.75, [0.0, 0.5], [0.5, 0.0])
-        x = np.array([[1, 1]])
-        assert math.isnan(log_odds(model, x)[0, 0])
-        assert classify_nb_batch(model, x, 1.0)[0].tolist() == [Label.SPAM]
-        assert classify_nb_batch(model, x, 9.0)[0].tolist() == [Label.LEGITIMATE]
+    @pytest.mark.parametrize("changes", [
+        *({prior: value} for prior in ("prior_spam", "prior_legit") for value in OUTSIDE),
+        *({table: [0.5, value]} for table in ("p1_spam", "p1_legit") for value in OUTSIDE),
+        {"p1_spam": [0.5]}, {"p1_legit": []},  # tables of two lengths
+    ], ids=str)
+    def test_model_unlike_any_trained_one_is_refused(self, changes):
+        fields = {"prior_spam": 0.5, "prior_legit": 0.5, "p1_spam": [0.8, 0.3],
+                  "p1_legit": [0.2, 0.6], **changes}
+        with pytest.raises(ValueError, match=r"equal-length tables, all values inside \(0, 1\)"):
+            NaiveBayesModel(**{name: np.array(value) for name, value in fields.items()})
 
     def test_batch_matches_scalar(self):
         # the scalar reference is the non-log brute force, row by row
@@ -264,12 +265,12 @@ class TestPosterior:
 
     @given(st.data(), st.one_of(st.sampled_from([1.0, 9.0, 999.0]), st.floats(1e-3, 1e6)))
     def test_decisions_follow_the_exact_posterior(self, data, lam):
-        # hard zeros included; a row ruled out under both classes has no
-        # posterior and falls back to the prior
-        probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        # any probabilities a model may hold: strictly inside (0, 1), and
+        # for the prior its complement too
+        probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
         m = data.draw(st.integers(0, 6))
         model = model_of(
-            data.draw(probability),
+            data.draw(probability.filter(lambda p: 1 - p < 1)),
             data.draw(st.lists(probability, min_size=m, max_size=m)),
             data.draw(st.lists(probability, min_size=m, max_size=m)),
         )
@@ -280,10 +281,7 @@ class TestPosterior:
         exact = [Fraction(v) for v in (model.prior_spam, model.prior_legit)]
         p1 = [[Fraction(v) for v in p.tolist()] for p in (model.p1_spam, model.p1_legit)]
         for bits, decision in zip(rows, decisions[0].tolist()):
-            try:
-                posterior = posterior_spam_direct(*exact, *p1, bits)
-            except ZeroDivisionError:
-                posterior = exact[0]
+            posterior = posterior_spam_direct(*exact, *p1, bits)
             if abs(posterior - t) > Fraction(1, 10**9):
                 assert decision == int(posterior > t)
 
@@ -308,29 +306,22 @@ class TestSweep:
     def test_blockwise_sums_are_the_bytes_of_one_cumulative_sum(self, data):
         # _log_odds adds each m's new columns in a buffer of their own; the
         # reference takes every term at once and sums them in one cumsum.
-        # Hard zeros (log 0 = -inf; both classes ruled out gives nan) are
-        # drawn next to a block edge, on either side of it.
         m = data.draw(st.integers(2, 9))
         ms = sorted(data.draw(st.sets(st.integers(0, m), min_size=1)))
-        edge = data.draw(st.sampled_from([e for e in ms if 0 < e < m] or [m - 1]))
-        probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
         p1 = [data.draw(st.lists(probability, min_size=m, max_size=m)) for _ in range(2)]
-        for table in p1:
-            table[edge - 1], table[edge] = data.draw(st.sampled_from([0.0, 1.0])), 0.0
         model = model_of(data.draw(st.floats(0.01, 0.99)), *p1)
         matrix = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
                                              min_size=1, max_size=6)), dtype=np.uint8)
 
         def logs(values):
-            return ([math.log(v) if v > 0 else -math.inf for v in values],
-                    [math.log1p(-v) if v < 1 else -math.inf for v in values])
+            return [math.log(v) for v in values], [math.log1p(-v) for v in values]
 
         (on_spam, off_spam), (on_legit, off_legit) = logs(p1[0]), logs(p1[1])
-        with np.errstate(invalid="ignore"):
-            terms = np.where(matrix == 1, np.subtract(on_spam, on_legit),
-                             np.subtract(off_spam, off_legit))
-            prior = math.log(model.prior_spam) - math.log(model.prior_legit)
-            whole = np.cumsum(np.column_stack([np.full(len(matrix), prior), terms]), axis=1)
+        terms = np.where(matrix == 1, np.subtract(on_spam, on_legit),
+                         np.subtract(off_spam, off_legit))
+        prior = math.log(model.prior_spam) - math.log(model.prior_legit)
+        whole = np.cumsum(np.column_stack([np.full(len(matrix), prior), terms]), axis=1)
         expected = np.ascontiguousarray(whole[:, ms].T)
         assert log_odds(model, matrix, ms).tobytes() == expected.tobytes()
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import spamlab.cli
 from spamlab import Corpus, Document, Label, SpamlabError, generate_fixture_corpus
-from spamlab.cli import CSV_COLUMNS, main
+from spamlab.cli import CSV_COLUMNS, build_parser, main
 from spamlab.corpus import write_fixture_corpus
 
 
@@ -20,6 +22,13 @@ from spamlab.corpus import write_fixture_corpus
 def fixture_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli") / "corpus"
     write_fixture_corpus(generate_fixture_corpus(7, 90, 10), root)
+    return root
+
+
+@pytest.fixture(scope="session")
+def hard_dir(tmp_path_factory, hard_corpus):
+    root = tmp_path_factory.mktemp("cli-hard") / "corpus"
+    write_fixture_corpus(hard_corpus, root)
     return root
 
 
@@ -129,17 +138,26 @@ class TestEvaluate:
         assert out.startswith("# spamlab results v1")
         assert "TCR=" in err  # summary moves to stderr
 
-    def test_oracle_hook_reports_infinite_tcr(self, capsys, fixture_dir, tmp_path):
-        out_file = tmp_path / "oracle.csv"
+    def test_perfect_filter_reports_infinite_tcr(self, capsys, fixture_dir, tmp_path):
+        # the fixture corpus is separable: nb at lambda 9 blocks no
+        # legitimate message and passes no spam, so WErr is 0
+        out_file = tmp_path / "perfect.csv"
         code, out, _ = run(capsys, [
             "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
-            "--m", "15", "--oracle", "--out", str(out_file),
+            "--classifier", "nb", "--lambda", "9", "--m", "15", "--out", str(out_file),
         ])
         assert code == 0
-        row = out_file.read_text().splitlines()[3].split(",")
-        assert row[0] == "oracle"
-        assert row[10] == "inf"
+        row = dict(zip(CSV_COLUMNS.split(","), out_file.read_text().splitlines()[3].split(",")))
+        assert (row["wacc_mean"], row["werr_mean"], row["tcr"]) == ("1.000000", "0.000000", "inf")
         assert out.rstrip().endswith(" TCR=inf")
+
+    def test_oracle_flag_is_a_usage_error(self, capsys, fixture_dir):
+        code, out, err = run(capsys, [
+            "evaluate", "--corpus", str(fixture_dir), "--layout", "fixture",
+            "--m", "15", "--oracle",
+        ])
+        assert (code, out) == (3, "")
+        assert err == "error: unrecognized arguments: --oracle\n"
 
     def test_mb_k_recorded(self, capsys, fixture_dir, tmp_path):
         out_file = tmp_path / "mb.csv"
@@ -327,6 +345,30 @@ class TestCompare:
         assert "t=0.000" in out
         assert "not significant" in out
 
+    def test_files_with_finite_tcr_compare(self, capsys, hard_dir, tmp_path):
+        # the classes overlap, so both filters err and each file's tcr must
+        # agree with its baseline_werr / werr_mean as written
+        runs = {"nb": ("6.666667", ["--m", "5"]),
+                "mb": ("4.000000", ["--classifier", "mb", "--k", "2", "--m", "50"])}
+        for name, (tcr, extra) in runs.items():
+            out_file = tmp_path / f"{name}.csv"
+            assert main(["evaluate", "--corpus", str(hard_dir), "--layout", "fixture",
+                         "--lambda", "1", "--out", str(out_file), *extra]) == 0
+            row = dict(zip(CSV_COLUMNS.split(","), out_file.read_text().splitlines()[3].split(",")))
+            assert row["tcr"] == tcr
+            self._edit_row(out_file, tmp_path / f"{name}-moved.csv",
+                           {"tcr": f"{float(tcr) + 0.001:.6f}"})
+        capsys.readouterr()
+        nb, mb = tmp_path / "nb.csv", tmp_path / "mb.csv"
+        code, out, err = run(capsys, ["compare", str(nb), str(mb)])
+        assert (code, err) == (0, "")
+        assert "df=9" in out
+        for name in runs:
+            moved = tmp_path / f"{name}-moved.csv"
+            code, out, err = run(capsys, ["compare", str(moved), str(tmp_path / f"{name}.csv")])
+            assert (code, out) == (3, "")
+            assert err == f"error: not a spamlab results v1 file: {moved}\n"
+
     @pytest.mark.parametrize("wacc_a,wacc_b,expected", [
         ("0.900000", "0.800000", "t=inf df=9 significant"),
         ("0.800000", "0.900000", "t=-inf df=9 not significant"),
@@ -465,10 +507,25 @@ class TestCompare:
             assert (code, out) == (3, "")
             assert err == f"error: not a spamlab results v1 file: {bad}\n"
 
+    @pytest.mark.parametrize("oracle", ["true", "0", "null"])
+    def test_echo_of_an_oracle_run_exits_3(self, capsys, fixture_dir, tmp_path, oracle):
+        # the writer's echo always holds "oracle":false; no run can write another
+        good = tmp_path / "good.csv"
+        self._evaluate(fixture_dir, good, [])
+        lines = good.read_text().splitlines()
+        assert '"oracle":false' in lines[1]
+        lines[1] = lines[1].replace('"oracle":false', f'"oracle":{oracle}')
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for pair in ([bad, good], [good, bad]):
+            code, out, err = run(capsys, ["compare", str(pair[0]), str(pair[1])])
+            assert (code, out) == (3, "")
+            assert err == f"error: not a spamlab results v1 file: {bad}\n"
+
     @pytest.mark.parametrize("extra", [
-        ["--oracle", "--classifier", "mb", "--k", "2"],  # row oracle, no k; echo mb, k 2
         ["--lambda", "1.23456789"],  # row lambda 1.23457
-    ], ids=["oracle-mb-k2", "lambda-beyond-6-digits"])
+    ], ids=["lambda-beyond-6-digits"])
     def test_row_that_differs_from_its_echo_as_written_compares(
         self, capsys, fixture_dir, tmp_path, extra
     ):
@@ -624,6 +681,18 @@ def test_readme_result_header_is_csv_columns():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Result file format\n\n```\n", 1)[1].split("```", 1)[0]
     assert block.splitlines()[2] == CSV_COLUMNS
+
+
+def test_readme_flags_are_the_run_commands_flags():
+    # the Flags: paragraph names every flag of evaluate and sweep, and no other
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {option for command in ("evaluate", "sweep")
+             for action in commands[command]._actions for option in action.option_strings}
+    assert documented == flags - {"-h", "--help"}
 
 
 def test_readme_cli_example_reproduces(capsys, monkeypatch, tmp_path):

@@ -87,7 +87,6 @@ def _run_flags(p: dict, command: str) -> dict:
         "--lambda": _pick(["1", "9", "999", "1e-300"], ["0", "nan", "inf", "1e16"], True),
         "--k": _pick(["1", "2", "99999"], ["0", "-1"], True),
         "--seed": _pick(["0", "-5", str(10**20)], ["x"], True),
-        "--oracle": (st.none(), st.none()),
         "--out": _pick(["-", str(p["root"] / "out.csv")], [p["under_file"], p["empty"]]),
         "--m": _pick(["1", "5", "40"], ["0", "500", str(10**15)], True),
         "--m-range": _pick(["1:20:5", "3:40:1"], ["10:1:1", f"1:{10**15}:1"], True),
@@ -117,9 +116,9 @@ def _argv(data, flags: dict) -> list[str]:
     for flag in chosen:
         good, bad = flags[flag]
         value = data.draw(good if clean or data.draw(st.booleans()) else bad)
-        argv += [flag] if value is None else [flag, value]
+        argv += [flag, value]
     if not clean and data.draw(st.booleans()):
-        argv += data.draw(st.sampled_from([["--bogus"], ["stray"], ["--m"]]))
+        argv += data.draw(st.sampled_from([["--bogus"], ["stray"], ["--m"], ["--oracle"]]))
     return argv
 
 
@@ -195,15 +194,15 @@ UNIT = st.floats(0.0, 1.0)
 
 def _results(args: argparse.Namespace, k: int | None):
     """Results that agree with the echo of args, as every CLI run writes them:
-    its classifier (oracle, with no k, for an oracle run), k, lambda and
-    seed, and a mean WAcc, WErr and TCR that follow from the fold WAccs."""
+    its classifier, k, lambda and seed, and a mean WAcc, WErr and TCR that
+    follow from the fold WAccs."""
     return st.builds(
         _with_fold_mean,
         st.lists(UNIT, min_size=10, max_size=10).map(tuple),
-        classifier=st.just("oracle" if args.oracle else args.classifier),
+        classifier=st.just(args.classifier),
         lam=st.just(args.lam),
         m=st.integers(1, 10**6),
-        k=st.just(None if args.oracle else k),
+        k=st.just(k),
         seed=st.just(args.seed),
         spam_recall=UNIT,
         spam_precision=UNIT | st.just(math.inf),
@@ -220,7 +219,6 @@ ARGS = st.builds(
     lam=st.floats(1e-300, 9.0e15),
     k=st.integers(1, 10**4),
     seed=st.integers(-(10**20), 10**20),
-    oracle=st.booleans(),
 )
 
 

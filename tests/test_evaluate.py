@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -734,6 +735,25 @@ class TestDirectOracle:
                 assume(near_ties == 0)
                 assert_matches_direct(corpus, plan, config, lam, ms, expected)
                 assert _fold_rankings.cache_info().misses == misses + 1
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 7, WErr from the counts: mean WErr is 1 - mean WAcc, so it "
+               "keeps the rounding of a mean WAcc whose complement is 8.3e-5",
+    )
+    def test_tcr_of_a_mean_wacc_near_one(self):
+        # a case that the sweep property drew: TCR 3.272652838422932 against
+        # the exact 11991/3664 = 3.2726528384279474, 1.5e-12 relative
+        messages = {Label.LEGITIMATE: [("ab",)] * 11,
+                    Label.SPAM: [("ab",), ("ab", "cd"), ("ab", "cd")]}
+        docs = [Document(tokens, label, f"{label}{i:02d}")
+                for label, texts in messages.items() for i, tokens in enumerate(texts)]
+        corpus = Corpus.from_documents(docs)
+        plan = make_stratified_folds(corpus, k_folds=3, seed=0)
+        config = ClassifierConfig(kind="mb", k=1)
+        expected = direct_protocol(corpus, plan, config, 999, range(1, 2))
+        assert expected[0][2] == Fraction(11991, 3664)
+        assert_matches_direct(corpus, plan, config, 999, range(1, 2), expected)
 
     def test_nb_exact_ties_go_to_legitimate(self):
         # every fold trains on 2 + 2 identical messages: equal priors and
