@@ -42,9 +42,11 @@ class NaiveBayesModel:
     p1_legit: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.r_[self.prior_spam, self.prior_legit, self.p1_spam, self.p1_legit]
-        if len(self.p1_spam) != len(self.p1_legit) or not ((values > 0) & (values < 1)).all():
-            raise ValueError("a model needs equal-length tables, all values inside (0, 1)")
+        spam, legit = (np.asarray(p, dtype=np.float64) for p in (self.p1_spam, self.p1_legit))
+        object.__setattr__(self, "p1_spam", spam), object.__setattr__(self, "p1_legit", legit)
+        values = np.r_[self.prior_spam, self.prior_legit, spam.ravel(), legit.ravel()]
+        if spam.ndim != 1 or spam.shape != legit.shape or not ((values > 0) & (values < 1)).all():
+            raise ValueError("a model needs 1-D equal-length tables, all values inside (0, 1)")
 
     @property
     def m(self) -> int:

@@ -200,9 +200,9 @@ STEMMING = ("none", "light")
 
 
 class _Encoder(dict):
-    """Word -> token id for one corpus, its documents added in order: each
-    distinct word normalized once, on its first lookup, and each token numbered
-    on its first sight, into one flat id array, uint16 until an id needs more."""
+    """Word -> token id for one corpus, its documents added in order: each distinct word
+    normalized once, on its first lookup (a word in normal form is its own token, stored once),
+    and each token numbered on its first sight, into one flat id array, uint16 until needed."""
 
     def __init__(self, normalize: Callable[[str], str]) -> None:
         super().__init__()
@@ -210,7 +210,8 @@ class _Encoder(dict):
         self.ids, self.offsets = array("H"), array("q", [0])
 
     def __missing__(self, word: str) -> int:
-        token_id = self[word] = self.tokens.setdefault(self.normalize(word), len(self.tokens))
+        token = word if (token := self.normalize(word)) == word else token
+        token_id = self[word] = self.tokens.setdefault(token, len(self.tokens))
         return token_id
 
     def add(self, words: Sequence[str]) -> None:

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import errno
 import os
+import tracemalloc
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ def top_features(corpus: Corpus, m: int) -> Features:
         presence_matrix(incidence, ids[:m]),
         incidence.labels,
     )
+
+
+def traced(call: Callable[[], object]) -> tuple[object, int, int]:
+    """call() under tracemalloc: its result, the bytes still traced when it
+    returns (what the result and anything else it left keep) and the peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def fold_members(plan: FoldPlan, fold: int) -> list[int]:

@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import top_features
+from conftest import top_features, traced
 from oracles import posterior_legit_direct, posterior_spam_direct
 from spamlab import (
     ConfigError,
@@ -130,12 +129,7 @@ class TestTraining:
         matrix = (rng.random((2600, 700)) < 0.01).astype(np.uint8)
         labels = (np.arange(2600) % 10 == 0).astype(np.uint8)
         train_naive_bayes(matrix, labels)
-        tracemalloc.start()
-        try:
-            model = train_naive_bayes(matrix, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        model, _, peak = traced(lambda: train_naive_bayes(matrix, labels))
         assert peak <= matrix.nbytes // 4
         legit = matrix[labels == 0]
         assert model.p1_legit.tolist() == ((legit.sum(axis=0) + 1.0) / (len(legit) + 2.0)).tolist()
@@ -244,12 +238,31 @@ class TestPosterior:
         *({prior: value} for prior in ("prior_spam", "prior_legit") for value in OUTSIDE),
         *({table: [0.5, value]} for table in ("p1_spam", "p1_legit") for value in OUTSIDE),
         {"p1_spam": [0.5]}, {"p1_legit": []},  # tables of two lengths
+        {"p1_spam": [[0.8, 0.3]], "p1_legit": [[0.2, 0.6]]}, {"p1_spam": [[0.8], [0.3]]},
+        {"p1_spam": 0.8, "p1_legit": 0.2},  # tables that are not 1-D
     ], ids=str)
     def test_model_unlike_any_trained_one_is_refused(self, changes):
         fields = {"prior_spam": 0.5, "prior_legit": 0.5, "p1_spam": [0.8, 0.3],
                   "p1_legit": [0.2, 0.6], **changes}
         with pytest.raises(ValueError, match=r"equal-length tables, all values inside \(0, 1\)"):
             NaiveBayesModel(**{name: np.array(value) for name, value in fields.items()})
+
+    def test_list_tables_decide_like_array_tables(self):
+        rng = random.Random(41)
+        model = random_model(rng, 6)
+        listed = NaiveBayesModel(
+            model.prior_spam, model.prior_legit, model.p1_spam.tolist(), model.p1_legit.tolist()
+        )
+        for name in ("p1_spam", "p1_legit"):
+            table = getattr(listed, name)
+            assert table.dtype == np.float64 and table.tolist() == getattr(model, name).tolist()
+        matrix = np.array([[rng.randint(0, 1) for _ in range(6)] for _ in range(40)], np.uint8)
+        for lam in (1.0, 9.0, 999.0):
+            expected = classify_nb_batch(model, matrix, lam)
+            actual = classify_nb_batch(listed, matrix, lam)
+            assert actual[0].tolist() == expected[0].tolist()
+        one = NaiveBayesModel(0.5, 0.5, [0.8], [0.2])
+        assert classify_nb_batch(one, np.array([[1], [0]]), 1.0).tolist() == [[1, 0]]
 
     def test_batch_matches_scalar(self):
         # the scalar reference is the non-log brute force, row by row

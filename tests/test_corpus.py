@@ -5,8 +5,8 @@ import os
 import random
 import re
 import tempfile
-import tracemalloc
 from array import array
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import traced
 from oracles import subject_body_words
 
 from spamlab import (
@@ -31,7 +32,7 @@ from spamlab import (
     tokenize,
 )
 import spamlab.corpus as corpus_module
-from spamlab.corpus import STEMMING, Corpus, Incidence, write_fixture_corpus
+from spamlab.corpus import STEMMING, Corpus, Incidence, _Encoder, write_fixture_corpus
 
 LIGHT = "light"
 PLAIN = "none"
@@ -319,6 +320,18 @@ class TestLoadCorpus:
             ("walk", "walk", "fli", "fli"),
         ]
 
+    def test_a_word_in_normal_form_is_its_own_token(self):
+        # a word built at run time is a str that no literal shares: the
+        # token numbered for it is that very object, where an equal copy
+        # from normalizing would hold the word twice
+        encoder = _Encoder(partial(normalize_token, stemming=LIGHT))
+        word = "".join(["wa", "lk"])
+        encoder.add([word, "Walked", "Jumped", "jump"])
+        walk, jump = encoder.tokens
+        assert walk is word and (walk, jump) == ("walk", "jump")
+        assert encoder.ids.tolist() == [0, 0, 1, 1]
+        assert encoder == {"walk": 0, "Walked": 0, "Jumped": 1, "jump": 1}
+
     def test_label_tally_matches_counts(self, small_corpus):
         spam = sum(1 for d in small_corpus.documents if d.label is Label.SPAM)
         assert spam == small_corpus.n_spam
@@ -545,12 +558,7 @@ class TestDocumentHelpers:
         corpus = generate_fixture_corpus(7, 400, 100, params)
         occurrences = len(corpus.token_ids)
         assert occurrences >= 100_000 and "documents" not in corpus.__dict__
-        tracemalloc.start()
-        try:
-            Incidence.from_corpus(corpus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: Incidence.from_corpus(corpus))
         assert peak <= 8 * occurrences, peak / occurrences
 
 
@@ -599,12 +607,17 @@ class TestTokenIds:
         # take 8 for its pointers alone
         params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
         write_fixture_corpus(generate_fixture_corpus(7, 400, 100, params), tmp_path)
-        tracemalloc.start()
-        try:
-            corpus = load_corpus(tmp_path, layout="fixture")
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        corpus, kept, _ = traced(lambda: load_corpus(tmp_path, layout="fixture"))
         occurrences = len(corpus.token_ids)
         assert occurrences >= 100_000 and corpus.token_ids.itemsize == 2
         assert kept <= 5 * occurrences, kept / occurrences
+
+    def test_load_holds_under_128_bytes_a_token_beside_what_it_keeps(self, tmp_path):
+        # the same shape: beside the kept corpus, the load holds its word
+        # dict and one message's words; a second str for every word
+        # already in normal form (all of them here) would not fit
+        params = FixtureParams(vocab_size=2000, doc_len_min=100, doc_len_max=300)
+        write_fixture_corpus(generate_fixture_corpus(7, 400, 100, params), tmp_path)
+        corpus, kept, peak = traced(lambda: load_corpus(tmp_path, layout="fixture"))
+        size = len(corpus.vocabulary)
+        assert size >= 1000 and peak - kept <= 128 * size, (peak - kept) / size

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import fold_members, matrix_of, presence_matrix, top_features
+from conftest import fold_members, matrix_of, presence_matrix, top_features, traced
 from oracles import cross_validate_direct, ranking_direct
 
 from spamlab import (
@@ -865,12 +864,7 @@ class TestMemoryBudget:
         # breaks the budget.
         plan, cells = make_stratified_folds(corpus, seed=0), len(corpus) * 300
         sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
-        tracemalloc.start()
-        try:
-            sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: sweep_attributes(corpus, config, 1.0, plan, 50, 300, 50))
         assert peak < budget * cells, peak / cells
 
     @pytest.mark.parametrize("kind", ["nb", "mb"])

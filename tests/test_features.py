@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import presence_matrix, top_features
+from conftest import presence_matrix, top_features, traced
 from oracles import mi_direct, mi_exact, ranking_direct
 from spamlab import (
     ClassifierConfig,
@@ -449,12 +448,7 @@ class TestCountBlocks:
         )
         folds = rng.integers(0, k_folds, n)
         table = 2 * k_folds * size * np.min_scalar_type(n).itemsize
-        tracemalloc.start()
-        try:
-            next(class_counts(incidence, folds, k_folds))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: next(class_counts(incidence, folds, k_folds)))
         assert peak < table + 24 * 2**14 + 16 * size, (peak, table)
 
     def test_first_count_pass_peaks_under_the_table_plus_one_block(self):

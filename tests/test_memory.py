@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import top_features
+from conftest import top_features, traced
 from oracles import neighborhood_direct
 from spamlab import (
     ConfigError,
@@ -549,12 +548,7 @@ class TestMemoryBudget:
         queries = (rng.random((n_queries, m)) < density).astype(np.uint8)
         ms = range(50, m + 1, 50)
         neighborhood_votes(base, queries, 1, ms)
-        tracemalloc.start()
-        try:
-            neighborhood_votes(base, queries, 1, ms)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: neighborhood_votes(base, queries, 1, ms))
         assert peak <= 5 * n_queries * n_stored
 
     def test_a_300_row_layer_is_added_64_rows_at_a_time(self):
@@ -570,12 +564,7 @@ class TestMemoryBudget:
         queries = rng.integers(0, 2, (n_queries, m), dtype=np.uint8)
         queries[:, 0] = 1
         neighborhood_votes(base, queries, 1)
-        tracemalloc.start()
-        try:
-            neighborhood_votes(base, queries, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: neighborhood_votes(base, queries, 1))
         assert peak <= 1.1 * (n_queries * n_stored + 2 * 64 * n_stored)
 
     @pytest.mark.parametrize("k", [1, 2, 10])
@@ -592,12 +581,7 @@ class TestMemoryBudget:
         )
         queries = (rng.random((n_queries, m)) < 0.3).astype(np.uint8)
         neighborhood_votes(base, queries, k)
-        tracemalloc.start()
-        try:
-            neighborhood_votes(base, queries, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: neighborhood_votes(base, queries, k))
         assert peak <= 1.1 * (n_queries + 2 * 64) * n_stored, peak
 
 
